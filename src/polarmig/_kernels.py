@@ -1,185 +1,7 @@
-"""Compiled migration kernels.
+"""Backend flag kept for tools that record which migration backend ran.
 
-The band migration loop is the hot spot: every (imaging point, receiver,
-frequency) triple contributes a rank-one-structured Green contraction.  When
-numba is importable the loop runs compiled and parallel over imaging points;
-each point accumulates its receiver and frequency sums in a fixed serial
-order, so results are bitwise independent of the thread schedule.  Without
-numba the vectorized numpy path in ``migrate`` is used instead.
+Migration has one numpy implementation (``polarmig.migrate``) and no
+compiled kernel, so ``HAVE_NUMBA`` is always False.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-    prange = range
-
-
-def set_threads(n: int) -> None:
-    if HAVE_NUMBA:
-        numba.set_num_threads(max(1, min(n, numba.config.NUMBA_NUM_THREADS)))
-
-
-@njit(cache=True, parallel=True)
-def band_migrate(recs, pts, x_s, data, ks, weights, cell, u_s, mode):
-    """Trapezoid-weighted migration with optional per-frequency recovery.
-
-    recs (R, 3), pts (C, 3), x_s (3,), data (R, F, 3, 3), ks (F,) uniform,
-    weights (F,) frequency quadrature, cell: receiver quadrature weight,
-    u_s (3, 2) source-side basis.  mode: 0 image only, 1 exact recovery,
-    2 projected image only (the caller applies the far-field rescaling).
-
-    Returns (image (C, 3, 3), alpha (C, 2, 2) band-summed estimates, worst
-    2x2 factor condition proxy per point).  The caller divides ``alpha`` by
-    the bandwidth.
-    """
-    n_pts = pts.shape[0]
-    n_rec = recs.shape[0]
-    n_freq = ks.shape[0]
-    image = np.zeros((n_pts, 3, 3), np.complex128)
-    alpha = np.zeros((n_pts, 2, 2), np.complex128)
-    worst_cond = np.zeros(n_pts)
-    dk = ks[1] - ks[0] if n_freq > 1 else 0.0
-
-    for c in prange(n_pts):
-        acc = np.zeros((n_freq, 3, 3), np.complex128)
-        hdiag = np.zeros((n_freq, 3, 3), np.complex128)
-        px, py, pz = pts[c, 0], pts[c, 1], pts[c, 2]
-        for r in range(n_rec):
-            dx = recs[r, 0] - px
-            dy = recs[r, 1] - py
-            dz = recs[r, 2] - pz
-            rr = np.sqrt(dx * dx + dy * dy + dz * dz)
-            h0, h1, h2 = dx / rr, dy / rr, dz / rr
-            amp = 1.0 / (4.0 * np.pi * rr)
-            step = np.exp(1j * dk * rr)
-            phase = np.exp(1j * ks[0] * rr)
-            for fi in range(n_freq):
-                kr = ks[fi] * rr
-                g = phase * amp
-                m = (1j * kr - 1.0) / (kr * kr)
-                a = g * (1.0 + m)
-                b = -g * (1.0 + 3.0 * m)
-                ca, cb = np.conj(a), np.conj(b)
-                d = data[r, fi]
-                for col in range(3):
-                    w = h0 * d[0, col] + h1 * d[1, col] + h2 * d[2, col]
-                    acc[fi, 0, col] += ca * d[0, col] + cb * h0 * w
-                    acc[fi, 1, col] += ca * d[1, col] + cb * h1 * w
-                    acc[fi, 2, col] += ca * d[2, col] + cb * h2 * w
-                if mode == 1:
-                    iso = a.real * a.real + a.imag * a.imag
-                    cw = 2.0 * (ca * b).real + b.real * b.real + b.imag * b.imag
-                    hdiag[fi, 0, 0] += iso + cw * h0 * h0
-                    hdiag[fi, 0, 1] += cw * h0 * h1
-                    hdiag[fi, 1, 0] += cw * h1 * h0
-                    hdiag[fi, 1, 1] += iso + cw * h1 * h1
-                    # only the cross-range 2x2 block is consumed downstream
-                phase *= step
-
-        # source leg and per-frequency assembly
-        sx = x_s[0] - px
-        sy = x_s[1] - py
-        sz = x_s[2] - pz
-        rs = np.sqrt(sx * sx + sy * sy + sz * sz)
-        s0, s1, s2 = sx / rs, sy / rs, sz / rs
-        amp_s = 1.0 / (4.0 * np.pi * rs)
-        step_s = np.exp(1j * dk * rs)
-        phase_s = np.exp(1j * ks[0] * rs)
-        shat = np.empty(3)
-        shat[0], shat[1], shat[2] = s0, s1, s2
-        g_s = np.empty((3, 3), np.complex128)
-        ikm = np.empty((3, 3), np.complex128)
-        for fi in range(n_freq):
-            kr = ks[fi] * rs
-            g = phase_s * amp_s
-            m = (1j * kr - 1.0) / (kr * kr)
-            a_s = g * (1.0 + m)
-            b_s = -g * (1.0 + 3.0 * m)
-            for i in range(3):
-                for j in range(3):
-                    g_s[i, j] = b_s * shat[i] * shat[j]
-                g_s[i, i] += a_s
-            # ikm = cell * acc[fi] @ conj(g_s)
-            for i in range(3):
-                for j in range(3):
-                    val = 0.0 + 0.0j
-                    for l in range(3):
-                        val += acc[fi, i, l] * np.conj(g_s[l, j])
-                    ikm[i, j] = cell * val
-            image[c] += weights[fi] * ikm
-            if mode >= 1:
-                # project: it = Upar^T ikm u_s (Upar picks the first two rows)
-                it00 = ikm[0, 0] * u_s[0, 0] + ikm[0, 1] * u_s[1, 0] + ikm[0, 2] * u_s[2, 0]
-                it01 = ikm[0, 0] * u_s[0, 1] + ikm[0, 1] * u_s[1, 1] + ikm[0, 2] * u_s[2, 1]
-                it10 = ikm[1, 0] * u_s[0, 0] + ikm[1, 1] * u_s[1, 0] + ikm[1, 2] * u_s[2, 0]
-                it11 = ikm[1, 0] * u_s[0, 1] + ikm[1, 1] * u_s[1, 1] + ikm[1, 2] * u_s[2, 1]
-                if mode == 1:
-                    # receiver factor: cross-range block of the spread diagonal
-                    a2_00 = cell * hdiag[fi, 0, 0]
-                    a2_01 = cell * hdiag[fi, 0, 1]
-                    a2_10 = cell * hdiag[fi, 1, 0]
-                    a2_11 = cell * hdiag[fi, 1, 1]
-                    # source factor: u_s^T conj(g_s) g_s u_s
-                    iso_s = a_s.real * a_s.real + a_s.imag * a_s.imag
-                    # hs = iso_s I + cw_s shat shat^T; u_s^T shat = 0 would be
-                    # exact only at the reference point, so keep the full form
-                    cw_s = 2.0 * (np.conj(a_s) * b_s).real + (
-                        b_s.real * b_s.real + b_s.imag * b_s.imag
-                    )
-                    u0s = u_s[0, 0] * s0 + u_s[1, 0] * s1 + u_s[2, 0] * s2
-                    u1s = u_s[0, 1] * s0 + u_s[1, 1] * s1 + u_s[2, 1] * s2
-                    b2_00 = iso_s + cw_s * u0s * u0s
-                    b2_01 = cw_s * u0s * u1s
-                    b2_10 = cw_s * u1s * u0s
-                    b2_11 = iso_s + cw_s * u1s * u1s
-                    det_a = a2_00 * a2_11 - a2_01 * a2_10
-                    det_b = b2_00 * b2_11 - b2_01 * b2_10
-                    # condition tracking via Frobenius bound |A||A^-1| >= cond
-                    na = np.sqrt(
-                        abs(a2_00) ** 2 + abs(a2_01) ** 2 + abs(a2_10) ** 2 + abs(a2_11) ** 2
-                    )
-                    nb = np.sqrt(
-                        abs(b2_00) ** 2 + abs(b2_01) ** 2 + abs(b2_10) ** 2 + abs(b2_11) ** 2
-                    )
-                    cond_a = na * na / max(abs(det_a), 1e-300)
-                    cond_b = nb * nb / max(abs(det_b), 1e-300)
-                    if cond_a > worst_cond[c]:
-                        worst_cond[c] = cond_a
-                    if cond_b > worst_cond[c]:
-                        worst_cond[c] = cond_b
-                    # alpha = inv(a2) @ it @ inv(b2)
-                    t00 = (a2_11 * it00 - a2_01 * it10) / det_a
-                    t01 = (a2_11 * it01 - a2_01 * it11) / det_a
-                    t10 = (-a2_10 * it00 + a2_00 * it10) / det_a
-                    t11 = (-a2_10 * it01 + a2_00 * it11) / det_a
-                    r00 = (t00 * b2_11 - t01 * b2_10) / det_b
-                    r01 = (-t00 * b2_01 + t01 * b2_00) / det_b
-                    r10 = (t10 * b2_11 - t11 * b2_10) / det_b
-                    r11 = (-t10 * b2_01 + t11 * b2_00) / det_b
-                else:
-                    r00, r01, r10, r11 = it00, it01, it10, it11
-                alpha[c, 0, 0] += weights[fi] * r00
-                alpha[c, 0, 1] += weights[fi] * r01
-                alpha[c, 1, 0] += weights[fi] * r10
-                alpha[c, 1, 1] += weights[fi] * r11
-            phase_s *= step_s
-
-    return image, alpha, worst_cond
+HAVE_NUMBA = False

@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, PolarmigError, ValueError) as exc:
+    except (ConfigError, PolarmigError, ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     return 0

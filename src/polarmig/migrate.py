@@ -5,16 +5,22 @@ functions, summed over the receiver array with Riemann cell weights and, for
 band data, integrated over frequency with the trapezoid rule.  Recovery
 unwinds the two point-spread factors at the image point to estimate the
 projected polarizability tensor in the fixed (cross-range, source) bases.
+
+The receiver sums have two engines with the same result up to rounding.
+Imaging points that form lattice rows (evenly spaced along a receiver axis,
+at a step commensurate with the receiver pitch) get them from FFT
+correlations along that axis, since the Green function depends only on
+``x_r - y``; all other points use the direct pair sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import _kernels
-from ._parallel import run_chunks, thread_count
+from ._parallel import run_chunks
 from .dataset import ArrayDataSet, ImageField
 from .emcore import CROSS_RANGE_BASIS, dyadic_green, projector
 from .errors import DegenerateGeometryError, NumericalError
@@ -23,6 +29,20 @@ from .scene import ArrayGeom, ImagingWindow, SourceSpec
 
 # Imaging points per chunk are sized so receiver-point pair blocks stay small.
 _PAIR_TARGET = 600_000
+
+# Lattice-row chunks are sized by kernel sites (rows x FFT length x receivers
+# across the rows), which bounds their FFT blocks the same way.
+_SITE_TARGET = 40_000
+
+# Row steps are matched to the receiver pitch over subdivisions up to this.
+_MAX_SUBDIVISION = 12
+
+# Row points must sit on their lattice to this many ulps of the largest
+# coordinate, so lattice offsets equal the direct ones to rounding.
+_LATTICE_ULPS = 64
+
+# Index of rhat_i rhat_l among the six distinct products, upper triangle first.
+_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 # 2x2 point-spread factors above this condition number refuse to invert.
 RECOVER_COND_LIMIT = 1e8
@@ -36,13 +56,23 @@ DEFAULT_DELTA_REL = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _green_factors(r, k: float, phase):
+    """Scalar pair factors (A, B) of ``G = A I + B rhat rhat^T`` at distance r.
+
+    ``A = g (1 + m)`` and ``B = -g (1 + 3 m)`` with ``g = phase / (4 pi r)``;
+    ``phase`` is exp(i k r), or zero where a term is to be dropped.
+    """
+    g = phase / (4.0 * np.pi * r)
+    m = (1j * (k * r) - 1.0) / (k * r) ** 2
+    return g * (1.0 + m), -g * (1.0 + 3.0 * m)
+
+
 class _PairGeometry:
     """Distances and orientations between two point sets, reused across k.
 
-    The dyadic Green function splits as ``G = A I + B rhat rhat^T`` with
-    scalar pair factors ``A = g (1 + m)`` and ``B = -g (1 + 3 m)``; the
-    backpropagation kernels below contract against that rank-one structure
-    instead of materializing (pairs, 3, 3) tensors.
+    The backpropagation kernels below contract against the rank-one structure
+    of ``G = A I + B rhat rhat^T`` instead of materializing (pairs, 3, 3)
+    tensors.
     """
 
     def __init__(self, sources: np.ndarray, targets: np.ndarray):
@@ -51,19 +81,6 @@ class _PairGeometry:
         if np.any(self.r <= 0):
             raise DegenerateGeometryError("imaging point coincides with a receiver or source")
         self.rhat = diff / self.r[..., None]
-
-    def scalar_factors(self, k: float, phase=None):
-        """(A, B) pair factors; ``phase`` may supply precomputed exp(i k r)."""
-        if phase is None:
-            phase = np.exp(1j * (k * self.r))
-        g = phase / (4.0 * np.pi * self.r)
-        m = (1j * (k * self.r) - 1.0) / (k * self.r) ** 2
-        return g * (1.0 + m), -g * (1.0 + 3.0 * m)
-
-    def greens(self, k: float) -> np.ndarray:
-        a, b = self.scalar_factors(k)
-        outer = self.rhat[..., :, None] * self.rhat[..., None, :]
-        return a[..., None, None] * np.eye(3) + b[..., None, None] * outer
 
 
 def _backpropagate(pair: _PairGeometry, a, b, data: np.ndarray) -> np.ndarray:
@@ -79,15 +96,18 @@ def _backpropagate(pair: _PairGeometry, a, b, data: np.ndarray) -> np.ndarray:
 
 
 def _spread_diag(pair: _PairGeometry, a, b) -> np.ndarray:
-    """Same-point spread sum_r conj(G(x_r, y)) G(x_r, y) per imaging point.
+    """Cross-range 2x2 block of the same-point spread sum_r conj(G) G per point.
 
-    Since rhat rhat^T is idempotent this is ``sum |A|^2 I + sum c rhat rhat^T``
-    with the real weight ``c = 2 Re(conj(A) B) + |B|^2``.
+    Since rhat rhat^T is idempotent the full matrix is
+    ``sum |A|^2 I + sum c rhat rhat^T`` with the real weight
+    ``c = 2 Re(conj(A) B) + |B|^2``; recovery only reads the block on the
+    cross-range basis, the first two axes.
     """
     iso = np.einsum("rc->c", np.abs(a) ** 2)
     c = 2.0 * np.real(np.conj(a) * b) + np.abs(b) ** 2
-    spun = np.einsum("rc,rci,rcj->cij", c, pair.rhat, pair.rhat, optimize=True)
-    return iso[:, None, None] * np.eye(3) + spun
+    h = pair.rhat[..., :2]
+    spun = np.einsum("rc,rci,rcj->cij", c, h, h, optimize=True)
+    return iso[:, None, None] * np.eye(2) + spun
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
@@ -98,8 +118,282 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 
 
 # ---------------------------------------------------------------------------
+# Receiver sums: direct pairs and lattice rows
+# ---------------------------------------------------------------------------
+
+
+def _direct_sums(recs, data, ks, pts, spread: bool):
+    """Per-frequency (backpropagation, spread block) sums by direct pairs.
+
+    ``data`` is (receivers, nfreq, 3, 3).  Reuses the pair geometry across
+    frequencies and advances the propagation phase factors incrementally on
+    the uniform wavenumber grid.
+    """
+    geo = _PairGeometry(recs, pts)
+    step = np.exp(1j * (ks[1] - ks[0]) * geo.r) if ks.size > 1 else None
+    phase = np.exp(1j * ks[0] * geo.r)
+    for fi, k in enumerate(ks):
+        a, b = _green_factors(geo.r, k, phase)
+        yield _backpropagate(geo, a, b, data[:, fi]), _spread_diag(geo, a, b) if spread else None
+        if step is not None:
+            phase = phase * step
+
+
+@dataclass(frozen=True)
+class _RowLayout:
+    """Shape shared by a set of lattice rows.
+
+    The lattice step is ``pitch / sub`` along receiver axis ``axis``;
+    receivers sit every ``sub`` and row points every ``stride`` lattice
+    steps.  ``fft_size`` holds every point-minus-receiver lag of a row
+    without wrap-around.
+    """
+
+    axis: int
+    sub: int
+    stride: int
+    length: int
+    fft_size: int
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2-3-5 smooth integer >= n."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _lattice_atol(pts, geom: ArrayGeom) -> float:
+    scale = max(1.0, geom.side, float(np.abs(pts).max(initial=0.0)))
+    return _LATTICE_ULPS * np.finfo(float).eps * scale
+
+
+def _row_layout(coords, axis: int, geom: ArrayGeom, atol: float):
+    """Layout of a row's sorted coordinates along ``axis``, or None if off-lattice."""
+    pitch = geom.spacing[axis]
+    n_along = (geom.n1, geom.n2)[axis]
+    length = coords.size
+    step = (coords[-1] - coords[0]) / (length - 1)
+    if step <= 0:
+        return None
+    for sub in range(1, _MAX_SUBDIVISION + 1):
+        stride = round(step * sub / pitch)
+        if stride < 1:
+            continue
+        model = coords[0] + np.arange(length) * (stride * pitch / sub)
+        if np.all(np.abs(coords - model) <= atol):
+            span = (n_along - 1) * sub + (length - 1) * stride + 1
+            return _RowLayout(axis, sub, stride, length, _fft_size(span))
+    return None
+
+
+def _lattice_rows(pts, geom: ArrayGeom):
+    """Split points into lattice rows and the rest.
+
+    Rows are points sharing their x3 and one cross-range coordinate, evenly
+    spaced along the other at a step commensurate with the receiver pitch,
+    kept where the FFT path is clearly cheaper than the direct sum.  Of the
+    two receiver axes the one that saves more is used.  Returns
+    ``({layout: (rows, length) point indices}, rest indices)``.
+    """
+    atol = _lattice_atol(pts, geom)
+    n_rec = (geom.n1, geom.n2)
+    best, best_saving = {}, 0.0
+    for axis in (0, 1):
+        other = 1 - axis
+        _, group, counts = np.unique(
+            pts[:, [other, 2]], axis=0, return_inverse=True, return_counts=True
+        )
+        order = np.lexsort((pts[:, axis], group.ravel()))
+        starts = np.cumsum(counts) - counts
+        rows, saving = {}, 0.0
+        for lo, n in zip(starts[counts > 1], counts[counts > 1]):
+            idx = order[lo:lo + n]
+            layout = _row_layout(pts[idx, axis], axis, geom, atol)
+            if layout is None:
+                continue
+            # a row replaces its points x receivers-along-the-row pair terms
+            # by FFT-length kernel sites, each costing about one pair term
+            # (1.1 measured on the 961-point slices of the reduced preset,
+            # single-threaded); rows that would not save at least half stay
+            # on the direct sum, a margin not tuned on any workload
+            direct = idx.size * n_rec[axis]
+            lattice = layout.fft_size
+            if 2.0 * lattice > direct:
+                continue
+            rows.setdefault(layout, []).append(idx)
+            saving += (direct - lattice) * n_rec[other]
+        if saving > best_saving:
+            best, best_saving = rows, saving
+    covered = np.zeros(pts.shape[0], dtype=bool)
+    grouped = {}
+    for layout, idx_list in best.items():
+        grouped[layout] = np.array(idx_list)
+        covered[grouped[layout]] = True
+    return grouped, np.flatnonzero(~covered)
+
+
+def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spread: bool):
+    """Per-frequency (backpropagation, spread block) sums for lattice rows.
+
+    ``data`` is (n1, n2, nfreq, 3, 3) and ``rows`` a (rows, length) array of
+    point indices, each row sorted along ``layout.axis``.  For row point p
+    and receiver (i, j), with i along the row axis and j across it, the
+    Green function depends on the lag ``p stride - i sub`` and on j alone.
+    The kernel is evaluated once per (j, lag) site, the sum over i is a
+    circular convolution over an FFT length that holds every lag without
+    wrap-around, and the sum over j is a matmul per spatial frequency.
+    Yields in the order of ``rows.ravel()``.
+    """
+    axis, sub, stride, length, nfft = (
+        layout.axis, layout.sub, layout.stride, layout.length, layout.fft_size
+    )
+    other = 1 - axis
+    grid = geom.positions() if axis == 0 else geom.positions().swapaxes(0, 1)
+    lane = data if axis == 0 else data.swapaxes(0, 1)
+    n_along, n_across = grid.shape[:2]
+    n_rows = rows.shape[0]
+    span = (length - 1) * stride
+    q = np.arange(nfft)
+    lag = np.where(q <= span, q, q - nfft)
+    realized = np.zeros(nfft, dtype=bool)
+    realized[(np.arange(length)[:, None] * stride - np.arange(n_along) * sub) % nfft] = True
+
+    # x_r - y per (row, j, lag) site, by component
+    start = pts[rows[:, 0]]
+    d_along = ((grid[0, 0, axis] - start[:, axis])[:, None]
+               - lag * (geom.spacing[axis] / sub))[:, None, :]
+    d_across = (grid[0, :, other] - start[:, other, None])[:, :, None]
+    d_range = -start[:, 2, None, None]
+    r = np.sqrt(d_along**2 + d_across**2 + d_range**2)
+    near = r <= _lattice_atol(pts, geom)
+    if np.any(near & realized):
+        raise DegenerateGeometryError("imaging point coincides with a receiver or source")
+    # lags no (point, receiver) pair takes, and FFT padding, get a zero kernel
+    live = realized & ~near
+    r = np.where(live, r, 1.0)
+    rhat = [None, None, d_range / r]
+    rhat[axis], rhat[other] = d_along / r, d_across / r
+    # the six distinct rhat_i rhat_l, in the order of _SYM
+    orient = np.stack([rhat[i] * rhat[l] for i, l in zip(*np.triu_indices(3))], axis=1)
+    phase = np.where(live, np.exp(1j * ks[0] * r), 0.0)
+    step = np.exp(1j * (ks[1] - ks[0]) * r) if ks.size > 1 else None
+    receivers = np.zeros(nfft)
+    receivers[: n_along * sub : sub] = 1.0
+    receivers_hat = np.fft.fft(receivers)
+    lattice_data = np.zeros((nfft, n_across, 9), dtype=complex)
+    kern = np.empty((n_rows, 7, n_across, nfft), dtype=complex)
+    # spatial frequency first, so the matmul below batches over it
+    kern_hat = np.empty((nfft, n_rows, 7, n_across), dtype=complex)
+
+    for fi, k in enumerate(ks):
+        a, b = _green_factors(r, k, phase)
+        kern[:, 0] = np.conj(a)
+        np.multiply(np.conj(b)[:, None], orient, out=kern[:, 1:])
+        np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
+        lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, 9)
+        data_hat = np.fft.fft(lattice_data, axis=0)
+        # prods[x, (row, m), (l, k)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, k]
+        prods = kern_hat.reshape(nfft, n_rows * 7, n_across) @ data_hat
+        prods = prods.reshape(nfft, n_rows, 7, 3, 3)
+        # sum_l (conj(A) delta_il + conj(B) rhat_i rhat_l) D_lk
+        acc = prods[:, :, 0].copy()
+        for l in range(3):
+            acc += prods[:, :, 1 + _SYM[:, l], l, :]
+        acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride].swapaxes(0, 1).reshape(-1, 3, 3)
+        block = None
+        if spread:
+            iso = np.abs(a) ** 2
+            c = 2.0 * np.real(np.conj(a) * b) + np.abs(b) ** 2
+            terms = np.stack(
+                [(iso + c * orient[:, 0]).sum(axis=1), (c * orient[:, 1]).sum(axis=1),
+                 (iso + c * orient[:, 3]).sum(axis=1)],
+                axis=1,
+            )
+            sums = np.fft.ifft(np.fft.fft(terms, axis=-1) * receivers_hat, axis=-1)
+            sums = sums.real[..., : span + 1 : stride].transpose(0, 2, 1).reshape(-1, 3)
+            block = sums[:, [[0, 1], [1, 2]]]
+        yield acc, block
+        if step is not None:
+            phase = phase * step
+
+
+# ---------------------------------------------------------------------------
 # Imaging function
 # ---------------------------------------------------------------------------
+
+
+def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, recover=None, u_s=None):
+    """Weighted frequency sum of Kirchhoff images, optionally with recovery.
+
+    ``data`` is (n1, n2, nfreq, 3, 3).  Returns (image (npts, 3, 3), alpha):
+    with ``recover="exact"`` alpha sums the per-frequency recovered tensors
+    in the (cross-range, ``u_s``) bases, with ``"fraunhofer"`` the projected
+    images left for the caller to rescale, else it is None.  Work is split
+    into lattice-row chunks and direct point chunks of fixed size, each
+    summing its frequencies in order, so results do not depend on threads.
+    """
+    nfreq = ks.size
+    cell = geom.cell_area
+    spread = recover == "exact"
+    recs = geom.flat_positions()
+    flat = data.reshape(-1, nfreq, 3, 3)
+    image = np.zeros((pts.shape[0], 3, 3), dtype=complex)
+    alpha = np.zeros((pts.shape[0], 2, 2), dtype=complex) if recover else None
+
+    tasks = []
+    rows, rest = _lattice_rows(pts, geom)
+    for layout, group in rows.items():
+        sites = layout.fft_size * (geom.n2 if layout.axis == 0 else geom.n1)
+        # at least one row per chunk, even when a row alone exceeds the target
+        n_chunks = min(group.shape[0], -(-group.shape[0] * sites // _SITE_TARGET))
+        for chunk in np.array_split(group, n_chunks):
+            tasks.append((chunk.ravel(),
+                          partial(_lattice_sums, geom, data, ks, pts, chunk, layout, spread)))
+    size = max(1, _PAIR_TARGET // recs.shape[0])
+    for lo in range(0, rest.size, size):
+        idx = rest[lo:lo + size]
+        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], spread)))
+
+    def accumulate(idx, sums):
+        src_geo = _PairGeometry(x_s[None, :], pts[idx])
+        src_step = np.exp(1j * (ks[1] - ks[0]) * src_geo.r) if nfreq > 1 else None
+        src_phase = np.exp(1j * ks[0] * src_geo.r)
+        outer = src_geo.rhat[0, :, :, None] * src_geo.rhat[0, :, None, :]
+        img = np.zeros((idx.size, 3, 3), dtype=complex)
+        alp = np.zeros((idx.size, 2, 2), dtype=complex)
+        for fi, (acc, block) in enumerate(sums):
+            a_s, b_s = _green_factors(src_geo.r, ks[fi], src_phase)
+            g_src = a_s[0][:, None, None] * np.eye(3) + b_s[0][:, None, None] * outer
+            ikm = cell * acc @ np.conj(g_src)
+            img += weights[fi] * ikm
+            if recover:
+                ikm_t = np.einsum("ip,cij,jq->cpq", CROSS_RANGE_BASIS, ikm, u_s, optimize=True)
+                if spread:
+                    a2 = cell * block
+                    h_s_diag = np.conj(g_src) @ g_src
+                    b2 = np.einsum("ip,cij,jq->cpq", u_s, h_s_diag, u_s, optimize=True)
+                    _guard_cond(a2, "receiver point-spread factor")
+                    _guard_cond(b2, "source point-spread factor")
+                    ikm_t = _inv_2x2(a2) @ ikm_t @ _inv_2x2(b2)
+                alp += weights[fi] * ikm_t
+            if src_step is not None:
+                src_phase = src_phase * src_step
+        image[idx] = img
+        if recover:
+            alpha[idx] = alp
+
+    def work(lo, hi):
+        for idx, sums in tasks[lo:hi]:
+            accumulate(idx, sums())
+
+    run_chunks(len(tasks), 1, work)
+    return image, alpha
 
 
 def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray:
@@ -113,46 +407,11 @@ def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray
     data = np.asarray(data, dtype=complex)
     if data.shape != (geom.n1, geom.n2, 3, 3):
         raise ValueError(f"data shape {data.shape} does not match the array geometry")
-    recs = geom.flat_positions()
-    d_flat = data.reshape(-1, 3, 3)
-    x_s = np.asarray(x_s, dtype=float)
-    out = np.empty((pts.shape[0], 3, 3), dtype=complex)
-
-    if _kernels.HAVE_NUMBA:
-        _check_point_separation(recs, x_s, pts)
-        _kernels.set_threads(thread_count())
-        image, _, _ = _kernels.band_migrate(
-            recs,
-            pts,
-            x_s,
-            np.ascontiguousarray(d_flat[:, None]),
-            np.array([k]),
-            np.array([1.0]),
-            geom.cell_area,
-            CROSS_RANGE_BASIS,
-            0,
-        )
-        return image[0] if squeeze else image
-
-    def work(lo, hi):
-        rec_geo = _PairGeometry(recs, pts[lo:hi])
-        src_geo = _PairGeometry(x_s[None, :], pts[lo:hi])
-        a, b = rec_geo.scalar_factors(k)
-        g_src = src_geo.greens(k)[0]
-        acc = _backpropagate(rec_geo, a, b, d_flat)
-        out[lo:hi] = geom.cell_area * acc @ np.conj(g_src)
-
-    run_chunks(pts.shape[0], max(1, _PAIR_TARGET // recs.shape[0]), work)
-    return out[0] if squeeze else out
-
-
-def _check_point_separation(recs, x_s, pts) -> None:
-    for anchor in (recs, x_s[None, :]):
-        diff = anchor[:, None, :] - pts[None, :, :]
-        if np.any(np.linalg.norm(diff, axis=-1) <= 0):
-            raise DegenerateGeometryError(
-                "imaging point coincides with a receiver or source"
-            )
+    image, _ = _migrate(
+        geom, np.asarray(x_s, dtype=float), data[:, :, None], np.array([float(k)]),
+        np.ones(1), pts,
+    )
+    return image[0] if squeeze else image
 
 
 def _trapezoid_weights(omegas: np.ndarray) -> np.ndarray:
@@ -176,100 +435,19 @@ def _band_pipeline(
     want_alpha: bool,
     mode: str = "exact",
 ) -> dict:
-    """Shared band loop: image integral and optional per-point tensor recovery.
-
-    Reuses the receiver-point pair geometry across frequencies and advances
-    the propagation phase factors incrementally on the uniform grid.
-    """
+    """Shared band loop: image integral and optional per-point tensor recovery."""
     pts, squeeze = _as_points(points)
-    recs = ds.geom.flat_positions()
-    x_s = ds.source.position
-    u_s = ds.source.basis()
-    ref_range = float(ds.source.reference_point[2])
     omegas = ds.omegas
-    ks = ds.wavenumbers
-    weights = _trapezoid_weights(omegas)
-    bandwidth = omegas[-1] - omegas[0]
-    d_flat = ds.values.reshape(-1, omegas.size, 3, 3)
-    cell = ds.geom.cell_area
-
-    if _kernels.HAVE_NUMBA:
-        _check_point_separation(recs, x_s, pts)
-        _kernels.set_threads(thread_count())
-        mode_code = 0 if not want_alpha else (1 if mode == "exact" else 2)
-        image, alpha, worst_cond = _kernels.band_migrate(
-            recs,
-            pts,
-            x_s,
-            np.ascontiguousarray(d_flat),
-            ks,
-            weights,
-            cell,
-            u_s,
-            mode_code,
-        )
-        out = {"image": image[0] if squeeze else image}
-        if want_alpha:
-            if mode == "exact" and np.max(worst_cond) > RECOVER_COND_LIMIT:
-                raise NumericalError(
-                    "a 2x2 point-spread factor is numerically singular "
-                    f"(condition number {np.max(worst_cond):.3e})"
-                )
-            if mode != "exact":
-                alpha = (4.0 * np.pi * ref_range) ** 4 / ds.geom.area * alpha
-            alpha = alpha / bandwidth
-            out["alpha"] = alpha[0] if squeeze else alpha
-        return out
-
-    image = np.zeros((pts.shape[0], 3, 3), dtype=complex)
-    alpha = np.zeros((pts.shape[0], 2, 2), dtype=complex) if want_alpha else None
-
-    def work(lo, hi):
-        rec_geo = _PairGeometry(recs, pts[lo:hi])
-        src_geo = _PairGeometry(x_s[None, :], pts[lo:hi])
-        # incremental phasors over the uniform wavenumber grid
-        dk = ks[1] - ks[0]
-        rec_step = np.exp(1j * dk * rec_geo.r)
-        src_step = np.exp(1j * dk * src_geo.r)
-        rec_phase = np.exp(1j * ks[0] * rec_geo.r)
-        src_phase = np.exp(1j * ks[0] * src_geo.r)
-        for fi, k in enumerate(ks):
-            a, b = rec_geo.scalar_factors(k, phase=rec_phase)
-            a_s, b_s = src_geo.scalar_factors(k, phase=src_phase)
-            g_src = a_s[0][:, None, None] * np.eye(3) + b_s[0][
-                :, None, None
-            ] * (src_geo.rhat[0, :, :, None] * src_geo.rhat[0, :, None, :])
-            acc = _backpropagate(rec_geo, a, b, d_flat[:, fi])
-            ikm = cell * acc @ np.conj(g_src)
-            image[lo:hi] += weights[fi] * ikm
-            if want_alpha:
-                ikm_t = np.einsum(
-                    "ip,cij,jq->cpq", CROSS_RANGE_BASIS, ikm, u_s, optimize=True
-                )
-                if mode == "exact":
-                    h_r_diag = cell * _spread_diag(rec_geo, a, b)
-                    h_s_diag = np.conj(g_src) @ g_src
-                    a2 = np.einsum(
-                        "ip,cij,jq->cpq",
-                        CROSS_RANGE_BASIS,
-                        h_r_diag,
-                        CROSS_RANGE_BASIS,
-                        optimize=True,
-                    )
-                    b2 = np.einsum("ip,cij,jq->cpq", u_s, h_s_diag, u_s, optimize=True)
-                    _guard_cond(a2, "receiver point-spread factor")
-                    _guard_cond(b2, "source point-spread factor")
-                    af = _inv_2x2(a2) @ ikm_t @ _inv_2x2(b2)
-                else:
-                    af = (4.0 * np.pi * ref_range) ** 4 / ds.geom.area * ikm_t
-                alpha[lo:hi] += weights[fi] * af
-            rec_phase = rec_phase * rec_step
-            src_phase = src_phase * src_step
-
-    run_chunks(pts.shape[0], max(1, _PAIR_TARGET // recs.shape[0]), work)
+    image, alpha = _migrate(
+        ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(omegas),
+        pts, recover=mode if want_alpha else None, u_s=ds.source.basis(),
+    )
     out = {"image": image[0] if squeeze else image}
     if want_alpha:
-        alpha /= bandwidth
+        if mode != "exact":
+            ref_range = float(ds.source.reference_point[2])
+            alpha *= (4.0 * np.pi * ref_range) ** 4 / ds.geom.area
+        alpha /= omegas[-1] - omegas[0]
         out["alpha"] = alpha[0] if squeeze else alpha
     return out
 

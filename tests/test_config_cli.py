@@ -151,6 +151,16 @@ def test_cli_report_and_exit_codes(tmp_path, capsys):
     assert cli_main(["report", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_cli_missing_input_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.pmds")
+    assert cli_main(["preprocess", missing, "--out", str(tmp_path / "out")]) == 2
+    assert cli_main(["glyphs", missing, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("invalid input: ") and "nonexistent.pmds" in line
+               for line in lines)
+
+
 def test_cli_stage_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config()))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig import migrate
 from polarmig.emcore import CROSS_RANGE_BASIS
 
 from conftest import (
@@ -346,10 +347,153 @@ def test_parallel_schedule_invariance(monkeypatch):
     scene = three_dipole_scene(n=9)
     resp = pm.response_synthesize(scene, band(5))
     pts = pm.line_profile([0, 0, L], 0, 3 * LAMBDA0, LAMBDA0 / 2)
-    base = pm.kirchhoff_band(resp, pts)
+    # a cross-range lattice slice split over several row chunks
+    slice_pts = pm.plane_grid(scene.window, 2, L, 1.25 * LAMBDA0)[0]
+    monkeypatch.setattr(migrate, "_SITE_TARGET", 2_000)
+    _, rest = migrate._lattice_rows(slice_pts, scene.geom)
+    assert rest.size == 0
+
+    def run():
+        return (pm.kirchhoff_band(resp, pts),
+                pm.recover_alpha_field(resp, slice_pts, mode="exact"))
+
+    base = run()
     monkeypatch.setenv("POLARMIG_THREADS", "1")
-    one = pm.kirchhoff_band(resp, pts)
+    one = run()
     monkeypatch.setenv("POLARMIG_THREADS", "3")
-    three = pm.kirchhoff_band(resp, pts)
-    assert np.array_equal(base, one)
-    assert np.array_equal(base, three)
+    three = run()
+    for b, o, t in zip(base, one, three):
+        assert np.array_equal(b, o)
+        assert np.array_equal(b, t)
+
+
+# ---------------------------------------------------------------------------
+# Lattice-row (FFT) engine against the direct pair sum
+# ---------------------------------------------------------------------------
+
+
+def _direct_only(monkeypatch):
+    monkeypatch.setattr(
+        migrate, "_lattice_rows", lambda pts, geom: ({}, np.arange(pts.shape[0]))
+    )
+
+
+def _all_modes(ds, pts):
+    return [
+        pm.kirchhoff_band(ds, pts),
+        pm.recover_alpha_field(ds, pts, mode="exact"),
+        pm.recover_alpha_field(ds, pts, mode="fraunhofer"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def lattice_scene():
+    scene = three_dipole_scene(n=13)
+    return scene, pm.response_synthesize(scene, band(3))
+
+
+def _lattice_grids(scene):
+    pitch = scene.geom.spacing[0]
+    win = scene.window
+    return {
+        "cross-range slice": pm.plane_grid(win, 2, L, pitch / 2)[0],
+        "range slice, normal_axis 1": pm.plane_grid(win, 1, -5 * LAMBDA0, pitch / 2)[0],
+        "range slice, normal_axis 0": pm.plane_grid(win, 0, 3 * LAMBDA0, 1.5 * pitch)[0],
+        "line along x1": pm.line_profile([0.3 * LAMBDA0, -LAMBDA0, L], 0, 12 * LAMBDA0, pitch / 4),
+        "line along x2": pm.line_profile([LAMBDA0, 0, L + LAMBDA0], 1, 12 * LAMBDA0, pitch / 3),
+        "volume grid": pm.volume_grid(win, 3 * pitch)[0],
+    }
+
+
+@pytest.mark.parametrize("grid", [
+    "cross-range slice",
+    "range slice, normal_axis 1",
+    "range slice, normal_axis 0",
+    "line along x1",
+    "line along x2",
+    "volume grid",
+])
+def test_lattice_rows_match_direct_sum(lattice_scene, grid, monkeypatch):
+    scene, resp = lattice_scene
+    pts = _lattice_grids(scene)[grid]
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert rows and rest.size == 0
+    lattice = _all_modes(resp, pts)
+    _direct_only(monkeypatch)
+    for got, ref in zip(lattice, _all_modes(resp, pts)):
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_lattice_rows_larger_than_chunk_target(lattice_scene, monkeypatch):
+    # every row alone exceeds the chunk target, so each gets a chunk of its own
+    scene, resp = lattice_scene
+    pts = _lattice_grids(scene)["cross-range slice"]
+    monkeypatch.setattr(migrate, "_SITE_TARGET", 1)
+    lattice = _all_modes(resp, pts)
+    _direct_only(monkeypatch)
+    for got, ref in zip(lattice, _all_modes(resp, pts)):
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_lattice_single_frequency_matches_direct(lattice_scene, monkeypatch):
+    scene, resp = lattice_scene
+    pts = _lattice_grids(scene)["line along x1"]
+    args = (resp.values[:, :, 1], scene.geom, scene.source.position, resp.wavenumbers[1], pts)
+    got = pm.kirchhoff_single(*args)
+    _direct_only(monkeypatch)
+    ref = pm.kirchhoff_single(*args)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_incommensurate_grid_is_bitwise_direct(lattice_scene, monkeypatch):
+    scene, resp = lattice_scene
+    pts = pm.plane_grid(scene.window, 2, L, 0.37 * scene.geom.spacing[0] * np.sqrt(2))[0]
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert not rows and rest.size == pts.shape[0]
+    got = _all_modes(resp, pts)
+    _direct_only(monkeypatch)
+    for g, ref in zip(got, _all_modes(resp, pts)):
+        assert np.array_equal(g, ref)
+
+
+def test_lattice_row_through_receiver_raises(lattice_scene, monkeypatch):
+    scene, resp = lattice_scene
+    rec = scene.geom.positions()[3, 5]
+    step = scene.geom.spacing[0] / 2
+    pts = np.tile(rec, (13, 1))
+    pts[:, 0] += step * np.arange(-6, 7)
+    rows, _ = migrate._lattice_rows(pts, scene.geom)
+    assert rows
+    with pytest.raises(pm.DegenerateGeometryError):
+        pm.kirchhoff_band(resp, pts)
+    _direct_only(monkeypatch)
+    with pytest.raises(pm.DegenerateGeometryError):
+        pm.kirchhoff_band(resp, pts)
+
+
+def test_lattice_row_in_array_plane_stays_finite(lattice_scene, monkeypatch):
+    # the row starts half a pitch inside the last receiver column and steps
+    # 1.5 pitches outward: its lattice holds a zero-distance lag that no
+    # (point, receiver) pair takes
+    scene, resp = lattice_scene
+    grid = scene.geom.positions()
+    pitch = scene.geom.spacing[0]
+    x1 = grid[-1, 0, 0] - pitch / 2 + 1.5 * pitch * np.arange(20)
+    pts = np.stack([x1, np.full(20, grid[0, 4, 1]), np.zeros(20)], axis=1)
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert rows and rest.size == 0
+    got = pm.kirchhoff_band(resp, pts)
+    assert np.all(np.isfinite(got))
+    _direct_only(monkeypatch)
+    ref = pm.kirchhoff_band(resp, pts)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_lattice_singular_factor_raises_with_condition():
+    scene = single_dipole_scene(n=31)
+    ds = pm.response_synthesize(scene, band(3))
+    pts = pm.line_profile([2000 * L, 0, 1e-7 * LAMBDA0], 0, 20 * LAMBDA0, scene.geom.spacing[0])
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert rows and rest.size == 0
+    with pytest.raises(pm.NumericalError, match="condition number"):
+        pm.recover_alpha_field(ds, pts, mode="exact")
