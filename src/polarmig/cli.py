@@ -8,36 +8,37 @@ stochastic, report, glyphs.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .config import ExperimentConfig, parse_config, placement_report, preset, regime_report
+from .config import (
+    ExperimentConfig,
+    parse_config,
+    placement_report,
+    preset,
+    read_config,
+    regime_report,
+)
 from .dataset import ArrayDataSet, ImageField
 from .errors import ConfigError, NumericalError, PolarmigError
 from .forward import coherency_synthesize, response_synthesize
 from .glyphs import emit_glyphs
-from .migrate import kirchhoff_band, phase_correct, plane_grid, recover_alpha_field
-from .pipeline import _write_norms_csv, _write_tensor_table, simulate_stage
-from .preprocess import preprocess
+from .pipeline import simulate_stage, write_preprocessed, write_slice, write_tensors
 
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.preset:
-        cfg = parse_config(_apply_overrides(preset(args.preset), args))
+        raw = preset(args.preset)
     elif args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read configuration {args.config}: {exc}") from exc
-        cfg = parse_config(_apply_overrides(raw, args))
+        raw = read_config(args.config)
     else:
         raise ConfigError("either --config or --preset is required")
-    return cfg
+    return parse_config(_apply_overrides(raw, args))
 
 
 def _apply_overrides(raw: dict, args) -> dict:
+    if not isinstance(raw, dict) or not isinstance(raw.get("pipeline", {}), dict):
+        return raw  # parse_config reports the malformed section
     pipe = raw.setdefault("pipeline", {})
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
@@ -87,71 +88,32 @@ def cmd_stochastic(args) -> None:
 def cmd_preprocess(args) -> None:
     ds = ArrayDataSet.read(args.dataset)
     os.makedirs(args.out, exist_ok=True)
-    pre, report = preprocess(ds)
-    pre.write(os.path.join(args.out, "preprocessed.pmds"))
-    with open(os.path.join(args.out, "preprocess.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.summary() + "\n")
+    _, report = write_preprocessed(ds, args.out)
     print(report.summary())
+
+
+def _read_3x3(path, stage: str) -> ArrayDataSet:
+    ds = ArrayDataSet.read(path)
+    if ds.kind == "coherency2x2":
+        raise ConfigError(f"{stage} consumes 3x3 data; run preprocess first")
+    return ds
 
 
 def cmd_image(args) -> None:
     cfg = _config_from_args(args)
-    ds = ArrayDataSet.read(args.dataset)
-    if ds.kind == "coherency2x2":
-        raise ConfigError("imaging consumes 3x3 data; run preprocess first")
+    ds = _read_3x3(args.dataset, "imaging")
     os.makedirs(args.out, exist_ok=True)
-    for si, spec in enumerate(cfg.slices):
-        pts, shape, _ = plane_grid(cfg.scene.window, spec.normal_axis, spec.offset, spec.step)
-        values = kirchhoff_band(ds, pts)
-        field = ImageField(
-            points=pts,
-            values=values,
-            shape=shape,
-            meta={
-                "normal_axis": spec.normal_axis,
-                "offset": spec.offset,
-                "step": spec.step,
-                "content": "kirchhoff_image",
-            },
-        )
-        field.write(os.path.join(args.out, f"slice{si:02d}_image.pmds"))
-        _write_norms_csv(field, os.path.join(args.out, f"slice{si:02d}_image_norms.csv"))
+    for si in range(len(cfg.slices)):
+        write_slice(ds, cfg, si, args.out, recover=False)
 
 
 def cmd_recover(args) -> None:
     cfg = _config_from_args(args)
-    ds = ArrayDataSet.read(args.dataset)
-    if ds.kind == "coherency2x2":
-        raise ConfigError("recovery consumes 3x3 data; run preprocess first")
+    ds = _read_3x3(args.dataset, "recovery")
     os.makedirs(args.out, exist_ok=True)
-    for si, spec in enumerate(cfg.slices):
-        pts, shape, _ = plane_grid(cfg.scene.window, spec.normal_axis, spec.offset, spec.step)
-        alpha = phase_correct(
-            recover_alpha_field(ds, pts, mode=cfg.recover_mode), cfg.delta_rel
-        )
-        field = ImageField(
-            points=pts,
-            values=alpha,
-            shape=shape,
-            meta={
-                "normal_axis": spec.normal_axis,
-                "offset": spec.offset,
-                "step": spec.step,
-                "content": "recovered_alpha_phase_corrected",
-            },
-        )
-        field.write(os.path.join(args.out, f"slice{si:02d}_alpha.pmds"))
-        _write_norms_csv(field, os.path.join(args.out, f"slice{si:02d}_norms.csv"))
-    if cfg.scene.scatterers:
-        pts = cfg.scene.scatterer_positions()
-        alpha = phase_correct(
-            recover_alpha_field(ds, pts, mode=cfg.recover_mode), cfg.delta_rel
-        )
-        rows = [
-            (f"recovered_{i}", sc.position, rec)
-            for i, (sc, rec) in enumerate(zip(cfg.scene.scatterers, alpha))
-        ]
-        _write_tensor_table(rows, os.path.join(args.out, "tensors.csv"))
+    for si in range(len(cfg.slices)):
+        write_slice(ds, cfg, si, args.out)
+    write_tensors(ds, cfg, args.out)
 
 
 def cmd_report(args) -> None:

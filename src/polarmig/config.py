@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .scene import (
     SourceSpec,
     build_cube_scene,
 )
+from .stochastic import SourceProcessSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -95,48 +97,51 @@ class ExperimentConfig:
         return TWO_PI * self.scene.wave_speed / self.band.center
 
 
+@contextmanager
+def _section(where: str):
+    """Report a malformed field inside the block as a ConfigError naming ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a configuration dictionary, reporting the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    wave_speed = float(raw.get("wave_speed", DEFAULT_WAVE_SPEED))
-    try:
+    with _section("wave_speed"):
+        wave_speed = float(raw.get("wave_speed", DEFAULT_WAVE_SPEED))
+    with _section("band"):
         band_raw = raw["band"]
-        center = TWO_PI * float(band_raw["center_hz"])
-        width = TWO_PI * float(band_raw.get("width_hz", 0.0))
-        count = int(band_raw["count"])
-        band = FrequencyBand(center=center, width=width, count=count)
-    except KeyError as exc:
-        raise ConfigError(f"band: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"band: {exc}") from exc
+        band = FrequencyBand(
+            center=TWO_PI * float(band_raw["center_hz"]),
+            width=TWO_PI * float(band_raw.get("width_hz", 0.0)),
+            count=int(band_raw["count"]),
+        )
     lambda0 = TWO_PI * wave_speed / band.center
 
-    try:
+    with _section("array"):
         arr = raw["array"]
         geom = ArrayGeom(
             side=_parse_length(arr["side"], lambda0, "array.side"),
             n1=int(arr["n1"]),
             n2=int(arr["n2"]),
         )
-    except KeyError as exc:
-        raise ConfigError(f"array: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"array: {exc}") from exc
 
-    try:
+    with _section("window"):
         win_raw = raw["window"]
         window = ImagingWindow(
             center=_parse_point(win_raw["center"], lambda0, "window.center"),
             cross_range=_parse_length(win_raw["cross_range"], lambda0, "window.cross_range"),
             range_extent=_parse_length(win_raw["range_extent"], lambda0, "window.range_extent"),
         )
-    except KeyError as exc:
-        raise ConfigError(f"window: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"window: {exc}") from exc
 
-    try:
+    with _section("source"):
         src_raw = raw["source"]
         coh = src_raw.get("coherency")
         source = SourceSpec(
@@ -148,38 +153,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
             ),
             coherency=_parse_matrix(coh, "source.coherency") if coh else np.eye(2, dtype=complex),
         )
-    except KeyError as exc:
-        raise ConfigError(f"source: missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"source: {exc}") from exc
 
     scatterers: list[Scatterer] = []
-    for i, entry in enumerate(raw.get("scatterers", [])):
-        where = f"scatterers[{i}]"
-        try:
-            if "cube" in entry:
-                cube = entry["cube"]
-                scatterers.extend(
-                    build_cube_scene(
-                        _parse_point(cube["center"], lambda0, f"{where}.cube.center"),
-                        _parse_length(cube["side"], lambda0, f"{where}.cube.side"),
-                        _parse_length(cube["spacing"], lambda0, f"{where}.cube.spacing"),
-                        _parse_matrix(cube["alpha"], f"{where}.cube.alpha"),
+    with _section("scatterers"):
+        for i, entry in enumerate(raw.get("scatterers", [])):
+            where = f"scatterers[{i}]"
+            with _section(where):
+                if "cube" in entry:
+                    cube = entry["cube"]
+                    scatterers.extend(
+                        build_cube_scene(
+                            _parse_point(cube["center"], lambda0, f"{where}.cube.center"),
+                            _parse_length(cube["side"], lambda0, f"{where}.cube.side"),
+                            _parse_length(cube["spacing"], lambda0, f"{where}.cube.spacing"),
+                            _parse_matrix(cube["alpha"], f"{where}.cube.alpha"),
+                        )
                     )
-                )
-            else:
-                scatterers.append(
-                    Scatterer(
-                        position=_parse_point(entry["position"], lambda0, f"{where}.position"),
-                        alpha=_parse_matrix(entry["alpha"], f"{where}.alpha"),
+                else:
+                    scatterers.append(
+                        Scatterer(
+                            position=_parse_point(entry["position"], lambda0, f"{where}.position"),
+                            alpha=_parse_matrix(entry["alpha"], f"{where}.alpha"),
+                        )
                     )
-                )
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing field {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
 
-    try:
+    with _section("scene"):
         scene = Scene(
             source=source,
             geom=geom,
@@ -187,72 +185,83 @@ def parse_config(raw: dict) -> ExperimentConfig:
             scatterers=tuple(scatterers),
             wave_speed=wave_speed,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     slices = []
-    for i, s in enumerate(raw.get("slices", [])):
-        where = f"slices[{i}]"
-        try:
-            slices.append(
-                SliceSpec(
+    with _section("slices"):
+        for i, s in enumerate(raw.get("slices", [])):
+            where = f"slices[{i}]"
+            with _section(where):
+                spec = SliceSpec(
                     normal_axis=int(s["normal_axis"]),
                     offset=_parse_length(s["offset"], lambda0, f"{where}.offset"),
                     step=_parse_length(s["step"], lambda0, f"{where}.step"),
                 )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{where}: missing field {exc}") from exc
+            if spec.normal_axis not in (0, 1, 2):
+                raise ConfigError(f"{where}.normal_axis: must be 0, 1 or 2")
+            if not spec.step > 0:
+                raise ConfigError(f"{where}.step: must be positive")
+            slices.append(spec)
 
-    pipe = raw.get("pipeline", {})
-    gamma = int(pipe.get("gamma", 3))
+    with _section("pipeline"):
+        pipe = raw.get("pipeline", {})
+        gamma = int(pipe.get("gamma", 3))
+        mode = pipe.get("recover_mode", "exact")
+        delta_rel = float(pipe.get("delta_rel", 1e-6))
+        glyph_threshold = float(pipe.get("glyph_threshold", 0.5))
+        second_born = bool(pipe.get("second_born", False))
+        emit_reference = bool(pipe.get("emit_reference", True))
     if gamma not in (1, 3):
         raise ConfigError("pipeline.gamma: must be 1 or 3")
-    mode = pipe.get("recover_mode", "exact")
     if mode not in ("exact", "fraunhofer"):
         raise ConfigError("pipeline.recover_mode: must be 'exact' or 'fraunhofer'")
-    delta_rel = float(pipe.get("delta_rel", 1e-6))
     if delta_rel < 0:
         raise ConfigError("pipeline.delta_rel: must be nonnegative")
-    glyph_threshold = float(pipe.get("glyph_threshold", 0.5))
     if not 0.0 <= glyph_threshold <= 1.0:
         raise ConfigError("pipeline.glyph_threshold: must lie in [0, 1]")
+    with _section("seed"):
+        seed = int(raw.get("seed", 0))
 
     stoch = None
     if raw.get("stochastic"):
-        st_raw = raw["stochastic"]
-        try:
+        with _section("stochastic"):
+            st_raw = raw["stochastic"]
             stoch = StochasticSpec(
                 correlation_time=float(st_raw["correlation_time"]),
                 half_duration=float(st_raw["half_duration"]),
                 samples=int(st_raw["samples"]),
                 band_count=int(st_raw.get("band_count", band.count)),
             )
-        except KeyError as exc:
-            raise ConfigError(f"stochastic: missing field {exc}") from exc
+            # check the sampling plan now rather than after synthesis starts
+            SourceProcessSpec(
+                stoch.correlation_time, band.center, stoch.half_duration, stoch.samples
+            )
 
     return ExperimentConfig(
         scene=scene,
         band=band,
         slices=slices,
-        second_born=bool(pipe.get("second_born", False)),
+        second_born=second_born,
         stochastic=stoch,
         gamma=gamma,
         delta_rel=delta_rel,
         recover_mode=mode,
         glyph_threshold=glyph_threshold,
-        seed=int(raw.get("seed", 0)),
-        emit_reference=bool(pipe.get("emit_reference", True)),
+        seed=seed,
+        emit_reference=emit_reference,
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path):
+    """Configuration dictionary from a JSON file, unvalidated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    return parse_config(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +393,15 @@ def preset(name: str) -> dict:
             },
         },
     ]
+    # base and dipoles are built afresh on every call, so edits stay local
+    cfg = dict(base, scatterers=dipoles)
     if name == "three-dipoles":
-        cfg = dict(base)
-        cfg["scatterers"] = dipoles
         return cfg
     if name == "three-dipoles-reduced":
-        cfg = json.loads(json.dumps(base))
-        cfg["scatterers"] = dipoles
         cfg["array"].update(n1=31, n2=31)
         cfg["band"]["count"] = 65
         return cfg
     if name == "cube":
-        cfg = json.loads(json.dumps(base))
         cfg["scatterers"] = [
             {
                 "cube": {
@@ -415,8 +421,6 @@ def preset(name: str) -> dict:
         ]
         return cfg
     if name == "stochastic-reduced":
-        cfg = json.loads(json.dumps(base))
-        cfg["scatterers"] = dipoles
         cfg["band"]["count"] = 128
         cfg["stochastic"] = {
             "correlation_time": 1e-9,

@@ -14,9 +14,10 @@ the native complex128 layout.  Array datasets are indexed
 
 from __future__ import annotations
 
-import io
 import json
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -74,11 +75,17 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"unparseable header at offset {off}: {exc}") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise DatasetFormatError("header is not a JSON object")
     kind = header.get("kind")
     if kind not in KINDS:
-        raise DatasetFormatError(f"unknown kind tag {kind!r}")
+        raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
+    if header.get("dtype") != KINDS[kind][0]:
+        raise DatasetFormatError(f"header key 'dtype' must be {KINDS[kind][0]!r} for {kind}")
     dtype = np.dtype(header["dtype"]).newbyteorder("<")
-    shape = tuple(int(n) for n in header["shape"])
+    shape = _header_field(header, "shape", _dims)
+    if not isinstance(header.get("meta"), dict):
+        raise DatasetFormatError("header key 'meta' is missing or not an object")
     nbytes = int(np.prod(shape)) * dtype.itemsize
     if len(data) - off != nbytes:
         raise DatasetFormatError(
@@ -104,21 +111,43 @@ def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
     }
 
 
+def _dims(value) -> tuple:
+    return tuple(operator.index(n) for n in value)
+
+
+def _numbers(value) -> np.ndarray:
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _header_field(node: dict, path: str, convert=float):
+    """Header value at a dotted ``path`` below ``node``, passed through ``convert``.
+
+    A missing or ill-typed key raises DatasetFormatError naming the path.
+    """
+    try:
+        for key in path.split("."):
+            node = node[key]
+        return convert(node)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"header key {path!r} is missing or ill-typed: {exc}") from exc
+
+
 def _geometry_from_meta(meta: dict):
-    arr = meta["array"]
-    src = meta["source"]
-    band = meta["band"]
-    geom = ArrayGeom(side=arr["side"], n1=int(arr["n1"]), n2=int(arr["n2"]))
-    coh = np.asarray(src["coherency_re"], dtype=float) + 1j * np.asarray(
-        src["coherency_im"], dtype=float
-    )
+    get = partial(_header_field, meta)
+    count = operator.index
+    geom = ArrayGeom(side=get("array.side"), n1=get("array.n1", count), n2=get("array.n2", count))
+    coh = get("source.coherency_re", _numbers) + 1j * get("source.coherency_im", _numbers)
     source = SourceSpec(
-        position=src["position"],
-        reference_point=src["reference_point"],
+        position=get("source.position", _numbers),
+        reference_point=get("source.reference_point", _numbers),
         coherency=coh,
     )
-    fb = FrequencyBand(center=band["center"], width=band["width"], count=int(band["count"]))
-    return geom, source, fb, float(meta["wave_speed"])
+    fb = FrequencyBand(
+        center=get("band.center"), width=get("band.width"), count=get("band.count", count)
+    )
+    return geom, source, fb, get("wave_speed")
 
 
 @dataclass
@@ -216,6 +245,7 @@ class ImageField:
         kind, values, meta = _read_container(path)
         if not kind.startswith("image"):
             raise DatasetFormatError(f"file holds kind {kind!r}, not an image field")
-        points = np.asarray(meta.pop("points"), dtype=float)
-        shape = tuple(int(n) for n in meta.pop("grid_shape"))
+        points = _header_field(meta, "points", _numbers)
+        shape = _header_field(meta, "grid_shape", _dims)
+        del meta["points"], meta["grid_shape"]
         return ImageField(points=points, values=values, shape=shape, meta=meta)

@@ -7,6 +7,7 @@ import numpy as np
 from .dataset import ArrayDataSet
 from .emcore import CROSS_RANGE_BASIS, dyadic_green, _separation
 from .errors import CoincidentPointsError
+from .preprocess import gtilde
 from .scene import FrequencyBand, Scene
 
 # Scatterer chunk size keeping the (receivers, chunk, 3, 3) Green block small.
@@ -27,6 +28,24 @@ def _check_scene_points(scene: Scene) -> None:
         ) from exc
 
 
+def _born_sum(scene: Scene, k: float, recs: np.ndarray, tails=None) -> np.ndarray:
+    """Receiver sum ``sum_n G(x_r, y_n) T_n`` at ``recs`` (nrec, 3), (nrec, 3, 3).
+
+    ``tails`` (nscat, 3, 3) defaults to the single-scattering ``T_n =
+    alpha_n G(y_n, x_s)``.  Chunked over scatterers to bound the Green block.
+    """
+    pos = scene.scatterer_positions()
+    if tails is None:
+        # alpha_n G(y_n, x_s) is receiver independent
+        tails = scene.scatterer_tensors() @ dyadic_green(pos, scene.source.position, k)
+    out = np.zeros((recs.shape[0], 3, 3), dtype=complex)
+    chunk = max(1, _CHUNK_TARGET // recs.shape[0])
+    for lo in range(0, pos.shape[0], chunk):
+        g_rec = dyadic_green(recs[:, None, :], pos[None, lo:lo + chunk, :], k)
+        out += np.einsum("rnij,njk->rik", g_rec, tails[lo:lo + chunk])
+    return out
+
+
 def born_response(scene: Scene, k: float) -> np.ndarray:
     """Single-scattering array response at wavenumber k.
 
@@ -34,19 +53,7 @@ def born_response(scene: Scene, k: float) -> np.ndarray:
     ``G(x_r, y_n) alpha_n G(y_n, x_s)``.  Linear in every tensor.
     """
     _check_scene_points(scene)
-    recs = scene.geom.flat_positions()
-    out = np.zeros((recs.shape[0], 3, 3), dtype=complex)
-    pos = scene.scatterer_positions()
-    alphas = scene.scatterer_tensors()
-    if pos.shape[0]:
-        chunk = max(1, _CHUNK_TARGET // recs.shape[0])
-        for lo in range(0, pos.shape[0], chunk):
-            hi = min(lo + chunk, pos.shape[0])
-            # alpha_n G(y_n, x_s) is receiver independent
-            g_src = dyadic_green(pos[lo:hi], scene.source.position, k)
-            tail = alphas[lo:hi] @ g_src
-            g_rec = dyadic_green(recs[:, None, :], pos[None, lo:hi, :], k)
-            out += np.einsum("rnij,njk->rik", g_rec, tail)
+    out = _born_sum(scene, k, scene.geom.flat_positions())
     return out.reshape(scene.geom.n1, scene.geom.n2, 3, 3)
 
 
@@ -58,22 +65,19 @@ def second_born_response(scene: Scene, k: float) -> np.ndarray:
     than two scatterers.  Scales quadratically under a uniform tensor scaling.
     """
     _check_scene_points(scene)
-    recs = scene.geom.flat_positions()
-    out = np.zeros((recs.shape[0], 3, 3), dtype=complex)
     pos = scene.scatterer_positions()
     alphas = scene.scatterer_tensors()
     n = pos.shape[0]
+    # tail_n = sum_{m != n} alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)
+    tails = np.zeros((n, 3, 3), dtype=complex)
     if n >= 2:
-        # tail_n = sum_{m != n} alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)
         g_src = dyadic_green(pos, scene.source.position, k)
         head_m = alphas @ g_src
-        tails = np.zeros((n, 3, 3), dtype=complex)
         for i in range(n):
             others = np.arange(n) != i
             g_pair = dyadic_green(pos[i], pos[others], k)
             tails[i] = alphas[i] @ np.einsum("mij,mjk->ik", g_pair, head_m[others])
-        g_rec = dyadic_green(recs[:, None, :], pos[None, :, :], k)
-        out = np.einsum("rnij,njk->rik", g_rec, tails)
+    out = _born_sum(scene, k, scene.geom.flat_positions(), tails)
     return out.reshape(scene.geom.n1, scene.geom.n2, 3, 3)
 
 
@@ -87,11 +91,24 @@ def projected_response(scene: Scene, pi: np.ndarray) -> np.ndarray:
 
 def projected_incident(scene: Scene, k: float) -> np.ndarray:
     """Projected direct-path Green matrices U_par^* G(x_r, x_s) U_s, (n1, n2, 2, 2)."""
-    recs = scene.geom.flat_positions()
-    g = dyadic_green(recs, scene.source.position, k)
-    u_s = scene.source.basis()
-    gt = np.einsum("ip,rij,jq->rpq", CROSS_RANGE_BASIS, g, u_s)
+    src = scene.source
+    gt = gtilde(scene.geom.flat_positions(), src.position, src.reference_point, k)
     return gt.reshape(scene.geom.n1, scene.geom.n2, 2, 2)
+
+
+def _response(scene: Scene, k: float, include_second_born: bool) -> np.ndarray:
+    """Scattered response (n1, n2, 3, 3): Born, plus double scattering if asked."""
+    pi = born_response(scene, k)
+    if include_second_born:
+        pi = pi + second_born_response(scene, k)
+    return pi
+
+
+def _projected_transfer(scene: Scene, k: float, include_second_born: bool = False):
+    """Projected total transfer ``Gtilde + Pitilde`` per receiver, (n1, n2, 2, 2)."""
+    return projected_incident(scene, k) + projected_response(
+        scene, _response(scene, k, include_second_born)
+    )
 
 
 def response_synthesize(
@@ -101,10 +118,7 @@ def response_synthesize(
     ks = band.wavenumbers(scene.wave_speed)
     vals = np.empty((scene.geom.n1, scene.geom.n2, ks.size, 3, 3), dtype=complex)
     for fi, k in enumerate(ks):
-        pi = born_response(scene, k)
-        if include_second_born:
-            pi = pi + second_born_response(scene, k)
-        vals[:, :, fi] = pi
+        vals[:, :, fi] = _response(scene, k, include_second_born)
     return ArrayDataSet(
         kind="response3x3",
         values=vals,
@@ -129,10 +143,7 @@ def coherency_synthesize(
     js = scene.source.coherency_table(band.count)
     vals = np.empty((scene.geom.n1, scene.geom.n2, ks.size, 2, 2), dtype=complex)
     for fi, k in enumerate(ks):
-        pi = born_response(scene, k)
-        if include_second_born:
-            pi = pi + second_born_response(scene, k)
-        m = projected_incident(scene, k) + projected_response(scene, pi)
+        m = _projected_transfer(scene, k, include_second_born)
         vals[:, :, fi] = m @ js[fi] @ np.conj(np.swapaxes(m, -1, -2))
     return ArrayDataSet(
         kind="coherency2x2",

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import run_chunks
-from .dataset import ArrayDataSet, ImageField
+from .dataset import ArrayDataSet
 from .emcore import CROSS_RANGE_BASIS, dyadic_green, projector
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
@@ -425,31 +425,12 @@ def _trapezoid_weights(omegas: np.ndarray) -> np.ndarray:
 
 def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
     """Multi-frequency Kirchhoff image: trapezoid integral over the band."""
-    result = _band_pipeline(ds, points, want_alpha=False)
-    return result["image"]
-
-
-def _band_pipeline(
-    ds: ArrayDataSet,
-    points,
-    want_alpha: bool,
-    mode: str = "exact",
-) -> dict:
-    """Shared band loop: image integral and optional per-point tensor recovery."""
     pts, squeeze = _as_points(points)
-    omegas = ds.omegas
-    image, alpha = _migrate(
-        ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(omegas),
-        pts, recover=mode if want_alpha else None, u_s=ds.source.basis(),
+    image, _ = _migrate(
+        ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(ds.omegas),
+        pts,
     )
-    out = {"image": image[0] if squeeze else image}
-    if want_alpha:
-        if mode != "exact":
-            ref_range = float(ds.source.reference_point[2])
-            alpha *= (4.0 * np.pi * ref_range) ** 4 / ds.geom.area
-        alpha /= omegas[-1] - omegas[0]
-        out["alpha"] = alpha[0] if squeeze else alpha
-    return out
+    return image[0] if squeeze else image
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +542,19 @@ def recover_alpha_field(ds: ArrayDataSet, points, mode: str = "exact") -> np.nda
     """
     if ds.band.count < 2:
         raise ValueError("band recovery needs at least 2 frequency samples")
-    result = _band_pipeline(ds, points, want_alpha=True, mode=mode)
-    return result["alpha"]
+    if mode not in ("exact", "fraunhofer"):
+        raise ValueError(f"unknown recovery mode {mode!r}")
+    pts, squeeze = _as_points(points)
+    omegas = ds.omegas
+    _, alpha = _migrate(
+        ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(omegas),
+        pts, recover=mode, u_s=ds.source.basis(),
+    )
+    if mode == "fraunhofer":
+        ref_range = float(ds.source.reference_point[2])
+        alpha *= (4.0 * np.pi * ref_range) ** 4 / ds.geom.area
+    alpha /= omegas[-1] - omegas[0]
+    return alpha[0] if squeeze else alpha
 
 
 def phase_correct(values, delta_rel: float = DEFAULT_DELTA_REL) -> np.ndarray:
@@ -640,6 +632,17 @@ def region_check(geom: ArrayGeom, window: ImagingWindow, x_s, gamma: int) -> Reg
 # ---------------------------------------------------------------------------
 
 
+def _grid_axes(window: ImagingWindow, axes, step: float) -> list[np.ndarray]:
+    """Grid coordinates at ``step`` across the window along each of ``axes``."""
+    if step <= 0:
+        raise ValueError("grid step must be positive")
+    out = []
+    for ax in axes:
+        lo, hi = window.bounds[ax]
+        out.append(lo + step * np.arange(int(round((hi - lo) / step)) + 1))
+    return out
+
+
 def plane_grid(window: ImagingWindow, normal_axis: int, offset: float, step: float):
     """Regular grid on a plane slice of the imaging window.
 
@@ -650,15 +653,8 @@ def plane_grid(window: ImagingWindow, normal_axis: int, offset: float, step: flo
     """
     if normal_axis not in (0, 1, 2):
         raise ValueError("normal_axis must be 0, 1 or 2")
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    bounds = window.bounds
     free = [ax for ax in range(3) if ax != normal_axis]
-    axes = []
-    for ax in free:
-        lo, hi = bounds[ax]
-        n = int(round((hi - lo) / step)) + 1
-        axes.append(lo + step * np.arange(n))
+    axes = _grid_axes(window, free, step)
     g0, g1 = np.meshgrid(axes[0], axes[1], indexing="ij")
     pts = np.empty(g0.shape + (3,))
     pts[..., free[0]] = g0
@@ -674,14 +670,7 @@ VOLUME_POINT_GUARD = 2_000_000
 
 def volume_grid(window: ImagingWindow, step: float, max_points: int = VOLUME_POINT_GUARD):
     """Dense 3-d grid over the whole imaging window, behind a size guard."""
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    bounds = window.bounds
-    axes = []
-    for ax in range(3):
-        lo, hi = bounds[ax]
-        n = int(round((hi - lo) / step)) + 1
-        axes.append(lo + step * np.arange(n))
+    axes = _grid_axes(window, range(3), step)
     total = axes[0].size * axes[1].size * axes[2].size
     if total > max_points:
         raise ValueError(
@@ -695,13 +684,13 @@ def volume_grid(window: ImagingWindow, step: float, max_points: int = VOLUME_POI
 
 def line_profile(center, axis: int, half_width: float, step: float) -> np.ndarray:
     """Points along a coordinate-axis segment through ``center``."""
+    if step <= 0:
+        raise ValueError("grid step must be positive")
     center = np.asarray(center, dtype=float)
-    offsets = np.arange(-half_width, half_width + step / 2, step)
+    # integer multiples of the step, so the middle point is exactly ``center``;
+    # the tolerance keeps an integer half_width / step from rounding down
+    n = int(np.floor(half_width / step * (1.0 + 1e-9)))
+    offsets = step * np.arange(-n, n + 1)
     pts = np.tile(center, (offsets.size, 1))
     pts[:, axis] += offsets
     return pts
-
-
-def image_field(points, values, shape, **meta) -> ImageField:
-    return ImageField(points=np.asarray(points), values=np.asarray(values),
-                      shape=tuple(shape), meta=dict(meta))

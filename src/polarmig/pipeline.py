@@ -17,8 +17,8 @@ from .dataset import ArrayDataSet, ImageField
 from .emcore import CROSS_RANGE_BASIS
 from .forward import coherency_synthesize, response_synthesize
 from .glyphs import emit_glyphs
-from .migrate import phase_correct, plane_grid, recover_alpha_field
-from .preprocess import preprocess
+from .migrate import kirchhoff_band, phase_correct, plane_grid, recover_alpha_field
+from .preprocess import PreprocessReport, preprocess
 from .stochastic import SourceProcessSpec, stochastic_coherency_dataset
 
 
@@ -68,6 +68,65 @@ def simulate_stage(config: ExperimentConfig) -> ArrayDataSet:
     return coherency_synthesize(config.scene, config.band, config.second_born)
 
 
+def write_preprocessed(ds: ArrayDataSet, outdir) -> tuple[ArrayDataSet, PreprocessReport]:
+    """Preprocess coherency data into ``preprocessed.pmds`` and ``preprocess.txt``."""
+    pre, report = preprocess(ds)
+    pre.write(os.path.join(outdir, "preprocessed.pmds"))
+    with open(os.path.join(outdir, "preprocess.txt"), "w", encoding="utf-8") as fh:
+        fh.write(report.summary() + "\n")
+    return pre, report
+
+
+def write_slice(ds: ArrayDataSet, config: ExperimentConfig, index: int, outdir,
+                recover: bool = True) -> tuple[ImageField, list[str]]:
+    """Field on configured slice ``index``, written with its norms table.
+
+    With ``recover`` the field is the phase-corrected recovered tensor field
+    (``sliceNN_alpha.pmds``, ``sliceNN_norms.csv``), else the Kirchhoff image
+    (``sliceNN_image.pmds``, ``sliceNN_image_norms.csv``).  Returns the field
+    and the names of the files written to ``outdir``.
+    """
+    spec = config.slices[index]
+    pts, shape, _ = plane_grid(config.scene.window, spec.normal_axis, spec.offset, spec.step)
+    if recover:
+        values = phase_correct(
+            recover_alpha_field(ds, pts, mode=config.recover_mode), config.delta_rel
+        )
+        content, stem, table = "recovered_alpha_phase_corrected", "alpha", "norms"
+    else:
+        values = kirchhoff_band(ds, pts)
+        content, stem, table = "kirchhoff_image", "image", "image_norms"
+    meta = {"normal_axis": spec.normal_axis, "offset": spec.offset, "step": spec.step,
+            "content": content}
+    field = ImageField(points=pts, values=values, shape=shape, meta=meta)
+    names = [f"slice{index:02d}_{stem}.pmds", f"slice{index:02d}_{table}.csv"]
+    field.write(os.path.join(outdir, names[0]))
+    _write_norms_csv(field, os.path.join(outdir, names[1]))
+    return field, names
+
+
+def write_tensors(ds: ArrayDataSet, config: ExperimentConfig, outdir) -> list:
+    """Recovered and projected true tensors at the scatterer cells, as ``tensors.csv``.
+
+    Returns the table rows ``(label, position, 2x2 tensor)``, recovered and
+    projected true alternating per scatterer; writes nothing for a scene
+    without scatterers.
+    """
+    if not config.scene.scatterers:
+        return []
+    pts = config.scene.scatterer_positions()
+    alpha = phase_correct(
+        recover_alpha_field(ds, pts, mode=config.recover_mode), config.delta_rel
+    )
+    u_s = config.scene.source.basis()
+    rows = []
+    for i, (sc, rec) in enumerate(zip(config.scene.scatterers, alpha)):
+        rows.append((f"recovered_{i}", sc.position, rec))
+        rows.append((f"projected_true_{i}", sc.position, CROSS_RANGE_BASIS.T @ sc.alpha @ u_s))
+    _write_tensor_table(rows, os.path.join(outdir, "tensors.csv"))
+    return rows
+
+
 @dataclass
 class PipelineResult:
     outdir: str
@@ -91,28 +150,12 @@ def run_pipeline(config: ExperimentConfig, outdir) -> PipelineResult:
             emit("response.pmds")
         )
 
-    pre, pre_report = preprocess(ds)
-    pre.write(emit("preprocessed.pmds"))
-    with open(emit("preprocess.txt"), "w", encoding="utf-8") as fh:
-        fh.write(pre_report.summary() + "\n")
+    pre, _ = write_preprocessed(ds, outdir)
+    files += ["preprocessed.pmds", "preprocess.txt"]
 
-    for si, spec in enumerate(config.slices):
-        pts, shape, _ = plane_grid(config.scene.window, spec.normal_axis, spec.offset, spec.step)
-        alpha = recover_alpha_field(pre, pts, mode=config.recover_mode)
-        alpha = phase_correct(alpha, config.delta_rel)
-        field = ImageField(
-            points=pts,
-            values=alpha,
-            shape=shape,
-            meta={
-                "normal_axis": spec.normal_axis,
-                "offset": spec.offset,
-                "step": spec.step,
-                "content": "recovered_alpha_phase_corrected",
-            },
-        )
-        field.write(emit(f"slice{si:02d}_alpha.pmds"))
-        _write_norms_csv(field, emit(f"slice{si:02d}_norms.csv"))
+    for si in range(len(config.slices)):
+        field, names = write_slice(pre, config, si, outdir)
+        files += names
         try:
             emit_glyphs(
                 field,
@@ -125,24 +168,14 @@ def run_pipeline(config: ExperimentConfig, outdir) -> PipelineResult:
             files.remove(f"slice{si:02d}_glyphs.svg")
             files.remove(f"slice{si:02d}_glyphs.csv")
 
-    if config.scene.scatterers:
-        pts = config.scene.scatterer_positions()
-        alpha = phase_correct(
-            recover_alpha_field(pre, pts, mode=config.recover_mode), config.delta_rel
-        )
-        rows = []
-        u_s = config.scene.source.basis()
-        for i, (sc, rec) in enumerate(zip(config.scene.scatterers, alpha)):
-            true = CROSS_RANGE_BASIS.T @ sc.alpha @ u_s
-            rows.append((f"recovered_{i}", sc.position, rec))
-            rows.append((f"projected_true_{i}", sc.position, true))
-        _write_tensor_table(rows, emit("tensors.csv"))
+    rows = write_tensors(pre, config, outdir)
+    if rows:
+        files.append("tensors.csv")
         report_lines.append("recovered tensor norms at scatterer cells:")
-        for i, (sc, rec) in enumerate(zip(config.scene.scatterers, alpha)):
-            true = CROSS_RANGE_BASIS.T @ sc.alpha @ u_s
+        for i, (rec, true) in enumerate(zip(rows[::2], rows[1::2])):
             report_lines.append(
-                f"  scatterer {i}: |rec|={np.linalg.norm(rec):.6g} "
-                f"|proj true|={np.linalg.norm(true):.6g}"
+                f"  scatterer {i}: |rec|={np.linalg.norm(rec[2]):.6g} "
+                f"|proj true|={np.linalg.norm(true[2]):.6g}"
             )
 
     with open(emit("report.txt"), "w", encoding="utf-8") as fh:

@@ -117,16 +117,27 @@ def _embed(m2: np.ndarray, u_s: np.ndarray) -> np.ndarray:
     )
 
 
-def _gtilde_table(ds: ArrayDataSet) -> np.ndarray:
-    """(n1, n2, nfreq, 2, 2) projected direct-path Green matrices."""
+def _inversion_tables(ds: ArrayDataSet):
+    """(Js, Js^-1, Gt, cond(Gt), flagged, regularized Gt^-*) over receivers x band.
+
+    Gt is (n1, n2, nfreq, 2, 2).  Where cond(Gt) exceeds the limit (the
+    ``flagged`` (row, col, freq) indices) Gt^-* is a truncated pseudo-inverse.
+    """
+    js = ds.source.coherency_table(ds.band.count)
+    js_inv = _js_inverses(js)
     recs = ds.geom.flat_positions()
-    x_s = ds.source.position
-    y0 = ds.source.reference_point
     ks = ds.wavenumbers
-    out = np.empty((recs.shape[0], ks.size, 2, 2), dtype=complex)
+    gt = np.empty((recs.shape[0], ks.size, 2, 2), dtype=complex)
     for fi, k in enumerate(ks):
-        out[:, fi] = gtilde(recs, x_s, y0, k)
-    return out.reshape(ds.geom.n1, ds.geom.n2, ks.size, 2, 2)
+        gt[:, fi] = gtilde(recs, ds.source.position, ds.source.reference_point, k)
+    gt = gt.reshape(ds.geom.n1, ds.geom.n2, ks.size, 2, 2)
+    gt_star = np.conj(np.swapaxes(gt, -1, -2))
+    cond = _cond_2x2(gt)
+    flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
+    inv_gt_star = _inv_2x2(gt_star)
+    for row, col, fi in flagged:
+        inv_gt_star[row, col, fi] = _truncated_pinv(gt_star[row, col, fi])
+    return js, js_inv, gt, cond, flagged, inv_gt_star
 
 
 def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
@@ -139,18 +150,8 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     if ds.kind != "coherency2x2":
         raise ValueError(f"preprocess expects coherency2x2 data, got {ds.kind!r}")
     u_s = ds.source.basis()
-    js = ds.source.coherency_table(ds.band.count)
-    js_inv = _js_inverses(js)
-    gt = _gtilde_table(ds)
-    gt_star = np.conj(np.swapaxes(gt, -1, -2))
-
-    cond = _cond_2x2(gt)
-    flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
-    inv_gt_star = _inv_2x2(gt_star)
-    for row, col, fi in flagged:
-        inv_gt_star[row, col, fi] = _truncated_pinv(gt_star[row, col, fi])
-
-    incident = gt @ js[None, None] @ gt_star
+    js, js_inv, gt, cond, flagged, inv_gt_star = _inversion_tables(ds)
+    incident = gt @ js[None, None] @ np.conj(np.swapaxes(gt, -1, -2))
     core = (ds.values - incident) @ inv_gt_star @ js_inv[None, None]
     out = ArrayDataSet(
         kind="preprocessed3x3",
@@ -179,15 +180,7 @@ def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:
     if pi.shape != expect:
         raise ValueError(f"response field shape {pi.shape}, expected {expect}")
     u_s = ds.source.basis()
-    js = ds.source.coherency_table(ds.band.count)
-    js_inv = _js_inverses(js)
-    gt = _gtilde_table(ds)
-    gt_star = np.conj(np.swapaxes(gt, -1, -2))
-    cond = _cond_2x2(gt)
-    inv_gt_star = _inv_2x2(gt_star)
-    for row, col, fi in np.argwhere(~(cond <= GTILDE_COND_LIMIT)):
-        inv_gt_star[row, col, fi] = _truncated_pinv(gt_star[row, col, fi])
-
+    js, js_inv, gt, _, _, inv_gt_star = _inversion_tables(ds)
     pit = np.einsum("ip,...ij,jq->...pq", CROSS_RANGE_BASIS, pi, u_s, optimize=True)
     pit_star = np.conj(np.swapaxes(pit, -1, -2))
     core = (gt + pit) @ js[None, None] @ pit_star @ inv_gt_star @ js_inv[None, None]

@@ -25,13 +25,14 @@ not circular.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import ArrayDataSet, _read_container, _write_container
+from .dataset import ArrayDataSet, _header_field, _read_container, _write_container
 from .errors import DatasetFormatError
-from .forward import born_response, projected_incident, projected_response
+from .emcore import dyadic_green
+from .forward import _born_sum, _projected_transfer
 from .scene import FrequencyBand, Scene
 
 TWO_PI = 2.0 * np.pi
@@ -124,7 +125,8 @@ class TimeSignal:
         kind, values, meta = _read_container(path)
         if kind != "timeseries":
             raise DatasetFormatError(f"file holds kind {kind!r}, not a time signal")
-        return TimeSignal(samples=values, dt=float(meta["dt"]), t0=float(meta["t0"]))
+        dt = _header_field(meta, "dt")
+        return TimeSignal(samples=values, dt=dt, t0=_header_field(meta, "t0"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +203,22 @@ def synth_source(spec: SourceProcessSpec, basis: np.ndarray, rng=None) -> TimeSi
 def _transfer_matrices(scene: Scene, omegas: np.ndarray, receivers: np.ndarray):
     """Total transfer (direct plus scattered) 3x3 matrices, (nrec, nfreq, 3, 3)."""
     out = np.zeros((receivers.shape[0], omegas.size, 3, 3), dtype=complex)
-    from .emcore import dyadic_green  # local import to keep module init light
-
-    pos = scene.scatterer_positions()
-    alphas = scene.scatterer_tensors()
     for fi, w in enumerate(omegas):
         if w <= 0:
             continue
         k = scene.wavenumber(w)
         g = dyadic_green(receivers, scene.source.position, k)
-        if pos.shape[0]:
-            g_src = dyadic_green(pos, scene.source.position, k)
-            tail = alphas @ g_src
-            g_rec = dyadic_green(receivers[:, None, :], pos[None, :, :], k)
-            g = g + np.einsum("rnij,njk->rik", g_rec, tail)
-        out[:, fi] = g
+        out[:, fi] = g + _born_sum(scene, k, receivers)
     return out
+
+
+def _propagate_bins(transfer, j_hat, active, n_pad: int, dt: float) -> np.ndarray:
+    """Received samples (nrec, 3, n_pad): transfer times source spectrum per active bin."""
+    e_hat = np.zeros((transfer.shape[0], 3, j_hat.shape[-1]), dtype=complex)
+    e_hat[:, :, active] = np.einsum(
+        "rfij,jf->rif", transfer, j_hat[:, active], optimize=True
+    )
+    return synthesis_transform(e_hat, n_pad, dt)
 
 
 def simulate_received(
@@ -249,11 +251,7 @@ def simulate_received(
     power = np.abs(j_hat).max(axis=0)
     active = (omegas > 0) & (power > spectrum_floor * power.max())
     transfer = _transfer_matrices(scene, omegas[active], receivers)
-    e_hat = np.zeros((receivers.shape[0], 3, omegas.size), dtype=complex)
-    e_hat[:, :, active] = np.einsum(
-        "rfij,jf->rif", transfer, j_hat[:, active], optimize=True
-    )
-    samples = synthesis_transform(e_hat, n_pad, source.dt)
+    samples = _propagate_bins(transfer, j_hat, active, n_pad, source.dt)
     return TimeSignal(samples=samples, dt=source.dt, t0=source.t0)
 
 
@@ -363,11 +361,7 @@ def stochastic_coherency_dataset(
     # projected 2x2 transfer at the picked bins only
     transfer = np.empty((recs.shape[0], picked.size, 2, 2), dtype=complex)
     for fi, w in enumerate(omegas[picked]):
-        k = scene.wavenumber(w)
-        m = projected_incident(scene, k) + projected_response(
-            scene, born_response(scene, k)
-        )
-        transfer[:, fi] = m.reshape(-1, 2, 2)
+        transfer[:, fi] = _projected_transfer(scene, scene.wavenumber(w)).reshape(-1, 2, 2)
 
     seeds = np.random.SeedSequence(spec.seed).spawn(realizations)
     psi = np.zeros((recs.shape[0], picked.size, 2, 2), dtype=complex)
@@ -453,13 +447,7 @@ def ergodicity_probe(
     t_seqs = root.spawn(half_durations.size)
     for ti, half in enumerate(half_durations):
         n = int(round(2.0 * half / base_spec.dt))
-        spec = SourceProcessSpec(
-            correlation_time=base_spec.correlation_time,
-            center=base_spec.center,
-            half_duration=half,
-            samples=n,
-            seed=base_spec.seed,
-        )
+        spec = replace(base_spec, half_duration=half, samples=n)
         n_pad = _pad_length(n, 2.0)
         omegas = spectrum_grid(n_pad, spec.dt)
         power = spec.spectrum(omegas)
@@ -472,11 +460,7 @@ def ergodicity_probe(
             padded = np.zeros((3, n_pad))
             padded[:, :n] = u_s @ channels
             j_hat = analysis_transform(padded, spec.dt)
-            e_hat = np.zeros((receivers.shape[0], 3, omegas.size), dtype=complex)
-            e_hat[:, :, active] = np.einsum(
-                "rfij,jf->rif", transfer, j_hat[:, active], optimize=True
-            )
-            e_par = synthesis_transform(e_hat, n_pad, spec.dt)[:, :2, :]
+            e_par = _propagate_bins(transfer, j_hat, active, n_pad, spec.dt)[:, :2, :]
             samples[ri] = (spec.dt / (2.0 * half)) * np.einsum(
                 "rit,rjt->rij", e_par, e_par
             )

@@ -248,3 +248,62 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "region" in proc.stdout
+
+
+def _with(path, value, **overrides) -> dict:
+    """Tiny config with the entry at ``path`` (keys and list indices) replaced."""
+    cfg = _tiny_config(**overrides)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+_STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 4000}
+
+
+@pytest.mark.parametrize(
+    "path, value, section",
+    [
+        (("band", "center_hz"), None, "band"),
+        (("array",), [31, 31], "array"),
+        (("scatterers", 0), None, r"scatterers\[0\]"),
+        (("window",), "wide", "window"),
+        (("pipeline",), [1], "pipeline"),
+        (("seed",), None, "seed"),
+        (("slices", 0, "normal_axis"), 5, r"slices\[0\]\.normal_axis"),
+        (("slices", 0, "step"), 0, r"slices\[0\]\.step"),
+        (("slices", 0, "step"), "-1 lambda0", r"slices\[0\]\.step"),
+        (("stochastic", "samples"), 5, "stochastic: need at least 16 samples"),
+        (("stochastic", "half_duration"), 2e-9, "stochastic: window must span"),
+    ],
+)
+def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
+    cfg = _with(path, value, stochastic=dict(_STOCHASTIC))
+    with pytest.raises(pm.ConfigError, match=section):
+        parse_config(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["report", "--config", str(cfg_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid input: ")
+
+
+def test_cli_chain_matches_run_pipeline(tmp_path):
+    cfg = _tiny_config()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ref = tmp_path / "pipeline"
+    run_pipeline(parse_config(cfg), ref)
+    sim, pre, rec = tmp_path / "sim", tmp_path / "pre", tmp_path / "rec"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--reference", "--out", str(sim)]) == 0
+    assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
+    argv = ["recover", str(pre / "preprocessed.pmds"), "--config", str(cfg_path), "--out", str(rec)]
+    assert cli_main(argv) == 0
+    staged = {"coherency.pmds": sim, "response.pmds": sim, "preprocessed.pmds": pre,
+              "preprocess.txt": pre, "slice00_alpha.pmds": rec, "slice00_norms.csv": rec,
+              "tensors.csv": rec}
+    for name, where in staged.items():
+        assert (where / name).read_bytes() == (ref / name).read_bytes(), name
+    assert "projected_true_0" in (rec / "tensors.csv").read_text()

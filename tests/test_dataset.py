@@ -1,10 +1,13 @@
 """Container format tests: round trips and corruption handling."""
 
+import json
+
 import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig.dataset import MAGIC
+from polarmig.cli import main as cli_main
+from polarmig.dataset import MAGIC, _read_container
 
 from conftest import band, bench_scene, three_dipole_scene
 
@@ -136,3 +139,74 @@ def test_kind_cross_reads_rejected(tmp_path, rng):
     back = pm.TimeSignal.read(spath)
     assert np.array_equal(back.samples, sig.samples)
     assert back.dt == sig.dt
+
+
+def _rewrite_header(src, dst, edit) -> None:
+    """Copy a container, passing its JSON header through ``edit`` on the way."""
+    blob = src.read_bytes()
+    off = len(MAGIC)
+    hlen = int.from_bytes(blob[off : off + 8], "little")
+    header = json.loads(blob[off + 8 : off + 8 + hlen])
+    edit(header)
+    new = json.dumps(header).encode()
+    dst.write_bytes(MAGIC + len(new).to_bytes(8, "little") + new + blob[off + 8 + hlen :])
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_DROP = object()
+
+
+def _set(header, path, value) -> None:
+    node = header
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+def _assert_cli_rejects(capsys, argv, key) -> None:
+    assert cli_main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid input: ") and key in lines[0]
+
+
+def test_malformed_dataset_header_exits_2(tmp_path, rng, capsys):
+    good = tmp_path / "good.pmds"
+    _small_dataset(rng).write(good)
+    _, _, meta = _read_container(good)
+    paths = [(key,) for key in ("kind", "dtype", "shape", "meta")]
+    paths += [("meta",) + p for p in _key_paths(meta)]
+    assert ("meta", "source", "coherency_im") in paths and len(paths) == 18
+    ill_typed = [
+        (("dtype",), 5), (("shape",), "abc"), (("meta",), [1]),
+        (("meta", "array", "n1"), 2.5), (("meta", "source", "position"), "x"),
+        (("meta", "band", "center"), None), (("meta", "wave_speed"), [1.0]),
+    ]
+    cases = [(p, _DROP) for p in paths] + ill_typed
+    for i, (path, value) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.pmds"
+        _rewrite_header(good, bad, lambda h: _set(h, path, value))
+        argv = ["preprocess", str(bad), "--out", str(tmp_path / "out")]
+        _assert_cli_rejects(capsys, argv, path[-1])
+
+
+def test_malformed_image_header_exits_2(tmp_path, rng, capsys):
+    pts = rng.uniform(-1, 1, (6, 3))
+    vals = rng.standard_normal((6, 2, 2)) + 0j
+    good = tmp_path / "field.pmds"
+    pm.ImageField(points=pts, values=vals, shape=(2, 3), meta={}).write(good)
+    cases = [(("meta", "points"), _DROP), (("meta", "grid_shape"), _DROP),
+             (("meta", "points"), 7), (("meta", "grid_shape"), [2, "3"])]
+    for i, (path, value) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.pmds"
+        _rewrite_header(good, bad, lambda h: _set(h, path, value))
+        _assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "g")], path[-1])

@@ -497,3 +497,42 @@ def test_lattice_singular_factor_raises_with_condition():
     assert rows and rest.size == 0
     with pytest.raises(pm.NumericalError, match="condition number"):
         pm.recover_alpha_field(ds, pts, mode="exact")
+
+
+def test_line_profile_is_centered_and_symmetric():
+    center = np.array([0.1, -0.2, L])
+    pts = pm.line_profile(center, 0, 1.0, 0.3)
+    assert pts.shape == (7, 3)
+    assert np.array_equal(pts[3], center)
+    assert np.array_equal(pts[:, 1:], np.tile(center[1:], (7, 1)))
+    # offsets from a zero coordinate are exactly symmetric and stay inside
+    x1 = pm.line_profile([0.0, -0.2, L], 0, 1.0, 0.3)[:, 0]
+    assert np.array_equal(x1, -x1[::-1])
+    assert np.abs(x1).max() <= 1.0
+    # an integer half_width / step keeps both ends, whatever its rounding
+    for half, step, count in [(6 * LAMBDA0, LAMBDA0 / 4, 49), (3 * LAMBDA0, LAMBDA0 / 2, 13),
+                              (2 * LAMBDA0, LAMBDA0 / 40, 161), (1.0, 0.1, 21)]:
+        pts = pm.line_profile([0, 0, L], 2, half, step)
+        assert pts.shape[0] == count
+        assert pts[count // 2, 2] == L
+        assert abs(pts[-1, 2] - L - half) <= 1e-12 * L
+    with pytest.raises(ValueError, match="step"):
+        pm.line_profile(center, 0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("pitch_fraction", [0.5, 0.37])
+def test_line_profile_through_receiver_raises(lattice_scene, pitch_fraction):
+    # the middle point is the receiver itself, on a lattice step and off it
+    scene, resp = lattice_scene
+    rec = scene.geom.positions()[6, 4]
+    pts = pm.line_profile(rec, 0, 6 * LAMBDA0, pitch_fraction * scene.geom.spacing[0])
+    rows, _ = migrate._lattice_rows(pts, scene.geom)
+    assert bool(rows) == (pitch_fraction == 0.5)
+    with pytest.raises(pm.DegenerateGeometryError):
+        pm.kirchhoff_band(resp, pts)
+
+
+def test_recover_unknown_mode_raises(lattice_scene):
+    _, resp = lattice_scene
+    with pytest.raises(ValueError, match="unknown recovery mode"):
+        pm.recover_alpha_field(resp, [0, 0, L], mode="exactt")
