@@ -40,14 +40,9 @@ def _apply_overrides(raw: dict, args) -> dict:
     if not isinstance(raw, dict) or not isinstance(raw.get("pipeline", {}), dict):
         return raw  # parse_config reports the malformed section
     pipe = raw.setdefault("pipeline", {})
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-    if getattr(args, "gamma", None) is not None:
-        pipe["gamma"] = args.gamma
-    if getattr(args, "delta_rel", None) is not None:
-        pipe["delta_rel"] = args.delta_rel
-    if getattr(args, "recover_mode", None) is not None:
-        pipe["recover_mode"] = args.recover_mode
+    for key, node in (("seed", raw), ("gamma", pipe), ("delta_rel", pipe), ("recover_mode", pipe)):
+        if getattr(args, key, None) is not None:
+            node[key] = getattr(args, key)
     if getattr(args, "second_born", False):
         pipe["second_born"] = True
     return raw

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -42,6 +43,14 @@ def _parse_length(value, lambda0: float, where: str) -> float:
             except ValueError:
                 pass
     raise ConfigError(f"{where}: expected meters or '<number> lambda0', got {value!r}")
+
+
+def _parse_count(value, where: str) -> int:
+    """An integral number; a fraction, bool or string is refused, not truncated."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
 def _parse_point(value, lambda0: float, where: str) -> np.ndarray:
@@ -121,7 +130,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         band = FrequencyBand(
             center=TWO_PI * float(band_raw["center_hz"]),
             width=TWO_PI * float(band_raw.get("width_hz", 0.0)),
-            count=int(band_raw["count"]),
+            count=_parse_count(band_raw["count"], "band.count"),
         )
     lambda0 = TWO_PI * wave_speed / band.center
 
@@ -129,8 +138,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         arr = raw["array"]
         geom = ArrayGeom(
             side=_parse_length(arr["side"], lambda0, "array.side"),
-            n1=int(arr["n1"]),
-            n2=int(arr["n2"]),
+            n1=_parse_count(arr["n1"], "array.n1"),
+            n2=_parse_count(arr["n2"], "array.n2"),
         )
 
     with _section("window"):
@@ -192,7 +201,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             where = f"slices[{i}]"
             with _section(where):
                 spec = SliceSpec(
-                    normal_axis=int(s["normal_axis"]),
+                    normal_axis=_parse_count(s["normal_axis"], f"{where}.normal_axis"),
                     offset=_parse_length(s["offset"], lambda0, f"{where}.offset"),
                     step=_parse_length(s["step"], lambda0, f"{where}.step"),
                 )
@@ -204,7 +213,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     with _section("pipeline"):
         pipe = raw.get("pipeline", {})
-        gamma = int(pipe.get("gamma", 3))
+        gamma = _parse_count(pipe.get("gamma", 3), "pipeline.gamma")
         mode = pipe.get("recover_mode", "exact")
         delta_rel = float(pipe.get("delta_rel", 1e-6))
         glyph_threshold = float(pipe.get("glyph_threshold", 0.5))
@@ -219,7 +228,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not 0.0 <= glyph_threshold <= 1.0:
         raise ConfigError("pipeline.glyph_threshold: must lie in [0, 1]")
     with _section("seed"):
-        seed = int(raw.get("seed", 0))
+        seed = _parse_count(raw.get("seed", 0), "seed")
 
     stoch = None
     if raw.get("stochastic"):
@@ -228,8 +237,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             stoch = StochasticSpec(
                 correlation_time=float(st_raw["correlation_time"]),
                 half_duration=float(st_raw["half_duration"]),
-                samples=int(st_raw["samples"]),
-                band_count=int(st_raw.get("band_count", band.count)),
+                samples=_parse_count(st_raw["samples"], "stochastic.samples"),
+                band_count=_parse_count(
+                    st_raw.get("band_count", band.count), "stochastic.band_count"),
             )
             # check the sampling plan now rather than after synthesis starts
             SourceProcessSpec(

@@ -173,6 +173,8 @@ class ArrayDataSet:
         v = np.asarray(self.values, dtype=complex)
         if v.shape != expect:
             raise ValueError(f"values shape {v.shape} does not match metadata {expect}")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{self.kind} values must be finite (NaN or inf found)")
         self.values = v
 
     @property

@@ -10,11 +10,14 @@ The receiver sums have two engines with the same result up to rounding.
 Imaging points that form lattice rows (evenly spaced along a receiver axis,
 at a step commensurate with the receiver pitch) get them from FFT
 correlations along that axis, since the Green function depends only on
-``x_r - y``; all other points use the direct pair sum.
+``x_r - y``; all other points use the direct pair sum over fixed receiver
+blocks.  Both contract 7 scalar kernels of ``G = A I + B rhat rhat^T`` with
+the 9 data components in one matmul per frequency.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,6 +32,9 @@ from .scene import ArrayGeom, ImagingWindow, SourceSpec
 
 # Imaging points per chunk are sized so receiver-point pair blocks stay small.
 _PAIR_TARGET = 600_000
+
+# Receivers per direct-sum block; bounds the (7, points, block) kernel stack.
+_RECEIVER_BLOCK = 512
 
 # Lattice-row chunks are sized by kernel sites (rows x FFT length x receivers
 # across the rows), which bounds their FFT blocks the same way.
@@ -52,62 +58,72 @@ DEFAULT_DELTA_REL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Green-function assembly with cached pair geometry
+# Green-function kernels shared by both engines and the source leg
 # ---------------------------------------------------------------------------
 
 
-def _green_factors(r, k: float, phase):
-    """Scalar pair factors (A, B) of ``G = A I + B rhat rhat^T`` at distance r.
+def _conj_factors(conj_g, u):
+    """(conj A, conj B) of ``G = A I + B rhat rhat^T`` from ``conj(g)`` and ``u = 1 / (k r)``.
 
-    ``A = g (1 + m)`` and ``B = -g (1 + 3 m)`` with ``g = phase / (4 pi r)``;
-    ``phase`` is exp(i k r), or zero where a term is to be dropped.
+    ``A = g (1 + m)``, ``B = -g (1 + 3 m)``, ``g = exp(i k r) / (4 pi r)``, ``m = i u - u^2``.
     """
-    g = phase / (4.0 * np.pi * r)
-    m = (1j * (k * r) - 1.0) / (k * r) ** 2
-    return g * (1.0 + m), -g * (1.0 + 3.0 * m)
+    u2 = u * u
+    return conj_g * ((1.0 - u2) - 1j * u), conj_g * ((3.0 * u2 - 1.0) + 3j * u)
 
 
-class _PairGeometry:
-    """Distances and orientations between two point sets, reused across k.
+def _spread_weights(amp, u):
+    """Phase-free weights (|A|^2, c) of ``conj(G) G = |A|^2 I + c rhat rhat^T``.
 
-    The backpropagation kernels below contract against the rank-one structure
-    of ``G = A I + B rhat rhat^T`` instead of materializing (pairs, 3, 3)
-    tensors.
+    As rhat rhat^T is idempotent, ``|A|^2 = |1 + m|^2 amp^2`` and ``c = (|1 + 3m|^2
+    - 2 Re((1 + conj m)(1 + 3m))) amp^2``, polynomials in ``u``; ``amp = 1 / (4 pi r)``,
+    or zero where a term is to be dropped.
     """
-
-    def __init__(self, sources: np.ndarray, targets: np.ndarray):
-        diff = sources[:, None, :] - targets[None, :, :]
-        self.r = np.linalg.norm(diff, axis=-1)
-        if np.any(self.r <= 0):
-            raise DegenerateGeometryError("imaging point coincides with a receiver or source")
-        self.rhat = diff / self.r[..., None]
+    u2 = u * u
+    amp2 = amp * amp
+    return amp2 * (1.0 - u2 + u2 * u2), amp2 * (3.0 * u2 * u2 + 5.0 * u2 - 1.0)
 
 
-def _backpropagate(pair: _PairGeometry, a, b, data: np.ndarray) -> np.ndarray:
-    """Receiver contraction sum_r conj(G(x_r, y)) D(x_r) without 3x3 blocks.
-
-    With G = A I + B rhat rhat^T the sum splits into a dense GEMM over the
-    plain term and a rank-one contraction over the orientation term.
-    """
-    plain = np.einsum("rc,rik->cik", np.conj(a), data, optimize=True)
-    w = np.einsum("rcj,rjk->rck", pair.rhat, data, optimize=True)
-    spun = np.einsum("rci,rck->cik", np.conj(b)[..., None] * pair.rhat, w, optimize=True)
-    return plain + spun
+def _band_walk(r, ks, amp):
+    """``(u, conj(g))`` per wavenumber; ``conj(g) = amp exp(-i k r)`` advances by recurrence."""
+    conj_g = amp * np.exp(-1j * ks[0] * r)
+    step = np.exp(-1j * (ks[1] - ks[0]) * r) if ks.size > 1 else None
+    for k in ks:
+        yield 1.0 / (k * r), conj_g
+        if step is not None:
+            conj_g = conj_g * step
 
 
-def _spread_diag(pair: _PairGeometry, a, b) -> np.ndarray:
-    """Cross-range 2x2 block of the same-point spread sum_r conj(G) G per point.
+def _orientations(rhat):
+    """The six distinct rhat_i rhat_l, in the order of ``_SYM``, stacked on axis -3."""
+    return np.stack([rhat[i] * rhat[l] for i, l in zip(*np.triu_indices(3))], axis=-3)
 
-    Since rhat rhat^T is idempotent the full matrix is
-    ``sum |A|^2 I + sum c rhat rhat^T`` with the real weight
-    ``c = 2 Re(conj(A) B) + |B|^2``; recovery only reads the block on the
-    cross-range basis, the first two axes.
-    """
-    iso = np.einsum("rc->c", np.abs(a) ** 2)
-    c = 2.0 * np.real(np.conj(a) * b) + np.abs(b) ** 2
-    h = pair.rhat[..., :2]
-    spun = np.einsum("rc,rci,rcj->cij", c, h, h, optimize=True)
-    return iso[:, None, None] * np.eye(2) + spun
+
+def _kernel_stack(conj_a, conj_b, orient, out):
+    """Fill ``out`` with the 7 kernels ``[conj A, conj B rhat_i rhat_l]`` on axis -3."""
+    out[..., 0, :, :] = conj_a
+    np.multiply(conj_b[..., None, :, :], orient, out=out[..., 1:, :, :])
+
+
+def _fold(prods):
+    """``sum_l (conj A delta_il + conj B rhat_i rhat_l) D_lk`` from kernel m x ``D_lk`` sums."""
+    acc = prods[..., 0, :, :].copy()
+    for l in range(3):
+        acc += prods[..., 1 + _SYM[:, l], l, :]
+    return acc
+
+
+def _spread_terms(w, c, orient, axis):
+    """Entries (11, 12, 22) of ``|A|^2 I + c rhat rhat^T`` summed over ``axis``, on axis 1."""
+    return np.stack([(w + c * orient[..., 0, :, :]).sum(axis), (c * orient[..., 1, :, :]).sum(axis),
+                     (w + c * orient[..., 3, :, :]).sum(axis)], axis=1)
+
+
+def _pair_geometry(diff):
+    """Distances and unit vectors of separations ``diff``, components on axis 0."""
+    r = np.linalg.norm(diff, axis=0)
+    if np.any(r <= 0):
+        raise DegenerateGeometryError("imaging point coincides with a receiver or source")
+    return r, diff / r
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
@@ -125,35 +141,34 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 def _direct_sums(recs, data, ks, pts, spread: bool):
     """Per-frequency (backpropagation, spread block) sums by direct pairs.
 
-    ``data`` is (receivers, nfreq, 3, 3).  Reuses the pair geometry across
-    frequencies and advances the propagation phase factors incrementally on
-    the uniform wavenumber grid.
+    ``data`` is (receivers, nfreq, 3, 3).  Each block of ``_RECEIVER_BLOCK``
+    receivers computes its pair geometry once and adds one ``(7 points x block)
+    @ (block x 9)`` matmul per frequency; blocks are summed in order, so memory
+    is bounded by the block and rounding does not depend on threads.
     """
-    geo = _PairGeometry(recs, pts)
-    step = np.exp(1j * (ks[1] - ks[0]) * geo.r) if ks.size > 1 else None
-    phase = np.exp(1j * ks[0] * geo.r)
-    for fi, k in enumerate(ks):
-        a, b = _green_factors(geo.r, k, phase)
-        yield _backpropagate(geo, a, b, data[:, fi]), _spread_diag(geo, a, b) if spread else None
-        if step is not None:
-            phase = phase * step
+    n_pts, nfreq = pts.shape[0], ks.size
+    prods = np.zeros((nfreq, 7 * n_pts, 9), dtype=complex)
+    terms = np.zeros((nfreq, n_pts, 3)) if spread else None
+    for lo in range(0, recs.shape[0], _RECEIVER_BLOCK):
+        hi = min(lo + _RECEIVER_BLOCK, recs.shape[0])
+        r, rhat = _pair_geometry(recs[lo:hi].T[:, None, :] - pts.T[:, :, None])
+        orient = _orientations(rhat)
+        amp = 1.0 / (4.0 * np.pi * r)
+        kern = np.empty((7, n_pts, hi - lo), dtype=complex)
+        for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
+            _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
+            prods[fi] += kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, 9)
+            if spread:
+                terms[fi] += _spread_terms(*_spread_weights(amp, u), orient, -1)
+    acc = _fold(prods.reshape(nfreq, 7, n_pts, 3, 3).swapaxes(1, 2))
+    return zip(acc, terms[..., [[0, 1], [1, 2]]] if spread else [None] * nfreq)
 
 
-@dataclass(frozen=True)
-class _RowLayout:
-    """Shape shared by a set of lattice rows.
-
-    The lattice step is ``pitch / sub`` along receiver axis ``axis``;
-    receivers sit every ``sub`` and row points every ``stride`` lattice
-    steps.  ``fft_size`` holds every point-minus-receiver lag of a row
-    without wrap-around.
-    """
-
-    axis: int
-    sub: int
-    stride: int
-    length: int
-    fft_size: int
+# Shape shared by a set of lattice rows: the lattice step is ``pitch / sub``
+# along receiver axis ``axis``; receivers sit every ``sub`` and row points
+# every ``stride`` lattice steps; ``fft_size`` holds every point-minus-receiver
+# lag of a row without wrap-around.
+_RowLayout = namedtuple("_RowLayout", "axis sub stride length fft_size")
 
 
 def _fft_size(n: int) -> int:
@@ -218,10 +233,10 @@ def _lattice_rows(pts, geom: ArrayGeom):
             if layout is None:
                 continue
             # a row replaces its points x receivers-along-the-row pair terms
-            # by FFT-length kernel sites, each costing about one pair term
-            # (1.1 measured on the 961-point slices of the reduced preset,
-            # single-threaded); rows that would not save at least half stay
-            # on the direct sum, a margin not tuned on any workload
+            # by FFT-length kernel sites, each costing about two pair terms
+            # (2.1-2.4 measured single-threaded on the reduced preset's 961-point
+            # slices, where rows still win 2.5x); rows that would not save at
+            # least half stay on the direct sum, a margin not tuned on any workload
             direct = idx.size * n_rec[axis]
             lattice = layout.fft_size
             if 2.0 * lattice > direct:
@@ -250,9 +265,7 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
     wrap-around, and the sum over j is a matmul per spatial frequency.
     Yields in the order of ``rows.ravel()``.
     """
-    axis, sub, stride, length, nfft = (
-        layout.axis, layout.sub, layout.stride, layout.length, layout.fft_size
-    )
+    axis, sub, stride, length, nfft = layout
     other = 1 - axis
     grid = geom.positions() if axis == 0 else geom.positions().swapaxes(0, 1)
     lane = data if axis == 0 else data.swapaxes(0, 1)
@@ -279,10 +292,8 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
     r = np.where(live, r, 1.0)
     rhat = [None, None, d_range / r]
     rhat[axis], rhat[other] = d_along / r, d_across / r
-    # the six distinct rhat_i rhat_l, in the order of _SYM
-    orient = np.stack([rhat[i] * rhat[l] for i, l in zip(*np.triu_indices(3))], axis=1)
-    phase = np.where(live, np.exp(1j * ks[0] * r), 0.0)
-    step = np.exp(1j * (ks[1] - ks[0]) * r) if ks.size > 1 else None
+    orient = _orientations(rhat)
+    amp = np.where(live, 1.0 / (4.0 * np.pi * r), 0.0)
     receivers = np.zeros(nfft)
     receivers[: n_along * sub : sub] = 1.0
     receivers_hat = np.fft.fft(receivers)
@@ -291,36 +302,22 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
     # spatial frequency first, so the matmul below batches over it
     kern_hat = np.empty((nfft, n_rows, 7, n_across), dtype=complex)
 
-    for fi, k in enumerate(ks):
-        a, b = _green_factors(r, k, phase)
-        kern[:, 0] = np.conj(a)
-        np.multiply(np.conj(b)[:, None], orient, out=kern[:, 1:])
+    for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
+        _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
         np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
         lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, 9)
         data_hat = np.fft.fft(lattice_data, axis=0)
         # prods[x, (row, m), (l, k)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, k]
         prods = kern_hat.reshape(nfft, n_rows * 7, n_across) @ data_hat
-        prods = prods.reshape(nfft, n_rows, 7, 3, 3)
-        # sum_l (conj(A) delta_il + conj(B) rhat_i rhat_l) D_lk
-        acc = prods[:, :, 0].copy()
-        for l in range(3):
-            acc += prods[:, :, 1 + _SYM[:, l], l, :]
+        acc = _fold(prods.reshape(nfft, n_rows, 7, 3, 3))
         acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride].swapaxes(0, 1).reshape(-1, 3, 3)
         block = None
         if spread:
-            iso = np.abs(a) ** 2
-            c = 2.0 * np.real(np.conj(a) * b) + np.abs(b) ** 2
-            terms = np.stack(
-                [(iso + c * orient[:, 0]).sum(axis=1), (c * orient[:, 1]).sum(axis=1),
-                 (iso + c * orient[:, 3]).sum(axis=1)],
-                axis=1,
-            )
+            terms = _spread_terms(*_spread_weights(amp, u), orient, 1)
             sums = np.fft.ifft(np.fft.fft(terms, axis=-1) * receivers_hat, axis=-1)
             sums = sums.real[..., : span + 1 : stride].transpose(0, 2, 1).reshape(-1, 3)
             block = sums[:, [[0, 1], [1, 2]]]
         yield acc, block
-        if step is not None:
-            phase = phase * step
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +358,26 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, recover=None, u_s=Non
         tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], spread)))
 
     def accumulate(idx, sums):
-        src_geo = _PairGeometry(x_s[None, :], pts[idx])
-        src_step = np.exp(1j * (ks[1] - ks[0]) * src_geo.r) if nfreq > 1 else None
-        src_phase = np.exp(1j * ks[0] * src_geo.r)
-        outer = src_geo.rhat[0, :, :, None] * src_geo.rhat[0, :, None, :]
+        r_s, rhat_s = _pair_geometry(x_s[:, None] - pts[idx].T)
+        amp = 1.0 / (4.0 * np.pi * r_s)
+        outer = rhat_s.T[:, :, None] * rhat_s.T[:, None, :]
         img = np.zeros((idx.size, 3, 3), dtype=complex)
         alp = np.zeros((idx.size, 2, 2), dtype=complex)
-        for fi, (acc, block) in enumerate(sums):
-            a_s, b_s = _green_factors(src_geo.r, ks[fi], src_phase)
-            g_src = a_s[0][:, None, None] * np.eye(3) + b_s[0][:, None, None] * outer
-            ikm = cell * acc @ np.conj(g_src)
+        for fi, ((acc, block), (u, conj_g)) in enumerate(zip(sums, _band_walk(r_s, ks, amp))):
+            conj_a, conj_b = _conj_factors(conj_g, u)
+            ikm = cell * acc @ (conj_a[:, None, None] * np.eye(3) + conj_b[:, None, None] * outer)
             img += weights[fi] * ikm
             if recover:
                 ikm_t = np.einsum("ip,cij,jq->cpq", CROSS_RANGE_BASIS, ikm, u_s, optimize=True)
                 if spread:
                     a2 = cell * block
-                    h_s_diag = np.conj(g_src) @ g_src
+                    w, c = _spread_weights(amp, u)
+                    h_s_diag = w[:, None, None] * np.eye(3) + c[:, None, None] * outer
                     b2 = np.einsum("ip,cij,jq->cpq", u_s, h_s_diag, u_s, optimize=True)
                     _guard_cond(a2, "receiver point-spread factor")
                     _guard_cond(b2, "source point-spread factor")
                     ikm_t = _inv_2x2(a2) @ ikm_t @ _inv_2x2(b2)
                 alp += weights[fi] * ikm_t
-            if src_step is not None:
-                src_phase = src_phase * src_step
         image[idx] = img
         if recover:
             alpha[idx] = alp

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -27,8 +28,7 @@ def _write_norms_csv(field: ImageField, path) -> None:
     norms = field.norms()
     for p, n in zip(field.points, norms):
         lines.append(f"{p[0]!r},{p[1]!r},{p[2]!r},{float(n)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_tensor_table(rows, path) -> None:
@@ -45,8 +45,7 @@ def _write_tensor_table(rows, path) -> None:
         vals += [np.imag(mat[i, j]) for i in range(2) for j in range(2)]
         vals.append(np.linalg.norm(mat))
         lines.append(label + "," + ",".join(repr(float(v)) for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def simulate_stage(config: ExperimentConfig) -> ArrayDataSet:
@@ -72,8 +71,7 @@ def write_preprocessed(ds: ArrayDataSet, outdir) -> tuple[ArrayDataSet, Preproce
     """Preprocess coherency data into ``preprocessed.pmds`` and ``preprocess.txt``."""
     pre, report = preprocess(ds)
     pre.write(os.path.join(outdir, "preprocessed.pmds"))
-    with open(os.path.join(outdir, "preprocess.txt"), "w", encoding="utf-8") as fh:
-        fh.write(report.summary() + "\n")
+    Path(outdir, "preprocess.txt").write_text(report.summary() + "\n", encoding="utf-8")
     return pre, report
 
 
@@ -178,6 +176,5 @@ def run_pipeline(config: ExperimentConfig, outdir) -> PipelineResult:
                 f"|proj true|={np.linalg.norm(true[2]):.6g}"
             )
 
-    with open(emit("report.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    Path(emit("report.txt")).write_text("\n".join(report_lines) + "\n", encoding="utf-8")
     return PipelineResult(outdir=str(outdir), files=sorted(files))

@@ -260,6 +260,17 @@ def simulate_received(
 # ---------------------------------------------------------------------------
 
 
+def _padded_field(signal: TimeSignal, duration: float, pad_factor: float) -> np.ndarray:
+    """Check a (..., 3, n) signal and its window 2T, then zero-pad it for FFT correlation."""
+    if signal.samples.shape[-2] != 3:
+        raise ValueError("expected 3 field components on the next-to-last axis")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
+    padded = np.zeros(signal.samples.shape[:-1] + (_pad_length(signal.n, pad_factor),))
+    padded[..., : signal.n] = signal.samples
+    return padded
+
+
 def empirical_coherency(signal: TimeSignal, duration: float, pad_factor: float = 2.0):
     """Scaled periodogram estimate of the coherency spectrum.
 
@@ -268,19 +279,13 @@ def empirical_coherency(signal: TimeSignal, duration: float, pad_factor: float =
     (..., 3, n) signal; ``duration`` is the physical acquisition window 2T
     used for normalization.
     """
-    if signal.samples.shape[-2] != 3:
-        raise ValueError("expected 3 field components on the next-to-last axis")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    n_pad = _pad_length(signal.n, pad_factor)
-    padded = np.zeros(signal.samples.shape[:-1] + (n_pad,))
-    padded[..., : signal.n] = signal.samples
+    padded = _padded_field(signal, duration, pad_factor)
     e_hat = analysis_transform(padded, signal.dt)
     e_par = e_hat[..., :2, :]
     psi = (TWO_PI / duration) * np.einsum(
         "...if,...jf->...fij", e_par, np.conj(e_par), optimize=True
     )
-    return spectrum_grid(n_pad, signal.dt), psi
+    return spectrum_grid(padded.shape[-1], signal.dt), psi
 
 
 def empirical_autocorrelation(
@@ -301,11 +306,8 @@ def empirical_autocorrelation(
         return empirical_coherency(signal, duration, pad_factor)
     if mode != "lag":
         raise ValueError(f"unknown mode {mode!r}")
-    if signal.samples.shape[-2] != 3:
-        raise ValueError("expected 3 field components on the next-to-last axis")
-    n_pad = _pad_length(signal.n, pad_factor)
-    padded = np.zeros(signal.samples.shape[:-1] + (n_pad,))
-    padded[..., : signal.n] = signal.samples
+    padded = _padded_field(signal, duration, pad_factor)
+    n_pad = padded.shape[-1]
     spec = np.fft.rfft(padded, axis=-1)
     e_par = spec[..., :2, :]
     # correlation theorem: sum_n x_{n+l} y_n = idft(X conj(Y))_l

@@ -277,6 +277,15 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("slices", 0, "step"), "-1 lambda0", r"slices\[0\]\.step"),
         (("stochastic", "samples"), 5, "stochastic: need at least 16 samples"),
         (("stochastic", "half_duration"), 2e-9, "stochastic: window must span"),
+        # counts must be integral: a fraction, a bool or a string is not truncated
+        (("band", "count"), 9.9, r"band\.count: expected an integer"),
+        (("array", "n1"), 30.6, r"array\.n1: expected an integer"),
+        (("array", "n2"), "9", r"array\.n2: expected an integer"),
+        (("slices", 0, "normal_axis"), 1.7, r"slices\[0\]\.normal_axis: expected an integer"),
+        (("pipeline", "gamma"), 3.5, r"pipeline\.gamma: expected an integer"),
+        (("seed",), 1.5, "seed: expected an integer"),
+        (("stochastic", "samples"), 4000.5, r"stochastic\.samples: expected an integer"),
+        (("stochastic", "band_count"), True, r"stochastic\.band_count: expected an integer"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -288,6 +297,12 @@ def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, sec
     assert cli_main(["report", "--config", str(cfg_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid input: ")
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config(_with(("band", "count"), 3.0, stochastic=dict(_STOCHASTIC, samples=4000.0)))
+    assert cfg.band.count == 3 and type(cfg.band.count) is int
+    assert cfg.stochastic.samples == 4000 and type(cfg.stochastic.samples) is int
 
 
 def test_cli_chain_matches_run_pipeline(tmp_path):

@@ -210,3 +210,20 @@ def test_malformed_image_header_exits_2(tmp_path, rng, capsys):
         bad = tmp_path / f"bad{i}.pmds"
         _rewrite_header(good, bad, lambda h: _set(h, path, value))
         _assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "g")], path[-1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
+    ds = _small_dataset(rng)
+    values = ds.values.copy()
+    values[1, 2, 0, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        pm.ArrayDataSet(ds.kind, values, ds.geom, ds.source, ds.band, ds.wave_speed)
+    good, poisoned = tmp_path / "good.pmds", tmp_path / "nan.pmds"
+    ds.write(good)
+    blob = good.read_bytes()
+    payload = values.astype("<c16").tobytes()
+    poisoned.write_bytes(blob[: len(blob) - len(payload)] + payload)
+    argv = ["preprocess", str(poisoned), "--out", str(tmp_path / "out")]
+    _assert_cli_rejects(capsys, argv, "finite")
+    assert not (tmp_path / "out" / "preprocessed.pmds").exists()

@@ -76,16 +76,19 @@ def test_kirchhoff_peak_at_scatterer():
     assert np.argmax(norms) == np.argmin(np.abs(pts[:, 0]))
 
 
-def test_kirchhoff_point_on_receiver_raises():
+def test_kirchhoff_point_on_receiver_raises(monkeypatch):
     scene = single_dipole_scene(n=5)
-    with pytest.raises(pm.DegenerateGeometryError):
-        pm.kirchhoff_single(
-            np.zeros((5, 5, 3, 3), dtype=complex),
-            scene.geom,
-            scene.source.position,
-            K0,
-            scene.geom.flat_positions()[0],
-        )
+    # 25 receivers in blocks of 4: the first block and the last, partial one
+    monkeypatch.setattr(migrate, "_RECEIVER_BLOCK", 4)
+    for rec in (0, 24):
+        with pytest.raises(pm.DegenerateGeometryError):
+            pm.kirchhoff_single(
+                np.zeros((5, 5, 3, 3), dtype=complex),
+                scene.geom,
+                scene.source.position,
+                K0,
+                scene.geom.flat_positions()[rec],
+            )
 
 
 def test_band_image_trapezoid_on_constant_integrand():
@@ -352,10 +355,18 @@ def test_parallel_schedule_invariance(monkeypatch):
     monkeypatch.setattr(migrate, "_SITE_TARGET", 2_000)
     _, rest = migrate._lattice_rows(slice_pts, scene.geom)
     assert rest.size == 0
+    # off-lattice points split over at least three direct chunks
+    off = _off_lattice_points(scene, 40)
+    monkeypatch.setattr(migrate, "_PAIR_TARGET", 12 * 81)
+    rows, rest = migrate._lattice_rows(off, scene.geom)
+    assert not rows and rest.size == 40
+    assert -(-40 // (migrate._PAIR_TARGET // 81)) >= 3
 
     def run():
         return (pm.kirchhoff_band(resp, pts),
-                pm.recover_alpha_field(resp, slice_pts, mode="exact"))
+                pm.recover_alpha_field(resp, slice_pts, mode="exact"),
+                pm.kirchhoff_band(resp, off),
+                pm.recover_alpha_field(resp, off, mode="exact"))
 
     base = run()
     monkeypatch.setenv("POLARMIG_THREADS", "1")
@@ -365,6 +376,57 @@ def test_parallel_schedule_invariance(monkeypatch):
     for b, o, t in zip(base, one, three):
         assert np.array_equal(b, o)
         assert np.array_equal(b, t)
+
+
+# ---------------------------------------------------------------------------
+# Direct pair engine against the per-frequency oracles
+# ---------------------------------------------------------------------------
+
+
+def _off_lattice_points(scene, count):
+    """Points drawn in the imaging window plus the scatterer cells."""
+    bounds = scene.window.bounds
+    drawn = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * np.random.default_rng(5).random(
+        (count - len(scene.scatterers), 3))
+    return np.concatenate([drawn, scene.scatterer_positions()])
+
+
+def _oracle_band(ds, y):
+    """Image, exact and Fraunhofer band tensors at y from dyadic_green, one frequency at a time."""
+    recs = ds.geom.flat_positions()
+    data = ds.values.reshape(recs.shape[0], -1, 3, 3)
+    omegas = ds.omegas
+    weights = np.full(omegas.size, omegas[1] - omegas[0])
+    weights[[0, -1]] /= 2
+    image = np.zeros((3, 3), dtype=complex)
+    alphas = {"exact": [], "fraunhofer": []}
+    for fi, k in enumerate(ds.wavenumbers):
+        back = np.einsum("rij,rjk->ik", np.conj(pm.dyadic_green(recs, y, k)), data[:, fi])
+        ikm = ds.geom.cell_area * back @ np.conj(pm.dyadic_green(ds.source.position, y, k))
+        image += weights[fi] * ikm
+        for mode, values in alphas.items():
+            values.append(pm.recover_alpha_single(ikm, y, k, ds.geom, ds.source, mode=mode))
+    return {"image": image, **{m: pm.recover_alpha_band(v, omegas) for m, v in alphas.items()}}
+
+
+@pytest.fixture(scope="module")
+def direct_scene():
+    scene = three_dipole_scene(n=13)
+    return scene, pm.response_synthesize(scene, band(5))
+
+
+@pytest.mark.parametrize("block", [50, 169, 512])
+def test_direct_engine_matches_oracle(direct_scene, block, monkeypatch):
+    # 169 receivers: blocks of 50, 50, 50 and a partial 19; one exact block; one short block
+    scene, resp = direct_scene
+    pts = _off_lattice_points(scene, 7)
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert not rows and rest.size == pts.shape[0]
+    monkeypatch.setattr(migrate, "_RECEIVER_BLOCK", block)
+    got = dict(zip(["image", "exact", "fraunhofer"], _all_modes(resp, pts)))
+    for i, y in enumerate(pts):
+        for mode, ref in _oracle_band(resp, y).items():
+            assert np.abs(got[mode][i] - ref).max() <= 1e-10 * np.abs(ref).max(), (mode, i)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,14 @@ def test_empirical_autocorrelation_sinusoid_oracle():
     assert lags[1] - lags[0] == pytest.approx(dt)
 
 
+@pytest.mark.parametrize("mode", ["freq", "lag"])
+@pytest.mark.parametrize("duration", [0.0, -1e-9])
+def test_empirical_autocorrelation_rejects_nonpositive_duration(mode, duration):
+    sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=1e-11)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        pm.empirical_autocorrelation(sig, duration, mode=mode)
+
+
 def test_empirical_coherency_mean_matches_deterministic():
     # ensemble mean of the scaled periodogram against the synthesized
     # coherency with the per-frequency source spectrum
