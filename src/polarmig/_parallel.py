@@ -1,7 +1,7 @@
-"""Deterministic chunked execution over independent imaging work units.
+"""Deterministic execution of independent imaging work units on a thread pool.
 
-Grid points are independent, so chunks may run on any number of threads; each
-chunk writes a disjoint output slice and its internal sums run in a fixed
+Grid points are independent, so tasks may run on any number of threads; each
+task writes a disjoint output slice and its internal sums run in a fixed
 serial order, making results bitwise independent of the schedule.
 """
 
@@ -26,15 +26,10 @@ def thread_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def run_chunks(total: int, chunk: int, work) -> None:
-    """Invoke ``work(lo, hi)`` over consecutive index ranges covering total."""
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    n_threads = thread_count()
-    if n_threads <= 1 or len(ranges) <= 1:
-        for lo, hi in ranges:
-            work(lo, hi)
-        return
+def run_tasks(work, tasks) -> list:
+    """``[work(task) for task in tasks]`` on up to ``thread_count()`` threads, in order."""
+    n_threads = min(thread_count(), len(tasks))
+    if n_threads <= 1:
+        return [work(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        futures = [pool.submit(work, lo, hi) for lo, hi in ranges]
-        for fut in futures:
-            fut.result()
+        return list(pool.map(work, tasks))

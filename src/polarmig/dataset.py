@@ -227,6 +227,9 @@ class ImageField:
             raise ValueError("points/values length mismatch")
         if int(np.prod(self.shape)) != self.points.shape[0]:
             raise ValueError("grid shape does not match point count")
+        for name, arr in (("points", self.points), ("values", self.values)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"image field {name} must be finite (NaN or inf found)")
 
     @property
     def dim(self) -> int:

@@ -107,6 +107,18 @@ def projector(x, y):
     return out[0] if squeeze else out
 
 
+def project(m, u_s) -> np.ndarray:
+    """``U_par^T m u_s`` of 3x3 matrices: the first two rows of ``m u_s``, as one BLAS product."""
+    return np.einsum("...ij,jq->...iq", m, u_s, optimize=True)[..., :2, :]
+
+
+def embed(m2, u_s) -> np.ndarray:
+    """Lift of 2x2 matrices to 3x3, ``U_par m2 u_s^H``; inverse of :func:`project`."""
+    out = np.zeros(m2.shape[:-2] + (3, 3), dtype=np.result_type(m2, u_s))
+    out[..., :2, :] = np.einsum("...pq,jq->...pj", m2, np.conj(u_s), optimize=True)
+    return out
+
+
 def source_basis(x_s, y0) -> np.ndarray:
     """Deterministic orthonormal basis of the plane normal to y0 - x_s.
 

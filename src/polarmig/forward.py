@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import ArrayDataSet
-from .emcore import CROSS_RANGE_BASIS, dyadic_green, _separation
+from .emcore import dyadic_green, project, _separation
 from .errors import CoincidentPointsError
 from .preprocess import gtilde
 from .scene import FrequencyBand, Scene
@@ -83,10 +83,7 @@ def second_born_response(scene: Scene, k: float) -> np.ndarray:
 
 def projected_response(scene: Scene, pi: np.ndarray) -> np.ndarray:
     """Project a 3x3 response field onto the measurement bases: U_par^* Pi U_s."""
-    u_s = scene.source.basis()
-    return np.einsum(
-        "ip,...ij,jq->...pq", CROSS_RANGE_BASIS, pi, u_s, optimize=True
-    )
+    return project(pi, scene.source.basis())
 
 
 def projected_incident(scene: Scene, k: float) -> np.ndarray:

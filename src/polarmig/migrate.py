@@ -2,9 +2,10 @@
 
 The imaging function backpropagates a 3x3 data field with conjugated Green
 functions, summed over the receiver array with Riemann cell weights and, for
-band data, integrated over frequency with the trapezoid rule.  Recovery
-unwinds the two point-spread factors at the image point to estimate the
-projected polarizability tensor in the fixed (cross-range, source) bases.
+band data, integrated over frequency with the trapezoid rule.  Exact
+recovery unwinds the two point-spread factors at the image point, frequency by
+frequency, to estimate the projected polarizability tensor in the fixed
+(cross-range, source) bases; the far-field estimate is the rescaled projected image.
 
 The receiver sums have two engines with the same result up to rounding.
 Imaging points that form lattice rows (evenly spaced along a receiver axis,
@@ -23,9 +24,9 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import run_chunks
+from ._parallel import run_tasks
 from .dataset import ArrayDataSet
-from .emcore import CROSS_RANGE_BASIS, dyadic_green, projector
+from .emcore import CROSS_RANGE_BASIS, dyadic_green, project, projector
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
@@ -233,13 +234,13 @@ def _lattice_rows(pts, geom: ArrayGeom):
             if layout is None:
                 continue
             # a row replaces its points x receivers-along-the-row pair terms
-            # by FFT-length kernel sites, each costing about two pair terms
-            # (2.1-2.4 measured single-threaded on the reduced preset's 961-point
-            # slices, where rows still win 2.5x); rows that would not save at
-            # least half stay on the direct sum, a margin not tuned on any workload
+            # by FFT-length kernel sites, each costing 2.1-2.4 pair terms
+            # (measured single-threaded on the reduced preset's 961-point
+            # slices, where rows still win 2.5x); rows with fewer than 2.3 pair
+            # terms per site stay on the direct sum
             direct = idx.size * n_rec[axis]
             lattice = layout.fft_size
-            if 2.0 * lattice > direct:
+            if 2.3 * lattice > direct:
                 continue
             rows.setdefault(layout, []).append(idx)
             saving += (direct - lattice) * n_rec[other]
@@ -325,23 +326,22 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
 # ---------------------------------------------------------------------------
 
 
-def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, recover=None, u_s=None):
-    """Weighted frequency sum of Kirchhoff images, optionally with recovery.
+def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
+    """Weighted frequency sum of Kirchhoff images, with exact recovery given ``u_s``.
 
     ``data`` is (n1, n2, nfreq, 3, 3).  Returns (image (npts, 3, 3), alpha):
-    with ``recover="exact"`` alpha sums the per-frequency recovered tensors
-    in the (cross-range, ``u_s``) bases, with ``"fraunhofer"`` the projected
-    images left for the caller to rescale, else it is None.  Work is split
-    into lattice-row chunks and direct point chunks of fixed size, each
+    given the source basis ``u_s``, alpha sums the per-frequency recovered
+    tensors in the (cross-range, ``u_s``) bases, else it is None.  Work is
+    split into lattice-row chunks and direct point chunks of fixed size, each
     summing its frequencies in order, so results do not depend on threads.
     """
     nfreq = ks.size
     cell = geom.cell_area
-    spread = recover == "exact"
+    spread = u_s is not None
     recs = geom.flat_positions()
     flat = data.reshape(-1, nfreq, 3, 3)
     image = np.zeros((pts.shape[0], 3, 3), dtype=complex)
-    alpha = np.zeros((pts.shape[0], 2, 2), dtype=complex) if recover else None
+    alpha = np.zeros((pts.shape[0], 2, 2), dtype=complex)
 
     tasks = []
     rows, rest = _lattice_rows(pts, geom)
@@ -357,37 +357,34 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, recover=None, u_s=Non
         idx = rest[lo:lo + size]
         tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], spread)))
 
-    def accumulate(idx, sums):
+    def accumulate(task):
+        idx, sums = task
         r_s, rhat_s = _pair_geometry(x_s[:, None] - pts[idx].T)
         amp = 1.0 / (4.0 * np.pi * r_s)
         outer = rhat_s.T[:, :, None] * rhat_s.T[:, None, :]
         img = np.zeros((idx.size, 3, 3), dtype=complex)
         alp = np.zeros((idx.size, 2, 2), dtype=complex)
-        for fi, ((acc, block), (u, conj_g)) in enumerate(zip(sums, _band_walk(r_s, ks, amp))):
+        if spread:
+            # u_s^T (|A|^2 I + c rhat rhat^T) u_s = |A|^2 I + c v v^T with v = u_s^T rhat,
+            # as u_s has orthonormal columns
+            v = rhat_s.T @ u_s
+            outer_s = v[:, :, None] * v[:, None, :]
+        for fi, ((acc, block), (u, conj_g)) in enumerate(zip(sums(), _band_walk(r_s, ks, amp))):
             conj_a, conj_b = _conj_factors(conj_g, u)
             ikm = cell * acc @ (conj_a[:, None, None] * np.eye(3) + conj_b[:, None, None] * outer)
             img += weights[fi] * ikm
-            if recover:
-                ikm_t = np.einsum("ip,cij,jq->cpq", CROSS_RANGE_BASIS, ikm, u_s, optimize=True)
-                if spread:
-                    a2 = cell * block
-                    w, c = _spread_weights(amp, u)
-                    h_s_diag = w[:, None, None] * np.eye(3) + c[:, None, None] * outer
-                    b2 = np.einsum("ip,cij,jq->cpq", u_s, h_s_diag, u_s, optimize=True)
-                    _guard_cond(a2, "receiver point-spread factor")
-                    _guard_cond(b2, "source point-spread factor")
-                    ikm_t = _inv_2x2(a2) @ ikm_t @ _inv_2x2(b2)
-                alp += weights[fi] * ikm_t
+            if spread:
+                a2 = cell * block
+                w, c = _spread_weights(amp, u)
+                b2 = w[:, None, None] * np.eye(2) + c[:, None, None] * outer_s
+                _guard_cond(a2, "receiver point-spread factor")
+                _guard_cond(b2, "source point-spread factor")
+                alp += weights[fi] * (_inv_2x2(a2) @ project(ikm, u_s) @ _inv_2x2(b2))
         image[idx] = img
-        if recover:
-            alpha[idx] = alp
+        alpha[idx] = alp
 
-    def work(lo, hi):
-        for idx, sums in tasks[lo:hi]:
-            accumulate(idx, sums())
-
-    run_chunks(len(tasks), 1, work)
-    return image, alpha
+    run_tasks(accumulate, tasks)
+    return image, alpha if spread else None
 
 
 def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray:
@@ -531,8 +528,10 @@ def recover_alpha_band(alphas, omegas) -> np.ndarray:
 def recover_alpha_field(ds: ArrayDataSet, points, mode: str = "exact") -> np.ndarray:
     """Band-averaged projected tensor field at the given imaging points.
 
-    Runs the per-frequency image and recovery in one pass over the band and
-    averages with the trapezoid rule.
+    ``mode="exact"`` recovers at every frequency in the same pass over the
+    band as the image and averages with the trapezoid rule; the far-field
+    ``mode="fraunhofer"`` estimate is linear in the image, so it is the
+    projected band image rescaled by (4 pi L)^4 / mes(A).
     """
     if ds.band.count < 2:
         raise ValueError("band recovery needs at least 2 frequency samples")
@@ -540,13 +539,14 @@ def recover_alpha_field(ds: ArrayDataSet, points, mode: str = "exact") -> np.nda
         raise ValueError(f"unknown recovery mode {mode!r}")
     pts, squeeze = _as_points(points)
     omegas = ds.omegas
-    _, alpha = _migrate(
+    u_s = ds.source.basis()
+    image, alpha = _migrate(
         ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(omegas),
-        pts, recover=mode, u_s=ds.source.basis(),
+        pts, u_s=u_s if mode == "exact" else None,
     )
     if mode == "fraunhofer":
         ref_range = float(ds.source.reference_point[2])
-        alpha *= (4.0 * np.pi * ref_range) ** 4 / ds.geom.area
+        alpha = (4.0 * np.pi * ref_range) ** 4 / ds.geom.area * project(image, u_s)
     alpha /= omegas[-1] - omegas[0]
     return alpha[0] if squeeze else alpha
 

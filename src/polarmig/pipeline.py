@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, placement_report, regime_report
 from .dataset import ArrayDataSet, ImageField
-from .emcore import CROSS_RANGE_BASIS
+from .emcore import project
 from .forward import coherency_synthesize, response_synthesize
 from .glyphs import emit_glyphs
 from .migrate import kirchhoff_band, phase_correct, plane_grid, recover_alpha_field
@@ -120,7 +120,7 @@ def write_tensors(ds: ArrayDataSet, config: ExperimentConfig, outdir) -> list:
     rows = []
     for i, (sc, rec) in enumerate(zip(config.scene.scatterers, alpha)):
         rows.append((f"recovered_{i}", sc.position, rec))
-        rows.append((f"projected_true_{i}", sc.position, CROSS_RANGE_BASIS.T @ sc.alpha @ u_s))
+        rows.append((f"projected_true_{i}", sc.position, project(sc.alpha, u_s)))
     _write_tensor_table(rows, os.path.join(outdir, "tensors.csv"))
     return rows
 

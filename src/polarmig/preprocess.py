@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import ArrayDataSet
-from .emcore import CROSS_RANGE_BASIS, dyadic_green, source_basis
+from .emcore import dyadic_green, embed, project, source_basis
 from .errors import NumericalError
 
 # Condition number of Gt above which the inversion switches to a truncated
@@ -64,9 +64,7 @@ def gtilde(x_r, x_s, y0, k) -> np.ndarray:
     ``x_r`` may carry leading batch axes.  The source-side basis is the
     deterministic one built from (x_s, y0).
     """
-    u_s = source_basis(x_s, y0)
-    g = dyadic_green(x_r, x_s, k)
-    return np.einsum("ip,...ij,jq->...pq", CROSS_RANGE_BASIS, g, u_s)
+    return project(dyadic_green(x_r, x_s, k), source_basis(x_s, y0))
 
 
 def _cond_2x2(a: np.ndarray) -> np.ndarray:
@@ -110,13 +108,6 @@ def _js_inverses(js: np.ndarray) -> np.ndarray:
     return _inv_2x2(js)
 
 
-def _embed(m2: np.ndarray, u_s: np.ndarray) -> np.ndarray:
-    """Lift a 2x2 field back to 3x3: U_par M U_s^*."""
-    return np.einsum(
-        "ip,...pq,jq->...ij", CROSS_RANGE_BASIS, m2, np.conj(u_s), optimize=True
-    )
-
-
 def _inversion_tables(ds: ArrayDataSet):
     """(Js, Js^-1, Gt, cond(Gt), flagged, regularized Gt^-*) over receivers x band.
 
@@ -155,7 +146,7 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     core = (ds.values - incident) @ inv_gt_star @ js_inv[None, None]
     out = ArrayDataSet(
         kind="preprocessed3x3",
-        values=_embed(core, u_s),
+        values=embed(core, u_s),
         geom=ds.geom,
         source=ds.source,
         band=ds.band,
@@ -181,7 +172,7 @@ def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:
         raise ValueError(f"response field shape {pi.shape}, expected {expect}")
     u_s = ds.source.basis()
     js, js_inv, gt, _, _, inv_gt_star = _inversion_tables(ds)
-    pit = np.einsum("ip,...ij,jq->...pq", CROSS_RANGE_BASIS, pi, u_s, optimize=True)
+    pit = project(pi, u_s)
     pit_star = np.conj(np.swapaxes(pit, -1, -2))
     core = (gt + pit) @ js[None, None] @ pit_star @ inv_gt_star @ js_inv[None, None]
-    return _embed(core, u_s)
+    return embed(core, u_s)

@@ -305,16 +305,21 @@ def test_parse_config_accepts_integral_floats():
     assert cfg.stochastic.samples == 4000 and type(cfg.stochastic.samples) is int
 
 
-def test_cli_chain_matches_run_pipeline(tmp_path):
+@pytest.mark.parametrize("recover_mode", ["exact", "fraunhofer"])
+def test_cli_chain_matches_run_pipeline(tmp_path, recover_mode):
     cfg = _tiny_config()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     ref = tmp_path / "pipeline"
+    # the config file keeps the default mode; the CLI gets this one by its override flag
+    cfg["pipeline"]["recover_mode"] = recover_mode
     run_pipeline(parse_config(cfg), ref)
     sim, pre, rec = tmp_path / "sim", tmp_path / "pre", tmp_path / "rec"
     assert cli_main(["simulate", "--config", str(cfg_path), "--reference", "--out", str(sim)]) == 0
     assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
     argv = ["recover", str(pre / "preprocessed.pmds"), "--config", str(cfg_path), "--out", str(rec)]
+    if recover_mode == "fraunhofer":
+        argv += ["--recover-mode", "fraunhofer"]
     assert cli_main(argv) == 0
     staged = {"coherency.pmds": sim, "response.pmds": sim, "preprocessed.pmds": pre,
               "preprocess.txt": pre, "slice00_alpha.pmds": rec, "slice00_norms.csv": rec,

@@ -227,3 +227,18 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     argv = ["preprocess", str(poisoned), "--out", str(tmp_path / "out")]
     _assert_cli_rejects(capsys, argv, "finite")
     assert not (tmp_path / "out" / "preprocessed.pmds").exists()
+    # an image field, poisoned in its payload and in its header's points
+    field = pm.ImageField(rng.uniform(-1, 1, (6, 3)), np.ones((6, 2, 2)), (2, 3), {})
+    values = field.values.copy()
+    values[4, 0, 1] = bad
+    with pytest.raises(ValueError, match="values must be finite"):
+        pm.ImageField(field.points, values, field.shape, {})
+    field.write(good)
+    blob = good.read_bytes()
+    poisoned.write_bytes(blob[: len(blob) - values.nbytes] + values.astype("<c16").tobytes())
+    argv = ["glyphs", str(poisoned), "--out", str(tmp_path / "glyphs")]
+    _assert_cli_rejects(capsys, argv, "image field values must be finite")
+    bad_point = complex(bad).real + complex(bad).imag
+    _rewrite_header(good, poisoned, lambda h: h["meta"]["points"][2].__setitem__(1, bad_point))
+    _assert_cli_rejects(capsys, argv, "image field points must be finite")
+    assert not (tmp_path / "glyphs" / "glyphs.svg").exists()

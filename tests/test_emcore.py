@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig.emcore import CROSS_RANGE_BASIS
+from polarmig.emcore import CROSS_RANGE_BASIS, embed, project
 
 from conftest import K0, L, LAMBDA0, bench_source
 
@@ -219,3 +219,17 @@ def test_projected_green_condition_collinear_raises():
 
 def test_cross_range_basis_is_e1_e2():
     assert np.array_equal(CROSS_RANGE_BASIS, np.eye(3)[:, :2])
+
+
+@pytest.mark.parametrize("x_s", [bench_source().position, [3.0, -1.0, 0.5]])
+def test_project_embed_match_explicit_products(rng, x_s):
+    u_s = pm.source_basis(x_s, [0.0, 0.0, L])
+    m = rng.standard_normal((4, 5, 3, 3)) + 1j * rng.standard_normal((4, 5, 3, 3))
+    m2 = rng.standard_normal((4, 5, 2, 2)) + 1j * rng.standard_normal((4, 5, 2, 2))
+    for got, ref in [(project(m, u_s), CROSS_RANGE_BASIS.T @ m @ u_s),
+                     (embed(m2, u_s), CROSS_RANGE_BASIS @ m2 @ u_s.conj().T),
+                     (project(embed(m2, u_s), u_s), m2)]:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    assert np.all(embed(m2, u_s)[..., 2, :] == 0)
+

@@ -486,6 +486,20 @@ def test_lattice_rows_match_direct_sum(lattice_scene, grid, monkeypatch):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("count, pitches, sites, on_lattice",
+                         [(5, 10, 72, False), (4, 6, 50, True)])
+def test_lattice_row_margin(count, pitches, sites, on_lattice):
+    # a row along x1 of the 31x31 array replaces count x 31 pair terms by FFT
+    # sites: 155 / 72 = 2.15 per site is too few, 124 / 50 = 2.48 enough
+    geom = single_dipole_scene(n=31).geom
+    pts = np.tile([0.3 * LAMBDA0, -LAMBDA0, L], (count, 1))
+    pts[:, 0] += pitches * geom.spacing[0] * np.arange(count)
+    layout = migrate._row_layout(pts[:, 0], 0, geom, migrate._lattice_atol(pts, geom))
+    assert layout.fft_size == sites
+    rows, rest = migrate._lattice_rows(pts, geom)
+    assert bool(rows) == on_lattice and rest.size == (0 if on_lattice else count)
+
+
 def test_lattice_rows_larger_than_chunk_target(lattice_scene, monkeypatch):
     # every row alone exceeds the chunk target, so each gets a chunk of its own
     scene, resp = lattice_scene
