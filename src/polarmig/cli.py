@@ -11,6 +11,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .config import (
     ExperimentConfig,
     parse_config,
@@ -87,16 +89,48 @@ def cmd_preprocess(args) -> None:
     print(report.summary())
 
 
-def _read_3x3(path, stage: str) -> ArrayDataSet:
+def _check_acquisition(ds: ArrayDataSet, cfg: ExperimentConfig) -> None:
+    """Refuse a dataset that the configuration does not describe.
+
+    Array, source position, reference point, wave speed and band must agree to
+    1e-9 relative.  Random-source data holds ``stochastic.band_count`` bins of
+    the transform grid inside the configured band, so only that is checked.
+    """
+    scene, band = cfg.scene, cfg.band
+    fields = [
+        ("array side", ds.geom.side, scene.geom.side),
+        ("receiver counts", (ds.geom.n1, ds.geom.n2), (scene.geom.n1, scene.geom.n2)),
+        ("source position", ds.source.position, scene.source.position),
+        ("source reference point", ds.source.reference_point, scene.source.reference_point),
+        ("wave speed", ds.wave_speed, scene.wave_speed),
+    ]
+    if cfg.stochastic is None:
+        fields.append(("band center and width", (ds.band.center, ds.band.width),
+                       (band.center, band.width)))
+        fields.append(("band count", ds.band.count, band.count))
+    else:
+        edges = ds.omegas[[0, -1]]
+        inside = np.clip(edges, band.center - band.width / 2, band.center + band.width / 2)
+        fields.append(("band edges", edges, inside))
+        fields.append(("band count", ds.band.count, cfg.stochastic.band_count))
+    for name, got, want in fields:
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        if not np.allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max()):
+            raise ConfigError(f"dataset and configuration disagree on the {name}: "
+                              f"{got.tolist()} against {want.tolist()}")
+
+
+def _read_3x3(path, stage: str, cfg: ExperimentConfig) -> ArrayDataSet:
     ds = ArrayDataSet.read(path)
     if ds.kind == "coherency2x2":
         raise ConfigError(f"{stage} consumes 3x3 data; run preprocess first")
+    _check_acquisition(ds, cfg)
     return ds
 
 
 def cmd_image(args) -> None:
     cfg = _config_from_args(args)
-    ds = _read_3x3(args.dataset, "imaging")
+    ds = _read_3x3(args.dataset, "imaging", cfg)
     os.makedirs(args.out, exist_ok=True)
     for si in range(len(cfg.slices)):
         write_slice(ds, cfg, si, args.out, recover=False)
@@ -104,7 +138,7 @@ def cmd_image(args) -> None:
 
 def cmd_recover(args) -> None:
     cfg = _config_from_args(args)
-    ds = _read_3x3(args.dataset, "recovery")
+    ds = _read_3x3(args.dataset, "recovery", cfg)
     os.makedirs(args.out, exist_ok=True)
     for si in range(len(cfg.slices)):
         write_slice(ds, cfg, si, args.out)

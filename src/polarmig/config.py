@@ -125,6 +125,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("configuration root must be an object")
     with _section("wave_speed"):
         wave_speed = float(raw.get("wave_speed", DEFAULT_WAVE_SPEED))
+    # checked before lambda0 = 2 pi wave_speed / center scales every length
+    if not 0.0 < wave_speed < math.inf:
+        raise ConfigError("wave_speed: must be positive and finite")
     with _section("band"):
         band_raw = raw["band"]
         band = FrequencyBand(
@@ -207,8 +210,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 )
             if spec.normal_axis not in (0, 1, 2):
                 raise ConfigError(f"{where}.normal_axis: must be 0, 1 or 2")
-            if not spec.step > 0:
-                raise ConfigError(f"{where}.step: must be positive")
+            if not 0 < spec.step < math.inf:
+                raise ConfigError(f"{where}.step: must be positive and finite")
+            if not math.isfinite(spec.offset):
+                raise ConfigError(f"{where}.offset: must be finite")
             slices.append(spec)
 
     with _section("pipeline"):
@@ -223,8 +228,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("pipeline.gamma: must be 1 or 3")
     if mode not in ("exact", "fraunhofer"):
         raise ConfigError("pipeline.recover_mode: must be 'exact' or 'fraunhofer'")
-    if delta_rel < 0:
-        raise ConfigError("pipeline.delta_rel: must be nonnegative")
+    if not 0.0 <= delta_rel < math.inf:
+        raise ConfigError("pipeline.delta_rel: must be nonnegative and finite")
     if not 0.0 <= glyph_threshold <= 1.0:
         raise ConfigError("pipeline.glyph_threshold: must lie in [0, 1]")
     with _section("seed"):

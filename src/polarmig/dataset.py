@@ -175,6 +175,8 @@ class ArrayDataSet:
             raise ValueError(f"values shape {v.shape} does not match metadata {expect}")
         if not np.isfinite(v).all():
             raise ValueError(f"{self.kind} values must be finite (NaN or inf found)")
+        if not 0 < self.wave_speed < np.inf:
+            raise ValueError("wave speed must be positive and finite")
         self.values = v
 
     @property

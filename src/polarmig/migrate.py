@@ -5,7 +5,9 @@ functions, summed over the receiver array with Riemann cell weights and, for
 band data, integrated over frequency with the trapezoid rule.  Exact
 recovery unwinds the two point-spread factors at the image point, frequency by
 frequency, to estimate the projected polarizability tensor in the fixed
-(cross-range, source) bases; the far-field estimate is the rescaled projected image.
+(cross-range, source) bases; each factor is ``S0 + S1 / k^2 + S2 / k^4`` in three
+frequency-free moments summed once.  The far-field estimate is the rescaled
+projected image.
 
 The receiver sums have two engines with the same result up to rounding.
 Imaging points that form lattice rows (evenly spaced along a receiver axis,
@@ -72,16 +74,23 @@ def _conj_factors(conj_g, u):
     return conj_g * ((1.0 - u2) - 1j * u), conj_g * ((3.0 * u2 - 1.0) + 3j * u)
 
 
-def _spread_weights(amp, u):
-    """Phase-free weights (|A|^2, c) of ``conj(G) G = |A|^2 I + c rhat rhat^T``.
+def _spread_moments(amp, r, v, axis: int):
+    """Frequency-free moments (S0, S1, S2) of ``v^T conj(G) G v`` summed over ``axis``.
 
-    As rhat rhat^T is idempotent, ``|A|^2 = |1 + m|^2 amp^2`` and ``c = (|1 + 3m|^2
-    - 2 Re((1 + conj m)(1 + 3m))) amp^2``, polynomials in ``u``; ``amp = 1 / (4 pi r)``,
-    or zero where a term is to be dropped.
+    ``conj(G) G = |A|^2 I + c rhat rhat^T`` with ``|A|^2 = amp^2 (1 - u^2 + u^4)`` and
+    ``c = amp^2 (3 u^4 + 5 u^2 - 1)``, ``u = 1 / (k r)``, so the sum is ``S0 + S1 / k^2
+    + S2 / k^4``.  ``v`` is rhat along two orthonormal directions, ``amp = 1 / (4 pi r)``
+    or zero to drop a term, and ``axis`` is nonnegative.  Returns (3, ..., 2, 2).
     """
-    u2 = u * u
-    amp2 = amp * amp
-    return amp2 * (1.0 - u2 + u2 * u2), amp2 * (3.0 * u2 * u2 + 5.0 * u2 - 1.0)
+    v0, v1, w, r = np.broadcast_arrays(v[0], v[1], amp * amp, r)
+    # amp^2 r^(-2j) weighs the k^(-2j) term; ``axis`` goes last for einsum's dot
+    weights = np.moveaxis(np.stack([w, w / r**2, w / r**2 / r**2]), axis + 1, -1)
+    entries = np.moveaxis(np.stack([np.ones_like(w), v0 * v0, v0 * v1, v1 * v1]), axis + 1, -1)
+    sums = np.einsum("j...n,e...n->e...j", weights, entries)
+    # coefficients of the k^(-2j) terms on I and on v v^T
+    iso = sums[0] * [1.0, -1.0, 1.0]
+    s11, s12, s22 = sums[1:] * [-1.0, 5.0, 3.0]
+    return np.moveaxis(np.array([[iso + s11, s12], [s12, iso + s22]]), (0, 1, -1), (-2, -1, 0))
 
 
 def _band_walk(r, ks, amp):
@@ -113,12 +122,6 @@ def _fold(prods):
     return acc
 
 
-def _spread_terms(w, c, orient, axis):
-    """Entries (11, 12, 22) of ``|A|^2 I + c rhat rhat^T`` summed over ``axis``, on axis 1."""
-    return np.stack([(w + c * orient[..., 0, :, :]).sum(axis), (c * orient[..., 1, :, :]).sum(axis),
-                     (w + c * orient[..., 3, :, :]).sum(axis)], axis=1)
-
-
 def _pair_geometry(diff):
     """Distances and unit vectors of separations ``diff``, components on axis 0."""
     r = np.linalg.norm(diff, axis=0)
@@ -139,30 +142,29 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_sums(recs, data, ks, pts, spread: bool):
-    """Per-frequency (backpropagation, spread block) sums by direct pairs.
+def _direct_sums(recs, data, ks, pts):
+    """Per-frequency backpropagation sums and receiver spread moments by direct pairs.
 
     ``data`` is (receivers, nfreq, 3, 3).  Each block of ``_RECEIVER_BLOCK``
-    receivers computes its pair geometry once and adds one ``(7 points x block)
-    @ (block x 9)`` matmul per frequency; blocks are summed in order, so memory
-    is bounded by the block and rounding does not depend on threads.
+    receivers computes its pair geometry and spread moments once and adds one
+    ``(7 points x block) @ (block x 9)`` matmul per frequency; blocks are summed
+    in order, so memory is bounded by the block and rounding does not depend on
+    threads.
     """
     n_pts, nfreq = pts.shape[0], ks.size
     prods = np.zeros((nfreq, 7 * n_pts, 9), dtype=complex)
-    terms = np.zeros((nfreq, n_pts, 3)) if spread else None
+    moments = np.zeros((3, n_pts, 2, 2))
     for lo in range(0, recs.shape[0], _RECEIVER_BLOCK):
         hi = min(lo + _RECEIVER_BLOCK, recs.shape[0])
         r, rhat = _pair_geometry(recs[lo:hi].T[:, None, :] - pts.T[:, :, None])
         orient = _orientations(rhat)
         amp = 1.0 / (4.0 * np.pi * r)
+        moments += _spread_moments(amp, r, rhat[:2], 1)
         kern = np.empty((7, n_pts, hi - lo), dtype=complex)
         for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
             _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
             prods[fi] += kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, 9)
-            if spread:
-                terms[fi] += _spread_terms(*_spread_weights(amp, u), orient, -1)
-    acc = _fold(prods.reshape(nfreq, 7, n_pts, 3, 3).swapaxes(1, 2))
-    return zip(acc, terms[..., [[0, 1], [1, 2]]] if spread else [None] * nfreq)
+    return _fold(prods.reshape(nfreq, 7, n_pts, 3, 3).swapaxes(1, 2)), moments
 
 
 # Shape shared by a set of lattice rows: the lattice step is ``pitch / sub``
@@ -254,8 +256,8 @@ def _lattice_rows(pts, geom: ArrayGeom):
     return grouped, np.flatnonzero(~covered)
 
 
-def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spread: bool):
-    """Per-frequency (backpropagation, spread block) sums for lattice rows.
+def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout):
+    """Per-frequency backpropagation sums and receiver spread moments for lattice rows.
 
     ``data`` is (n1, n2, nfreq, 3, 3) and ``rows`` a (rows, length) array of
     point indices, each row sorted along ``layout.axis``.  For row point p
@@ -263,8 +265,9 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
     Green function depends on the lag ``p stride - i sub`` and on j alone.
     The kernel is evaluated once per (j, lag) site, the sum over i is a
     circular convolution over an FFT length that holds every lag without
-    wrap-around, and the sum over j is a matmul per spatial frequency.
-    Yields in the order of ``rows.ravel()``.
+    wrap-around, and the sum over j is a matmul per spatial frequency.  Spread
+    moments are summed over j per site, then over each point's pair lags.
+    Points are in the order of ``rows.ravel()``.
     """
     axis, sub, stride, length, nfft = layout
     other = 1 - axis
@@ -275,8 +278,10 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
     span = (length - 1) * stride
     q = np.arange(nfft)
     lag = np.where(q <= span, q, q - nfft)
-    realized = np.zeros(nfft, dtype=bool)
-    realized[(np.arange(length)[:, None] * stride - np.arange(n_along) * sub) % nfft] = True
+    # pairs[q, p] = 1 where row point p and a receiver along the row take lag q
+    gap = np.arange(length) * stride - lag[:, None]
+    pairs = ((gap >= 0) & (gap <= (n_along - 1) * sub) & (gap % sub == 0)).astype(float)
+    realized = pairs.any(axis=1)
 
     # x_r - y per (row, j, lag) site, by component
     start = pts[rows[:, 0]]
@@ -295,30 +300,26 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, spre
     rhat[axis], rhat[other] = d_along / r, d_across / r
     orient = _orientations(rhat)
     amp = np.where(live, 1.0 / (4.0 * np.pi * r), 0.0)
-    receivers = np.zeros(nfft)
-    receivers[: n_along * sub : sub] = 1.0
-    receivers_hat = np.fft.fft(receivers)
-    lattice_data = np.zeros((nfft, n_across, 9), dtype=complex)
-    kern = np.empty((n_rows, 7, n_across, nfft), dtype=complex)
-    # spatial frequency first, so the matmul below batches over it
-    kern_hat = np.empty((nfft, n_rows, 7, n_across), dtype=complex)
+    # (3, rows, lag, 2, 2) -> (3, rows, 2, 2, point) -> (3, rows x point, 2, 2)
+    moments = np.moveaxis(_spread_moments(amp, r, rhat[:2], 1), 2, -1) @ pairs
+    moments = np.moveaxis(moments, -1, 2).reshape(3, n_rows * length, 2, 2)
 
-    for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
-        _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
-        np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
-        lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, 9)
-        data_hat = np.fft.fft(lattice_data, axis=0)
-        # prods[x, (row, m), (l, k)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, k]
-        prods = kern_hat.reshape(nfft, n_rows * 7, n_across) @ data_hat
-        acc = _fold(prods.reshape(nfft, n_rows, 7, 3, 3))
-        acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride].swapaxes(0, 1).reshape(-1, 3, 3)
-        block = None
-        if spread:
-            terms = _spread_terms(*_spread_weights(amp, u), orient, 1)
-            sums = np.fft.ifft(np.fft.fft(terms, axis=-1) * receivers_hat, axis=-1)
-            sums = sums.real[..., : span + 1 : stride].transpose(0, 2, 1).reshape(-1, 3)
-            block = sums[:, [[0, 1], [1, 2]]]
-        yield acc, block
+    def sums():
+        lattice_data = np.zeros((nfft, n_across, 9), dtype=complex)
+        kern = np.empty((n_rows, 7, n_across, nfft), dtype=complex)
+        # spatial frequency first, so the matmul below batches over it
+        kern_hat = np.empty((nfft, n_rows, 7, n_across), dtype=complex)
+        for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
+            _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
+            np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
+            lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, 9)
+            data_hat = np.fft.fft(lattice_data, axis=0)
+            # prods[x, (row, m), (l, k)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, k]
+            prods = kern_hat.reshape(nfft, n_rows * 7, n_across) @ data_hat
+            acc = _fold(prods.reshape(nfft, n_rows, 7, 3, 3))
+            yield np.fft.ifft(acc, axis=0)[: span + 1 : stride].swapaxes(0, 1).reshape(-1, 3, 3)
+
+    return sums(), moments
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +336,9 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
     split into lattice-row chunks and direct point chunks of fixed size, each
     summing its frequencies in order, so results do not depend on threads.
     """
-    nfreq = ks.size
     cell = geom.cell_area
-    spread = u_s is not None
     recs = geom.flat_positions()
-    flat = data.reshape(-1, nfreq, 3, 3)
+    flat = data.reshape(-1, ks.size, 3, 3)
     image = np.zeros((pts.shape[0], 3, 3), dtype=complex)
     alpha = np.zeros((pts.shape[0], 2, 2), dtype=complex)
 
@@ -351,40 +350,40 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
         n_chunks = min(group.shape[0], -(-group.shape[0] * sites // _SITE_TARGET))
         for chunk in np.array_split(group, n_chunks):
             tasks.append((chunk.ravel(),
-                          partial(_lattice_sums, geom, data, ks, pts, chunk, layout, spread)))
+                          partial(_lattice_sums, geom, data, ks, pts, chunk, layout)))
     size = max(1, _PAIR_TARGET // recs.shape[0])
     for lo in range(0, rest.size, size):
         idx = rest[lo:lo + size]
-        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], spread)))
+        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx])))
 
     def accumulate(task):
         idx, sums = task
+        per_freq, rec_moments = sums()
         r_s, rhat_s = _pair_geometry(x_s[:, None] - pts[idx].T)
         amp = 1.0 / (4.0 * np.pi * r_s)
         outer = rhat_s.T[:, :, None] * rhat_s.T[:, None, :]
         img = np.zeros((idx.size, 3, 3), dtype=complex)
         alp = np.zeros((idx.size, 2, 2), dtype=complex)
-        if spread:
-            # u_s^T (|A|^2 I + c rhat rhat^T) u_s = |A|^2 I + c v v^T with v = u_s^T rhat,
-            # as u_s has orthonormal columns
-            v = rhat_s.T @ u_s
-            outer_s = v[:, :, None] * v[:, None, :]
-        for fi, ((acc, block), (u, conj_g)) in enumerate(zip(sums(), _band_walk(r_s, ks, amp))):
+        if u_s is not None:
+            # one source pair per point; u_s^T conj(G) G u_s needs only v = u_s^T rhat_s
+            powers = ks[:, None] ** np.array([0.0, -2.0, -4.0])
+            a2 = cell * np.tensordot(powers, rec_moments, 1)
+            src_moments = _spread_moments(amp[None], r_s[None], (u_s.T @ rhat_s)[:, None], 0)
+            b2 = np.tensordot(powers, src_moments, 1)
+            _guard_cond(a2, "receiver point-spread factor")
+            _guard_cond(b2, "source point-spread factor")
+            inv_a2, inv_b2 = _inv_2x2(a2), _inv_2x2(b2)
+        for fi, (acc, (u, conj_g)) in enumerate(zip(per_freq, _band_walk(r_s, ks, amp))):
             conj_a, conj_b = _conj_factors(conj_g, u)
             ikm = cell * acc @ (conj_a[:, None, None] * np.eye(3) + conj_b[:, None, None] * outer)
             img += weights[fi] * ikm
-            if spread:
-                a2 = cell * block
-                w, c = _spread_weights(amp, u)
-                b2 = w[:, None, None] * np.eye(2) + c[:, None, None] * outer_s
-                _guard_cond(a2, "receiver point-spread factor")
-                _guard_cond(b2, "source point-spread factor")
-                alp += weights[fi] * (_inv_2x2(a2) @ project(ikm, u_s) @ _inv_2x2(b2))
+            if u_s is not None:
+                alp += weights[fi] * (inv_a2[fi] @ project(ikm, u_s) @ inv_b2[fi])
         image[idx] = img
         alpha[idx] = alp
 
     run_tasks(accumulate, tasks)
-    return image, alpha if spread else None
+    return image, alpha if u_s is not None else None
 
 
 def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray:
@@ -558,8 +557,8 @@ def phase_correct(values, delta_rel: float = DEFAULT_DELTA_REL) -> np.ndarray:
     ``delta = delta_rel * max_field |a11|``, so corrected (1,1) entries are
     real nonnegative and the common oscillation cancels across entries.
     """
-    if delta_rel < 0:
-        raise ValueError("delta_rel must be nonnegative")
+    if not 0 <= delta_rel < np.inf:
+        raise ValueError("delta_rel must be nonnegative and finite")
     vals = np.asarray(values, dtype=complex)
     a11 = vals[..., 0, 0]
     delta = delta_rel * (np.abs(a11).max() if a11.size else 0.0)

@@ -61,6 +61,8 @@ class SourceSpec:
         j = np.asarray(self.coherency, dtype=complex)
         if j.shape != (2, 2) and not (j.ndim == 3 and j.shape[1:] == (2, 2)):
             raise ValueError("source coherency must be 2x2 or (nfreq, 2, 2)")
+        if not np.isfinite(j).all():
+            raise ValueError("source coherency must be finite")
         table = j.reshape(-1, 2, 2)
         herm = np.abs(table - np.conj(np.swapaxes(table, -1, -2))).max()
         if herm > 1e-10 * max(np.abs(table).max(), 1e-300):
@@ -97,8 +99,8 @@ class ArrayGeom:
     n2: int
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("array side must be positive")
+        if not 0 < self.side < np.inf:
+            raise ValueError("array side must be positive and finite")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("need at least 2 receivers per axis")
 
@@ -143,8 +145,8 @@ class ImagingWindow:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center))
-        if self.cross_range <= 0 or self.range_extent <= 0:
-            raise ValueError("window extents must be positive")
+        if not (0 < self.cross_range < np.inf and 0 < self.range_extent < np.inf):
+            raise ValueError("window extents must be positive and finite")
 
     @property
     def bounds(self) -> np.ndarray:
@@ -170,8 +172,8 @@ class FrequencyBand:
     count: int
 
     def __post_init__(self):
-        if self.center <= 0 or self.width < 0:
-            raise ValueError("band center must be positive and width nonnegative")
+        if not (0 < self.center < np.inf and 0 <= self.width < np.inf):
+            raise ValueError("band center must be positive and width nonnegative, both finite")
         if self.center - self.width / 2 <= 0:
             raise ValueError("band must stay at positive frequencies")
         if self.count < 1 or (self.count == 1 and self.width != 0):
@@ -213,8 +215,8 @@ class Scene:
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        if self.wave_speed <= 0:
-            raise ValueError("wave speed must be positive")
+        if not 0 < self.wave_speed < np.inf:
+            raise ValueError("wave speed must be positive and finite")
         for s in self.scatterers:
             if not bool(self.window.contains(s.position)):
                 raise ConfigError(

@@ -58,8 +58,9 @@ class SourceProcessSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.correlation_time, self.center, self.half_duration) <= 0:
-            raise ValueError("correlation time, center and duration must be positive")
+        plan = (self.correlation_time, self.center, self.half_duration)
+        if not all(0 < x < np.inf for x in plan):
+            raise ValueError("correlation time, center and duration must be positive and finite")
         if self.samples < 16:
             raise ValueError("need at least 16 samples")
         w_max = self.center + _BAND_HALF_WIDTHS * np.pi / self.correlation_time

@@ -286,6 +286,17 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("seed",), 1.5, "seed: expected an integer"),
         (("stochastic", "samples"), 4000.5, r"stochastic\.samples: expected an integer"),
         (("stochastic", "band_count"), True, r"stochastic\.band_count: expected an integer"),
+        # NaN and inf are refused where read, naming the field
+        (("wave_speed",), np.nan, "wave_speed: must be positive and finite"),
+        (("array", "side"), np.nan, "array: array side must be positive and finite"),
+        (("band", "width_hz"), np.nan, "band: band center must be positive"),
+        (("band", "center_hz"), np.inf, "band: band center must be positive"),
+        (("window", "cross_range"), np.inf, "window: window extents"),
+        (("slices", 0, "offset"), np.nan, r"slices\[0\]\.offset: must be finite"),
+        (("source", "coherency"), {"re": [[np.nan, 0], [0, 1]]}, "source: .* must be finite"),
+        (("stochastic", "correlation_time"), np.nan, "stochastic: correlation time"),
+        (("pipeline", "delta_rel"), np.nan, r"pipeline\.delta_rel: must be nonnegative and finite"),
+        (("pipeline", "delta_rel"), np.inf, r"pipeline\.delta_rel: must be nonnegative and finite"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -327,3 +338,57 @@ def test_cli_chain_matches_run_pipeline(tmp_path, recover_mode):
     for name, where in staged.items():
         assert (where / name).read_bytes() == (ref / name).read_bytes(), name
     assert "projected_true_0" in (rec / "tensors.csv").read_text()
+
+
+def test_cli_rejects_non_finite_delta_rel(tmp_path, capsys):
+    for value in ("nan", "inf"):
+        argv = ["recover", str(tmp_path / "any.pmds"), "--preset", "three-dipoles-reduced",
+                "--delta-rel", value, "--out", str(tmp_path / "rec")]
+        assert cli_main(argv) == 2
+        assert "pipeline.delta_rel" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
+
+
+def test_cli_refuses_dataset_of_another_acquisition(tmp_path, capsys):
+    cfg = _tiny_config()
+    sim, pre = tmp_path / "sim", tmp_path / "pre"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
+    capsys.readouterr()
+    other_source = dict(cfg["source"], position=["40 lambda0", 0, "10 lambda0"])
+    for path, value, name in [
+        (("array", "n1"), 7, "receiver counts"),
+        (("array", "side"), "21 lambda0", "array side"),
+        (("source",), other_source, "source position"),
+        (("source", "reference_point"), [0, 0, "101 lambda0"], "source reference point"),
+        (("band", "count"), 11, "band count"),
+        (("band", "width_hz"), 2.0e9, "band center and width"),
+        # lengths in lambda0 move with the wave speed, the array side first
+        (("wave_speed",), 2.9e8, "array side"),
+    ]:
+        cfg_path.write_text(json.dumps(_with(path, value)))
+        for stage in ("image", "recover"):
+            out = tmp_path / stage
+            argv = [stage, str(pre / "preprocessed.pmds"), "--config", str(cfg_path),
+                    "--out", str(out)]
+            assert cli_main(argv) == 2, (path, stage)
+            err = capsys.readouterr().err
+            assert f"disagree on the {name}" in err, err
+            assert not out.exists()
+
+
+def test_cli_stochastic_chain_matches_its_config(tmp_path):
+    cfg = _tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    sim, pre = tmp_path / "sim", tmp_path / "pre"
+    assert cli_main(["stochastic", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
+    image = ["image", str(pre / "preprocessed.pmds"), "--out", str(tmp_path / "img")]
+    assert cli_main(image + ["--config", str(cfg_path)]) == 0
+    # the same bins read against the deterministic band are refused
+    del cfg["stochastic"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(image + ["--config", str(cfg_path)]) == 2

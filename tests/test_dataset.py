@@ -226,6 +226,14 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     poisoned.write_bytes(blob[: len(blob) - len(payload)] + payload)
     argv = ["preprocess", str(poisoned), "--out", str(tmp_path / "out")]
     _assert_cli_rejects(capsys, argv, "finite")
+    # the same value in the header's geometry, band, wave speed and coherency
+    bad_point = complex(bad).real + complex(bad).imag
+    for path in (("array", "side"), ("band", "center"), ("band", "width"), ("wave_speed",)):
+        _rewrite_header(good, poisoned, lambda h: _set(h["meta"], path, bad_point))
+        _assert_cli_rejects(capsys, argv, "must be positive")
+    coherency = ("source", "coherency_re", 0, 0)
+    _rewrite_header(good, poisoned, lambda h: _set(h["meta"], coherency, bad_point))
+    _assert_cli_rejects(capsys, argv, "source coherency must be finite")
     assert not (tmp_path / "out" / "preprocessed.pmds").exists()
     # an image field, poisoned in its payload and in its header's points
     field = pm.ImageField(rng.uniform(-1, 1, (6, 3)), np.ones((6, 2, 2)), (2, 3), {})
@@ -238,7 +246,30 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     poisoned.write_bytes(blob[: len(blob) - values.nbytes] + values.astype("<c16").tobytes())
     argv = ["glyphs", str(poisoned), "--out", str(tmp_path / "glyphs")]
     _assert_cli_rejects(capsys, argv, "image field values must be finite")
-    bad_point = complex(bad).real + complex(bad).imag
     _rewrite_header(good, poisoned, lambda h: h["meta"]["points"][2].__setitem__(1, bad_point))
     _assert_cli_rejects(capsys, argv, "image field points must be finite")
     assert not (tmp_path / "glyphs" / "glyphs.svg").exists()
+
+
+def test_pinned_corruption_sweep_keeps_the_exit_contract(tmp_path):
+    # fixed byte values over every fifth header byte, then fixed cuts; each
+    # corrupted container goes through the preprocess stage in process
+    scene = bench_scene([], n=3)
+    path = tmp_path / "coherency.pmds"
+    pm.coherency_synthesize(scene, band(3)).write(path)
+    blob = path.read_bytes()
+    payload = len(MAGIC) + 8 + int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    variants = []
+    for offset in range(0, payload, 5):
+        for value in (0x00, 0x20, 0x22, 0x2C, 0x2D, 0x39, 0x5D, 0xFF):
+            if blob[offset] != value:
+                variants.append(blob[:offset] + bytes([value]) + blob[offset + 1:])
+    for cut in (0, 5, len(MAGIC), len(MAGIC) + 7, payload - 1, payload, payload + 1,
+                payload + 33, len(blob) - 1):
+        variants.append(blob[:cut])
+    codes = []
+    for i, corrupt in enumerate(variants):
+        path.write_bytes(corrupt)
+        codes.append(cli_main(["preprocess", str(path), "--out", str(tmp_path / f"out{i}")]))
+    assert set(codes) <= {0, 2, 3}
+    assert codes.count(2) > len(variants) // 2

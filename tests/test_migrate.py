@@ -257,6 +257,12 @@ def test_phase_correct_zero_field():
     assert np.all(out == 0)
 
 
+@pytest.mark.parametrize("delta_rel", [-1e-6, np.nan, np.inf])
+def test_phase_correct_rejects_bad_floor(delta_rel):
+    with pytest.raises(ValueError, match="delta_rel"):
+        pm.phase_correct(np.ones((4, 2, 2), dtype=complex), delta_rel)
+
+
 def test_region_slope_value():
     geom = pm.ArrayGeom(side=20 * LAMBDA0, n1=5, n2=5)
     c = pm.region_slope(geom, bench_window())
@@ -612,3 +618,42 @@ def test_recover_unknown_mode_raises(lattice_scene):
     _, resp = lattice_scene
     with pytest.raises(ValueError, match="unknown recovery mode"):
         pm.recover_alpha_field(resp, [0, 0, L], mode="exactt")
+
+
+# ---------------------------------------------------------------------------
+# Point-spread factors from frequency-free moments
+# ---------------------------------------------------------------------------
+
+
+def _at(moments, k):
+    return moments[0] + moments[1] / k**2 + moments[2] / k**4
+
+
+@pytest.mark.parametrize("height", [3 * LAMBDA0, L])
+def test_spread_moments_match_point_spread_oracles(lattice_scene, height):
+    # a row through the window center, and one a few wavelengths above the
+    # array where kr reaches 1 at the smaller wavenumber; both engines
+    scene, _ = lattice_scene
+    geom, source = scene.geom, scene.source
+    pts = pm.line_profile([0, 0, height], 0, 6 * LAMBDA0, geom.spacing[0] / 2)
+    rows, rest = migrate._lattice_rows(pts, geom)
+    assert rows and rest.size == 0
+    (layout, group), = rows.items()
+    pts = pts[group.ravel()]
+    ks = np.array([1.0 / height, K0])
+    data = np.zeros((geom.n1, geom.n2, ks.size, 3, 3), dtype=complex)
+    _, lattice = migrate._lattice_sums(geom, data, ks, pts, np.arange(pts.shape[0])[None], layout)
+    recs = geom.flat_positions()
+    _, direct = migrate._direct_sums(recs, data.reshape(-1, ks.size, 3, 3), ks, pts)
+    u_s = source.basis()
+    r_s, rhat_s = migrate._pair_geometry(source.position[:, None] - pts.T)
+    src = migrate._spread_moments(1.0 / (4 * np.pi * r_s[None]), r_s[None],
+                                  (u_s.T @ rhat_s)[:, None], 0)
+    for k in ks:
+        for i, y in enumerate(pts):
+            ref = CROSS_RANGE_BASIS.T @ migrate.h_r(y, y, k, geom) @ CROSS_RANGE_BASIS
+            for moments in (lattice, direct):
+                got = geom.cell_area * _at(moments[:, i], k)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            ref = u_s.T @ migrate.h_s(y, y, k, source.position) @ u_s
+            assert np.abs(_at(src[:, i], k) - ref).max() <= 1e-12 * np.abs(ref).max()
