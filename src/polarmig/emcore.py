@@ -93,6 +93,48 @@ def dyadic_green(x, y, k):
     return out[0] if squeeze else out
 
 
+def _conj_factors(conj_g, u):
+    """(conj A, conj B) of ``G = A I + B rhat rhat^T`` from ``conj(g)`` and ``u = 1 / (k r)``.
+
+    ``A = g (1 + m)``, ``B = -g (1 + 3 m)``, ``g = exp(i k r) / (4 pi r)``, ``m = i u - u^2``.
+    """
+    u2 = u * u
+    return conj_g * ((1.0 - u2) - 1j * u), conj_g * ((3.0 * u2 - 1.0) + 3j * u)
+
+
+def _band_walk(r, ks, amp):
+    """``(u, conj(g))`` per wavenumber: ``u = 1 / (k r)``, ``conj(g) = amp exp(-i k r)``.
+
+    ``conj(g)`` steps by the band's mean spacing, which keeps its drift near
+    rounding.  Raises ValueError unless the wavenumbers are positive, finite
+    and evenly spaced to 1e-9 of the step, as ``FrequencyBand`` asks.
+    """
+    ks = np.asarray(ks, dtype=float)
+    if ks.ndim != 1 or not np.all((ks > 0) & (ks < np.inf)):
+        raise ValueError("wavenumbers must be positive and finite")
+    step = (ks[-1] - ks[0]) / (ks.size - 1) if ks.size > 1 else 0.0
+    if np.any(np.abs(ks - ks[:1] - step * np.arange(ks.size)) > 1e-9 * abs(step)):
+        raise ValueError("wavenumbers must be evenly spaced")
+    phase = np.exp(-1j * step * r) if step else 1.0
+    for i, k in enumerate(ks):
+        conj_g = conj_g * phase if i else amp * np.exp(-1j * k * r)
+        yield 1.0 / (k * r), conj_g
+
+
+def green_band(x, y, ks):
+    """Yield :func:`dyadic_green` ``G(x, y; k)`` to rounding for each wavenumber of a uniform band.
+
+    Geometry and coincidence are checked once, when iteration starts; then each
+    wavenumber costs one phase step and the ``1/(kr)`` polynomial.
+    """
+    rvec, r = _separation(x, y)
+    rhat = rvec / r[..., None]
+    outer = rhat[..., :, None] * rhat[..., None, :]
+    for u, conj_g in _band_walk(r, ks, 1.0 / (4.0 * np.pi * r)):
+        a, b = (np.conj(f)[..., None, None] for f in _conj_factors(conj_g, u))
+        yield a * np.eye(3) + b * outer
+
+
 def projector(x, y):
     """Orthogonal projector onto the plane normal to x - y.
 

@@ -1,11 +1,16 @@
-"""Synthetic data generation: Born responses and coherency-matrix synthesis."""
+"""Synthetic data generation: Born responses and coherency-matrix synthesis.
+
+Band first: each Green function comes from :func:`~polarmig.emcore.green_band`
+over the whole uniform band, and the single-frequency functions are its
+one-sample case.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .dataset import ArrayDataSet
-from .emcore import dyadic_green, project, _separation
+from .emcore import green_band, project
 from .errors import CoincidentPointsError
 from .preprocess import gtilde
 from .scene import FrequencyBand, Scene
@@ -14,36 +19,54 @@ from .scene import FrequencyBand, Scene
 _CHUNK_TARGET = 2_000_000
 
 
-def _check_scene_points(scene: Scene) -> None:
-    pos = scene.scatterer_positions()
-    if pos.size == 0:
-        return
-    recs = scene.geom.flat_positions()
-    try:
-        _separation(recs[:, None, :], pos[None, :, :])
-        _separation(scene.source.position, pos)
-    except CoincidentPointsError as exc:
-        raise CoincidentPointsError(
-            "a scatterer coincides with the source or a receiver"
-        ) from exc
+def _tails(scene: Scene, ks, single: bool, double: bool) -> np.ndarray:
+    """Receiver-independent tails ``T_n`` per band sample, (nscat, nfreq, 3, 3).
+
+    The sum of single scattering ``alpha_n G(y_n, x_s)`` and double scattering
+    ``sum_{m != n} alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)``, each if asked.
+    """
+    pos, alphas = scene.scatterer_positions(), scene.scatterer_tensors()
+    n = pos.shape[0]
+    head = np.empty((n, ks.size, 3, 3), dtype=complex)
+    for fi, g in enumerate(green_band(pos, scene.source.position, ks)):
+        head[:, fi] = alphas @ g
+    # a copy: the double-scattering sums read ``head`` while ``tails`` grows
+    tails = head.copy() if single else np.zeros_like(head)
+    for i in range(n if double else 0):
+        others = np.arange(n) != i
+        for fi, g in enumerate(green_band(pos[i], pos[others], ks)):
+            tails[i, fi] += alphas[i] @ np.einsum("mij,mjk->ik", g, head[others, fi])
+    return tails
 
 
-def _born_sum(scene: Scene, k: float, recs: np.ndarray, tails=None) -> np.ndarray:
-    """Receiver sum ``sum_n G(x_r, y_n) T_n`` at ``recs`` (nrec, 3), (nrec, 3, 3).
+def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> np.ndarray:
+    """Scattered transfer ``sum_n G(x_r, y_n) T_n`` at ``recs``, (nrec, nfreq, 3, 3).
 
-    ``tails`` (nscat, 3, 3) defaults to the single-scattering ``T_n =
-    alpha_n G(y_n, x_s)``.  Chunked over scatterers to bound the Green block.
+    Both scattering orders of :func:`_tails` share one receiver sum, chunked
+    over scatterers to bound the Green block.  Given the source basis ``u_s``
+    it is the projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
     """
     pos = scene.scatterer_positions()
-    if tails is None:
-        # alpha_n G(y_n, x_s) is receiver independent
-        tails = scene.scatterer_tensors() @ dyadic_green(pos, scene.source.position, k)
-    out = np.zeros((recs.shape[0], 3, 3), dtype=complex)
-    chunk = max(1, _CHUNK_TARGET // recs.shape[0])
-    for lo in range(0, pos.shape[0], chunk):
-        g_rec = dyadic_green(recs[:, None, :], pos[None, lo:lo + chunk, :], k)
-        out += np.einsum("rnij,njk->rik", g_rec, tails[lo:lo + chunk])
-    return out
+    try:
+        tails = _tails(scene, ks, single, double)
+        tails = tails if u_s is None else tails @ u_s
+        out = np.zeros((recs.shape[0], ks.size, 3, tails.shape[-1]), dtype=complex)
+        chunk = max(1, _CHUNK_TARGET // recs.shape[0])
+        for lo in range(0, pos.shape[0], chunk):
+            band = green_band(recs[:, None, :], pos[None, lo:lo + chunk, :], ks)
+            for fi, g in enumerate(band):
+                out[:, fi] += np.einsum("rnij,njk->rik", g, tails[lo:lo + chunk, fi])
+    except CoincidentPointsError as exc:
+        raise CoincidentPointsError(
+            "a scatterer coincides with the source, a receiver or another scatterer"
+        ) from exc
+    return out if u_s is None else out[..., :2, :]
+
+
+def _response(scene: Scene, ks, single=True, double=False) -> np.ndarray:
+    """Scattered response over the array, (n1, n2, nfreq, 3, 3)."""
+    out = _scattered(scene, ks, scene.geom.flat_positions(), single, double)
+    return out.reshape(scene.geom.n1, scene.geom.n2, ks.size, 3, 3)
 
 
 def born_response(scene: Scene, k: float) -> np.ndarray:
@@ -52,9 +75,7 @@ def born_response(scene: Scene, k: float) -> np.ndarray:
     Returns (n1, n2, 3, 3): for each receiver the sum over scatterers of
     ``G(x_r, y_n) alpha_n G(y_n, x_s)``.  Linear in every tensor.
     """
-    _check_scene_points(scene)
-    out = _born_sum(scene, k, scene.geom.flat_positions())
-    return out.reshape(scene.geom.n1, scene.geom.n2, 3, 3)
+    return _response(scene, np.array([float(k)]))[:, :, 0]
 
 
 def second_born_response(scene: Scene, k: float) -> np.ndarray:
@@ -64,21 +85,7 @@ def second_born_response(scene: Scene, k: float) -> np.ndarray:
     ``G(x_r, y_n) alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)``; empty for fewer
     than two scatterers.  Scales quadratically under a uniform tensor scaling.
     """
-    _check_scene_points(scene)
-    pos = scene.scatterer_positions()
-    alphas = scene.scatterer_tensors()
-    n = pos.shape[0]
-    # tail_n = sum_{m != n} alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)
-    tails = np.zeros((n, 3, 3), dtype=complex)
-    if n >= 2:
-        g_src = dyadic_green(pos, scene.source.position, k)
-        head_m = alphas @ g_src
-        for i in range(n):
-            others = np.arange(n) != i
-            g_pair = dyadic_green(pos[i], pos[others], k)
-            tails[i] = alphas[i] @ np.einsum("mij,mjk->ik", g_pair, head_m[others])
-    out = _born_sum(scene, k, scene.geom.flat_positions(), tails)
-    return out.reshape(scene.geom.n1, scene.geom.n2, 3, 3)
+    return _response(scene, np.array([float(k)]), single=False, double=True)[:, :, 0]
 
 
 def projected_response(scene: Scene, pi: np.ndarray) -> np.ndarray:
@@ -93,37 +100,24 @@ def projected_incident(scene: Scene, k: float) -> np.ndarray:
     return gt.reshape(scene.geom.n1, scene.geom.n2, 2, 2)
 
 
-def _response(scene: Scene, k: float, include_second_born: bool) -> np.ndarray:
-    """Scattered response (n1, n2, 3, 3): Born, plus double scattering if asked."""
-    pi = born_response(scene, k)
-    if include_second_born:
-        pi = pi + second_born_response(scene, k)
-    return pi
+def _projected_transfer(scene: Scene, ks, include_second_born: bool = False):
+    """Projected total transfer ``Gtilde + Pitilde`` per receiver and band sample.
 
-
-def _projected_transfer(scene: Scene, k: float, include_second_born: bool = False):
-    """Projected total transfer ``Gtilde + Pitilde`` per receiver, (n1, n2, 2, 2)."""
-    return projected_incident(scene, k) + projected_response(
-        scene, _response(scene, k, include_second_born)
-    )
+    Returns (nrec, nfreq, 2, 2) over the array's flattened receivers.
+    """
+    src = scene.source
+    recs = scene.geom.flat_positions()
+    out = gtilde(recs, src.position, src.reference_point, ks)
+    out += _scattered(scene, ks, recs, True, include_second_born, src.basis())
+    return out
 
 
 def response_synthesize(
     scene: Scene, band: FrequencyBand, include_second_born: bool = False
 ) -> ArrayDataSet:
     """Full 3x3 array response dataset over the band (reference "ideal" data)."""
-    ks = band.wavenumbers(scene.wave_speed)
-    vals = np.empty((scene.geom.n1, scene.geom.n2, ks.size, 3, 3), dtype=complex)
-    for fi, k in enumerate(ks):
-        vals[:, :, fi] = _response(scene, k, include_second_born)
-    return ArrayDataSet(
-        kind="response3x3",
-        values=vals,
-        geom=scene.geom,
-        source=scene.source,
-        band=band,
-        wave_speed=scene.wave_speed,
-    )
+    values = _response(scene, band.wavenumbers(scene.wave_speed), double=include_second_born)
+    return ArrayDataSet("response3x3", values, scene.geom, scene.source, band, scene.wave_speed)
 
 
 def coherency_synthesize(
@@ -136,17 +130,7 @@ def coherency_synthesize(
     the incident, two cross, and scattered terms.  Hermitian by construction
     and positive semidefinite for a physical source coherency.
     """
-    ks = band.wavenumbers(scene.wave_speed)
-    js = scene.source.coherency_table(band.count)
-    vals = np.empty((scene.geom.n1, scene.geom.n2, ks.size, 2, 2), dtype=complex)
-    for fi, k in enumerate(ks):
-        m = _projected_transfer(scene, k, include_second_born)
-        vals[:, :, fi] = m @ js[fi] @ np.conj(np.swapaxes(m, -1, -2))
-    return ArrayDataSet(
-        kind="coherency2x2",
-        values=vals,
-        geom=scene.geom,
-        source=scene.source,
-        band=band,
-        wave_speed=scene.wave_speed,
-    )
+    m = _projected_transfer(scene, band.wavenumbers(scene.wave_speed), include_second_born)
+    m = m.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
+    values = m @ scene.source.coherency_table(band.count) @ np.conj(np.swapaxes(m, -1, -2))
+    return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)

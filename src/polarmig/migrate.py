@@ -15,7 +15,9 @@ at a step commensurate with the receiver pitch) get them from FFT
 correlations along that axis, since the Green function depends only on
 ``x_r - y``; all other points use the direct pair sum over fixed receiver
 blocks.  Both contract 7 scalar kernels of ``G = A I + B rhat rhat^T`` with
-the 9 data components in one matmul per frequency.
+the 9 data components in one matmul per frequency.  The kernels come from the
+band walk of :mod:`polarmig.emcore`, which also drives the synthesis through
+:func:`~polarmig.emcore.green_band`, as does the source leg here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from ._parallel import run_tasks
 from .dataset import ArrayDataSet
-from .emcore import CROSS_RANGE_BASIS, dyadic_green, project, projector
+from .emcore import (CROSS_RANGE_BASIS, _band_walk, _conj_factors, dyadic_green, green_band,
+                     project, projector)
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
@@ -65,15 +68,6 @@ DEFAULT_DELTA_REL = 1e-6
 # ---------------------------------------------------------------------------
 
 
-def _conj_factors(conj_g, u):
-    """(conj A, conj B) of ``G = A I + B rhat rhat^T`` from ``conj(g)`` and ``u = 1 / (k r)``.
-
-    ``A = g (1 + m)``, ``B = -g (1 + 3 m)``, ``g = exp(i k r) / (4 pi r)``, ``m = i u - u^2``.
-    """
-    u2 = u * u
-    return conj_g * ((1.0 - u2) - 1j * u), conj_g * ((3.0 * u2 - 1.0) + 3j * u)
-
-
 def _spread_moments(amp, r, v, axis: int):
     """Frequency-free moments (S0, S1, S2) of ``v^T conj(G) G v`` summed over ``axis``.
 
@@ -91,16 +85,6 @@ def _spread_moments(amp, r, v, axis: int):
     iso = sums[0] * [1.0, -1.0, 1.0]
     s11, s12, s22 = sums[1:] * [-1.0, 5.0, 3.0]
     return np.moveaxis(np.array([[iso + s11, s12], [s12, iso + s22]]), (0, 1, -1), (-2, -1, 0))
-
-
-def _band_walk(r, ks, amp):
-    """``(u, conj(g))`` per wavenumber; ``conj(g) = amp exp(-i k r)`` advances by recurrence."""
-    conj_g = amp * np.exp(-1j * ks[0] * r)
-    step = np.exp(-1j * (ks[1] - ks[0]) * r) if ks.size > 1 else None
-    for k in ks:
-        yield 1.0 / (k * r), conj_g
-        if step is not None:
-            conj_g = conj_g * step
 
 
 def _orientations(rhat):
@@ -361,7 +345,6 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
         per_freq, rec_moments = sums()
         r_s, rhat_s = _pair_geometry(x_s[:, None] - pts[idx].T)
         amp = 1.0 / (4.0 * np.pi * r_s)
-        outer = rhat_s.T[:, :, None] * rhat_s.T[:, None, :]
         img = np.zeros((idx.size, 3, 3), dtype=complex)
         alp = np.zeros((idx.size, 2, 2), dtype=complex)
         if u_s is not None:
@@ -373,9 +356,8 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
             _guard_cond(a2, "receiver point-spread factor")
             _guard_cond(b2, "source point-spread factor")
             inv_a2, inv_b2 = _inv_2x2(a2), _inv_2x2(b2)
-        for fi, (acc, (u, conj_g)) in enumerate(zip(per_freq, _band_walk(r_s, ks, amp))):
-            conj_a, conj_b = _conj_factors(conj_g, u)
-            ikm = cell * acc @ (conj_a[:, None, None] * np.eye(3) + conj_b[:, None, None] * outer)
+        for fi, (acc, g_s) in enumerate(zip(per_freq, green_band(x_s, pts[idx], ks))):
+            ikm = cell * acc @ np.conj(g_s)
             img += weights[fi] * ikm
             if u_s is not None:
                 alp += weights[fi] * (inv_a2[fi] @ project(ikm, u_s) @ inv_b2[fi])

@@ -14,12 +14,12 @@ approximation is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dataset import ArrayDataSet
-from .emcore import dyadic_green, embed, project, source_basis
+from .emcore import embed, green_band, project, source_basis
 from .errors import NumericalError
 
 # Condition number of Gt above which the inversion switches to a truncated
@@ -62,9 +62,16 @@ def gtilde(x_r, x_s, y0, k) -> np.ndarray:
     """Projected 2x2 direct-path Green matrix U_par^* G(x_r, x_s; k) U_s.
 
     ``x_r`` may carry leading batch axes.  The source-side basis is the
-    deterministic one built from (x_s, y0).
+    deterministic one built from (x_s, y0).  For a uniform band ``k`` the
+    result is (..., nfreq, 2, 2); synthesis and preprocessing both build their
+    Gt table here, so the incident terms ``Gt Js Gt^*`` agree bitwise.
     """
-    return project(dyadic_green(x_r, x_s, k), source_basis(x_s, y0))
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    u_s = source_basis(x_s, y0)
+    out = np.empty(np.shape(x_r)[:-1] + (ks.size, 2, 2), dtype=complex)
+    for fi, g in enumerate(green_band(x_r, x_s, ks)):
+        out[..., fi, :, :] = project(g, u_s)
+    return out if np.ndim(k) else out[..., 0, :, :]
 
 
 def _cond_2x2(a: np.ndarray) -> np.ndarray:
@@ -116,12 +123,9 @@ def _inversion_tables(ds: ArrayDataSet):
     """
     js = ds.source.coherency_table(ds.band.count)
     js_inv = _js_inverses(js)
-    recs = ds.geom.flat_positions()
-    ks = ds.wavenumbers
-    gt = np.empty((recs.shape[0], ks.size, 2, 2), dtype=complex)
-    for fi, k in enumerate(ks):
-        gt[:, fi] = gtilde(recs, ds.source.position, ds.source.reference_point, k)
-    gt = gt.reshape(ds.geom.n1, ds.geom.n2, ks.size, 2, 2)
+    gt = gtilde(ds.geom.flat_positions(), ds.source.position, ds.source.reference_point,
+                ds.wavenumbers)
+    gt = gt.reshape(ds.geom.n1, ds.geom.n2, ds.band.count, 2, 2)
     gt_star = np.conj(np.swapaxes(gt, -1, -2))
     cond = _cond_2x2(gt)
     flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
@@ -144,14 +148,7 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     js, js_inv, gt, cond, flagged, inv_gt_star = _inversion_tables(ds)
     incident = gt @ js[None, None] @ np.conj(np.swapaxes(gt, -1, -2))
     core = (ds.values - incident) @ inv_gt_star @ js_inv[None, None]
-    out = ArrayDataSet(
-        kind="preprocessed3x3",
-        values=embed(core, u_s),
-        geom=ds.geom,
-        source=ds.source,
-        band=ds.band,
-        wave_speed=ds.wave_speed,
-    )
+    out = replace(ds, kind="preprocessed3x3", values=embed(core, u_s))
     report = PreprocessReport(
         cond=cond, regularized=[tuple(int(i) for i in idx) for idx in flagged]
     )

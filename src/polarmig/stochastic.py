@@ -31,8 +31,8 @@ import numpy as np
 
 from .dataset import ArrayDataSet, _header_field, _read_container, _write_container
 from .errors import DatasetFormatError
-from .emcore import dyadic_green
-from .forward import _born_sum, _projected_transfer
+from .emcore import green_band
+from .forward import _projected_transfer, _scattered
 from .scene import FrequencyBand, Scene
 
 TWO_PI = 2.0 * np.pi
@@ -202,15 +202,19 @@ def synth_source(spec: SourceProcessSpec, basis: np.ndarray, rng=None) -> TimeSi
 
 
 def _transfer_matrices(scene: Scene, omegas: np.ndarray, receivers: np.ndarray):
-    """Total transfer (direct plus scattered) 3x3 matrices, (nrec, nfreq, 3, 3)."""
-    out = np.zeros((receivers.shape[0], omegas.size, 3, 3), dtype=complex)
-    for fi, w in enumerate(omegas):
-        if w <= 0:
-            continue
-        k = scene.wavenumber(w)
-        g = dyadic_green(receivers, scene.source.position, k)
-        out[:, fi] = g + _born_sum(scene, k, receivers)
+    """Direct plus scattered 3x3 transfer matrices on a uniform band, (nrec, nfreq, 3, 3)."""
+    ks = omegas / scene.wave_speed
+    out = _scattered(scene, ks, receivers)
+    for fi, g in enumerate(green_band(receivers, scene.source.position, ks)):
+        out[:, fi] += g
     return out
+
+
+def _active_transfer(scene: Scene, omegas, active, receivers):
+    """:func:`_transfer_matrices` at ``active`` bins, taken over the uniform span holding them."""
+    idx = np.flatnonzero(active)
+    span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0)
+    return _transfer_matrices(scene, omegas[span], receivers)[:, active[span]]
 
 
 def _propagate_bins(transfer, j_hat, active, n_pad: int, dt: float) -> np.ndarray:
@@ -251,7 +255,7 @@ def simulate_received(
     omegas = spectrum_grid(n_pad, source.dt)
     power = np.abs(j_hat).max(axis=0)
     active = (omegas > 0) & (power > spectrum_floor * power.max())
-    transfer = _transfer_matrices(scene, omegas[active], receivers)
+    transfer = _active_transfer(scene, omegas, active, receivers)
     samples = _propagate_bins(transfer, j_hat, active, n_pad, source.dt)
     return TimeSignal(samples=samples, dt=source.dt, t0=source.t0)
 
@@ -307,6 +311,8 @@ def empirical_autocorrelation(
         return empirical_coherency(signal, duration, pad_factor)
     if mode != "lag":
         raise ValueError(f"unknown mode {mode!r}")
+    if max_lag is not None and not 0 <= max_lag < np.inf:
+        raise ValueError(f"max_lag must be nonnegative and finite, got {max_lag!r}")
     padded = _padded_field(signal, duration, pad_factor)
     n_pad = padded.shape[-1]
     spec = np.fft.rfft(padded, axis=-1)
@@ -358,16 +364,13 @@ def stochastic_coherency_dataset(
     picked = candidates[: stride * band_count : stride]
     band = FrequencyBand.from_omegas(omegas[picked])
 
-    recs = scene.geom.flat_positions()
     duration = 2.0 * spec.half_duration
 
     # projected 2x2 transfer at the picked bins only
-    transfer = np.empty((recs.shape[0], picked.size, 2, 2), dtype=complex)
-    for fi, w in enumerate(omegas[picked]):
-        transfer[:, fi] = _projected_transfer(scene, scene.wavenumber(w)).reshape(-1, 2, 2)
+    transfer = _projected_transfer(scene, omegas[picked] / scene.wave_speed)
 
     seeds = np.random.SeedSequence(spec.seed).spawn(realizations)
-    psi = np.zeros((recs.shape[0], picked.size, 2, 2), dtype=complex)
+    psi = np.zeros_like(transfer)
     for seq in seeds:
         rng = np.random.default_rng(seq)
         channels = _synth_channels(spec, 2, rng)
@@ -381,19 +384,9 @@ def stochastic_coherency_dataset(
     psi /= realizations
 
     js_table = spec.spectrum(omegas[picked])[:, None, None] * np.eye(2)
-    source = type(scene.source)(
-        position=scene.source.position,
-        reference_point=scene.source.reference_point,
-        coherency=js_table,
-    )
-    return ArrayDataSet(
-        kind="coherency2x2",
-        values=psi.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2),
-        geom=scene.geom,
-        source=source,
-        band=band,
-        wave_speed=scene.wave_speed,
-    )
+    source = replace(scene.source, coherency=js_table)
+    values = psi.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
+    return ArrayDataSet("coherency2x2", values, scene.geom, source, band, scene.wave_speed)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +448,7 @@ def ergodicity_probe(
         omegas = spectrum_grid(n_pad, spec.dt)
         power = spec.spectrum(omegas)
         active = (omegas > 0) & (power > 1e-12 * power.max())
-        transfer = _transfer_matrices(scene, omegas[active], receivers)
+        transfer = _active_transfer(scene, omegas, active, receivers)
         samples = np.empty((realizations, receivers.shape[0], 2, 2))
         for ri, seq in enumerate(t_seqs[ti].spawn(realizations)):
             rng = np.random.default_rng(seq)

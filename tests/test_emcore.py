@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig.emcore import CROSS_RANGE_BASIS, embed, project
+from polarmig.emcore import CROSS_RANGE_BASIS, embed, green_band, project
+from polarmig.scene import DEFAULT_WAVE_SPEED
 
-from conftest import K0, L, LAMBDA0, bench_source
+from conftest import BANDWIDTH, K0, L, LAMBDA0, OMEGA0, bench_source
 
 
 def test_scalar_green_reference_value():
@@ -233,3 +234,39 @@ def test_project_embed_match_explicit_products(rng, x_s):
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
     assert np.all(embed(m2, u_s)[..., 2, :] == 0)
 
+
+
+def test_green_band_matches_dyadic_green_across_128_bins():
+    # 61x61 receivers and 128 band samples up to kr = 587: the phase
+    # recurrence drifts from direct evaluation by rounding only
+    recs = pm.ArrayGeom(side=20 * LAMBDA0, n1=61, n2=61).flat_positions()
+    x_s = bench_source().position
+    ks = pm.FrequencyBand(center=OMEGA0, width=BANDWIDTH, count=128).wavenumbers(DEFAULT_WAVE_SPEED)
+    count = 0
+    for k, g in zip(ks, green_band(recs, x_s, ks)):
+        ref = pm.dyadic_green(recs, x_s, k)
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        count += 1
+    assert count == ks.size
+
+
+def test_green_band_one_sample_empty_band_and_coincident_points():
+    x, y = np.array([0.3, -0.2, L]), bench_source().position
+    (g,) = green_band(x, y, [K0])
+    ref = pm.dyadic_green(x, y, K0)
+    assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert list(green_band(x, y, np.array([]))) == []
+    with pytest.raises(pm.CoincidentPointsError):
+        next(green_band(np.stack([x, y]), y, [K0]))
+
+
+@pytest.mark.parametrize("ks, message", [
+    ([0.0], "positive and finite"),
+    ([-K0], "positive and finite"),
+    ([np.nan], "positive and finite"),
+    ([np.inf], "positive and finite"),
+    ([K0, 1.1 * K0, 1.2 * K0, 1.4 * K0], "evenly spaced"),
+], ids=["zero", "negative", "nan", "inf", "gapped"])
+def test_green_band_rejects_bad_wavenumbers(ks, message):
+    with pytest.raises(ValueError, match=message):
+        next(green_band([0.3, -0.2, L], bench_source().position, ks))

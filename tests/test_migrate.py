@@ -517,6 +517,37 @@ def test_lattice_rows_larger_than_chunk_target(lattice_scene, monkeypatch):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+_OFF_LATTICE = np.array([[0, 0, L], [LAMBDA0, -0.5 * LAMBDA0, L + 0.7 * LAMBDA0]])
+
+
+def _engine_points(scene, engine):
+    pts = _lattice_grids(scene)["line along x1"] if engine == "lattice" else _OFF_LATTICE
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert bool(rows) == (engine == "lattice") and bool(rest.size) == (engine == "direct")
+    return pts
+
+
+@pytest.mark.parametrize("engine", ["lattice", "direct"])
+@pytest.mark.parametrize("k", [0.0, -K0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_kirchhoff_single_rejects_bad_wavenumber(lattice_scene, engine, k):
+    # k = 0, NaN or inf used to give an all-NaN image, k < 0 one under the
+    # opposite time convention
+    scene, resp = lattice_scene
+    pts = _engine_points(scene, engine)
+    with pytest.raises(ValueError, match="wavenumbers must be positive and finite"):
+        pm.kirchhoff_single(resp.values[:, :, 0], scene.geom, scene.source.position, k, pts)
+
+
+@pytest.mark.parametrize("engine", ["lattice", "direct"])
+def test_engines_reject_a_gapped_band(lattice_scene, engine):
+    scene, resp = lattice_scene
+    pts = _engine_points(scene, engine)
+    ks = resp.wavenumbers.copy()
+    ks[-1] += ks[1] - ks[0]
+    with pytest.raises(ValueError, match="evenly spaced"):
+        migrate._migrate(scene.geom, scene.source.position, resp.values, ks, np.ones(ks.size), pts)
+
+
 def test_lattice_single_frequency_matches_direct(lattice_scene, monkeypatch):
     scene, resp = lattice_scene
     pts = _lattice_grids(scene)["line along x1"]

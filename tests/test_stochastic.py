@@ -151,6 +151,37 @@ def test_simulate_received_spectrum_is_transfer_times_source():
         assert np.abs(e_hat[:, fi] - expected).max() < 1e-10 * np.abs(expected).max()
 
 
+def test_simulate_received_spectrum_across_a_gap_in_live_bins():
+    # two pulses far apart in frequency leave bins below the spectrum floor
+    # between them; the transfer comes from the uniform span holding the live
+    # bins and must still be the direct-path dyad on each of them
+    scene = bench_scene([], n=2)
+    rec = scene.geom.flat_positions()[:1]
+    dt, n = 1 / 16e9, 1200
+    t = dt * (np.arange(n) - n / 2)
+    envelope = np.exp(-((t / 2e-9) ** 2))
+    tones = envelope * np.cos(2 * np.pi * np.array([[1.5e9], [3.5e9]]) * t)
+    src_sig = pm.TimeSignal(samples=scene.source.basis() @ tones, dt=dt, t0=t[0])
+    out = pm.simulate_received(scene, src_sig, receivers=rec)
+    n_pad = out.samples.shape[-1]
+    padded = np.zeros((3, n_pad))
+    padded[:, :n] = src_sig.samples
+    j_hat = analysis_transform(padded, dt)
+    e_hat = analysis_transform(out.samples[0], dt)
+    omegas = spectrum_grid(n_pad, dt)
+    power = np.abs(j_hat).max(axis=0)
+    live = np.flatnonzero((omegas > 0) & (power > 1e-12 * power.max()))
+    gap = np.setdiff1d(np.arange(live[0], live[-1] + 1), live)
+    assert gap.size > 50
+    expected = np.stack([
+        pm.dyadic_green(rec[0], scene.source.position, omegas[fi] / scene.wave_speed)
+        @ j_hat[:, fi] for fi in live
+    ], axis=1)
+    scale = np.abs(expected).max()
+    assert np.abs(e_hat[:, live] - expected).max() < 1e-10 * scale
+    assert np.abs(e_hat[:, gap]).max() < 1e-12 * scale
+
+
 def test_simulate_received_time_reality():
     scene = _stats_scene()
     spec = _spec(seed=1, half=40e-9, samples=1200)
@@ -192,6 +223,16 @@ def test_empirical_autocorrelation_rejects_nonpositive_duration(mode, duration):
     sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=1e-11)
     with pytest.raises(ValueError, match="duration must be positive"):
         pm.empirical_autocorrelation(sig, duration, mode=mode)
+
+
+@pytest.mark.parametrize("max_lag", [-5.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_empirical_autocorrelation_rejects_bad_max_lag(max_lag):
+    # -5 dt used to return no lags but 124 rows, NaN a bare int() error and
+    # inf an OverflowError
+    dt = 1e-11
+    sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=dt)
+    with pytest.raises(ValueError, match="max_lag"):
+        pm.empirical_autocorrelation(sig, 64 * dt, mode="lag", max_lag=max_lag * dt)
 
 
 def test_empirical_coherency_mean_matches_deterministic():
