@@ -59,12 +59,16 @@ def _separation(x, y):
     return rvec, r
 
 
+def _check_wavenumber(k):
+    if not np.all((np.asarray(k) > 0) & (np.asarray(k) < np.inf)):
+        raise ValueError("wavenumber must be positive and finite")
+
+
 def scalar_green(x, y, k):
     """Scalar Helmholtz Green function exp(i k r) / (4 pi r)."""
-    if np.any(np.asarray(k) <= 0):
-        raise ValueError("wavenumber must be positive")
+    _check_wavenumber(k)
     _, r = _separation(x, y)
-    return np.exp(1j * k * r) / (4.0 * np.pi * r)
+    return np.exp(1j * np.asarray(k) * r) / (4.0 * np.pi * r)
 
 
 def dyadic_green(x, y, k):
@@ -75,22 +79,16 @@ def dyadic_green(x, y, k):
     ``m = (i k r - 1) / (k r)^2`` and ``g`` the scalar Green function.
     Broadcasts over leading axes of ``x`` and ``y``; ``k`` may broadcast too.
     """
-    if np.any(np.asarray(k) <= 0):
-        raise ValueError("wavenumber must be positive")
+    _check_wavenumber(k)
     rvec, r = _separation(x, y)
-    squeeze = r.ndim == 0
-    if squeeze:
-        rvec, r = rvec[None, :], r[None]
-    kr = np.asarray(k) * r
-    g = np.exp(1j * kr) / (4.0 * np.pi * r)
-    m = (1j * kr - 1.0) / kr**2
     rhat = rvec / r[..., None]
     outer = rhat[..., :, None] * rhat[..., None, :]
-    eye = np.eye(3)
-    out = g[..., None, None] * (
-        (1.0 + m)[..., None, None] * eye - (1.0 + 3.0 * m)[..., None, None] * outer
-    )
-    return out[0] if squeeze else out
+    # k broadcasts against the point batch, ahead of the matrix axes
+    r = r[..., None, None]
+    kr = np.asarray(k)[..., None, None] * r
+    g = np.exp(1j * kr) / (4.0 * np.pi * r)
+    m = (1j * kr - 1.0) / kr**2
+    return g * ((1.0 + m) * np.eye(3) - (1.0 + 3.0 * m) * outer)
 
 
 def _conj_factors(conj_g, u):

@@ -14,10 +14,14 @@ Imaging points that form lattice rows (evenly spaced along a receiver axis,
 at a step commensurate with the receiver pitch) get them from FFT
 correlations along that axis, since the Green function depends only on
 ``x_r - y``; all other points use the direct pair sum over fixed receiver
-blocks.  Both contract 7 scalar kernels of ``G = A I + B rhat rhat^T`` with
-the 9 data components in one matmul per frequency.  The kernels come from the
-band walk of :mod:`polarmig.emcore`, which also drives the synthesis through
-:func:`~polarmig.emcore.green_band`, as does the source leg here.
+blocks.  Both contract scalar kernels of ``G = A I + B rhat rhat^T`` with the
+data components in one matmul per frequency, taking only the rows and columns
+of ``conj(G)`` that the output and the data keep: preprocessed data
+``U_par C u_s^H`` is migrated as its 2x2 core C, so recovery from it takes 4
+kernels x 4 components and an image 6 x 4, against 6 x 9 and 7 x 9 for 3x3
+data.  The kernels come from the band walk of :mod:`polarmig.emcore`, which
+also drives the synthesis through :func:`~polarmig.emcore.green_band`, as does
+the source leg here.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .scene import ArrayGeom, ImagingWindow, SourceSpec
 # Imaging points per chunk are sized so receiver-point pair blocks stay small.
 _PAIR_TARGET = 600_000
 
-# Receivers per direct-sum block; bounds the (7, points, block) kernel stack.
+# Receivers per direct-sum block; bounds the (kernels, points, block) stack.
 _RECEIVER_BLOCK = 512
 
 # Lattice-row chunks are sized by kernel sites (rows x FFT length x receivers
@@ -52,9 +56,6 @@ _MAX_SUBDIVISION = 12
 # Row points must sit on their lattice to this many ulps of the largest
 # coordinate, so lattice offsets equal the direct ones to rounding.
 _LATTICE_ULPS = 64
-
-# Index of rhat_i rhat_l among the six distinct products, upper triangle first.
-_SYM = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 # 2x2 point-spread factors above this condition number refuse to invert.
 RECOVER_COND_LIMIT = 1e8
@@ -87,22 +88,41 @@ def _spread_moments(amp, r, v, axis: int):
     return np.moveaxis(np.array([[iso + s11, s12], [s12, iso + s22]]), (0, 1, -1), (-2, -1, 0))
 
 
-def _orientations(rhat):
-    """The six distinct rhat_i rhat_l, in the order of ``_SYM``, stacked on axis -3."""
-    return np.stack([rhat[i] * rhat[l] for i, l in zip(*np.triu_indices(3))], axis=-3)
+def _kernel_table(n_out: int, n_in: int):
+    """Kernels and fold index for rows ``< n_out`` and columns ``< n_in`` of ``conj(G)``.
+
+    Rows and columns are those of I_3, or their first two, U_par.  Kernel 0 is
+    conj A and kernel 1 + m is conj B rhat_i rhat_l for the m-th pair (i <= l) of
+    ``pairs``; ``index[o, l]`` is the kernel of conj B rhat_o rhat_l.
+    """
+    pairs = sorted({(min(o, l), max(o, l)) for o in range(n_out) for l in range(n_in)})
+    index = np.array([[1 + pairs.index((min(o, l), max(o, l))) for l in range(n_in)]
+                      for o in range(n_out)])
+    return pairs, index
+
+
+def _orientations(rhat, pairs):
+    """The products rhat_i rhat_l of ``pairs``, stacked on axis -3."""
+    return np.stack([rhat[i] * rhat[l] for i, l in pairs], axis=-3)
 
 
 def _kernel_stack(conj_a, conj_b, orient, out):
-    """Fill ``out`` with the 7 kernels ``[conj A, conj B rhat_i rhat_l]`` on axis -3."""
+    """Fill ``out`` with the kernels ``[conj A, conj B rhat_i rhat_l]`` on axis -3."""
     out[..., 0, :, :] = conj_a
     np.multiply(conj_b[..., None, :, :], orient, out=out[..., 1:, :, :])
 
 
-def _fold(prods):
-    """``sum_l (conj A delta_il + conj B rhat_i rhat_l) D_lk`` from kernel m x ``D_lk`` sums."""
-    acc = prods[..., 0, :, :].copy()
-    for l in range(3):
-        acc += prods[..., 1 + _SYM[:, l], l, :]
+def _fold(prods, index):
+    """``sum_l (conj A delta_ol + conj B rhat_o rhat_l) D_lq`` from kernel x ``D_lq`` sums.
+
+    ``prods`` is (..., kernels, n_in, n_col); returns (..., n_out, n_col).
+    """
+    n_out, n_in = index.shape
+    diag = min(n_out, n_in)
+    acc = np.zeros(prods.shape[:-3] + (n_out, prods.shape[-1]), dtype=prods.dtype)
+    acc[..., :diag, :] = prods[..., 0, :diag, :]
+    for l in range(n_in):
+        acc += prods[..., index[:, l], l, :]
     return acc
 
 
@@ -126,29 +146,35 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_sums(recs, data, ks, pts):
+def _direct_sums(recs, data, ks, pts, n_out: int, moments: bool):
     """Per-frequency backpropagation sums and receiver spread moments by direct pairs.
 
-    ``data`` is (receivers, nfreq, 3, 3).  Each block of ``_RECEIVER_BLOCK``
-    receivers computes its pair geometry and spread moments once and adds one
-    ``(7 points x block) @ (block x 9)`` matmul per frequency; blocks are summed
-    in order, so memory is bounded by the block and rounding does not depend on
-    threads.
+    ``data`` is (receivers, nfreq, n_in, n_col) with rows in I_3 (n_in = 3) or
+    U_par (n_in = 2); the sums are the first ``n_out`` rows of ``conj(G) data``,
+    (nfreq, points, n_out, n_col).  Each block of ``_RECEIVER_BLOCK`` receivers
+    computes its pair geometry, and spread moments if asked (else None is
+    returned for them), once and adds one ``(kernels x points x block) @ (block x
+    n_in n_col)`` matmul per frequency; blocks are summed in order, so memory is
+    bounded by the block and rounding does not depend on threads.
     """
     n_pts, nfreq = pts.shape[0], ks.size
-    prods = np.zeros((nfreq, 7 * n_pts, 9), dtype=complex)
-    moments = np.zeros((3, n_pts, 2, 2))
+    n_in, n_col = data.shape[-2:]
+    pairs, index = _kernel_table(n_out, n_in)
+    prods = np.zeros((nfreq, (1 + len(pairs)) * n_pts, n_in * n_col), dtype=complex)
+    spread = np.zeros((3, n_pts, 2, 2)) if moments else None
     for lo in range(0, recs.shape[0], _RECEIVER_BLOCK):
         hi = min(lo + _RECEIVER_BLOCK, recs.shape[0])
         r, rhat = _pair_geometry(recs[lo:hi].T[:, None, :] - pts.T[:, :, None])
-        orient = _orientations(rhat)
+        orient = _orientations(rhat, pairs)
         amp = 1.0 / (4.0 * np.pi * r)
-        moments += _spread_moments(amp, r, rhat[:2], 1)
-        kern = np.empty((7, n_pts, hi - lo), dtype=complex)
+        if moments:
+            spread += _spread_moments(amp, r, rhat[:2], 1)
+        kern = np.empty((1 + len(pairs), n_pts, hi - lo), dtype=complex)
         for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
             _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
-            prods[fi] += kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, 9)
-    return _fold(prods.reshape(nfreq, 7, n_pts, 3, 3).swapaxes(1, 2)), moments
+            prods[fi] += kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, n_in * n_col)
+    prods = prods.reshape(nfreq, 1 + len(pairs), n_pts, n_in, n_col).swapaxes(1, 2)
+    return _fold(prods, index), spread
 
 
 # Shape shared by a set of lattice rows: the lattice step is ``pitch / sub``
@@ -240,21 +266,25 @@ def _lattice_rows(pts, geom: ArrayGeom):
     return grouped, np.flatnonzero(~covered)
 
 
-def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout):
+def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_out: int,
+                  moments: bool):
     """Per-frequency backpropagation sums and receiver spread moments for lattice rows.
 
-    ``data`` is (n1, n2, nfreq, 3, 3) and ``rows`` a (rows, length) array of
-    point indices, each row sorted along ``layout.axis``.  For row point p
-    and receiver (i, j), with i along the row axis and j across it, the
-    Green function depends on the lag ``p stride - i sub`` and on j alone.
-    The kernel is evaluated once per (j, lag) site, the sum over i is a
-    circular convolution over an FFT length that holds every lag without
-    wrap-around, and the sum over j is a matmul per spatial frequency.  Spread
-    moments are summed over j per site, then over each point's pair lags.
-    Points are in the order of ``rows.ravel()``.
+    ``data`` is (n1, n2, nfreq, n_in, n_col) and ``rows`` a (rows, length)
+    array of point indices, each row sorted along ``layout.axis``; ``n_out``
+    and ``moments`` are as for :func:`_direct_sums`.  For row point p and
+    receiver (i, j), with i along the row axis and j across it, the Green
+    function depends on the lag ``p stride - i sub`` and on j alone.  The
+    kernel is evaluated once per (j, lag) site, the sum over i is a circular
+    convolution over an FFT length that holds every lag without wrap-around,
+    and the sum over j is a matmul per spatial frequency.  Spread moments are
+    summed over j per site, then over each point's pair lags.  Points are in
+    the order of ``rows.ravel()``.
     """
     axis, sub, stride, length, nfft = layout
     other = 1 - axis
+    n_in, n_col = data.shape[-2:]
+    pairs, index = _kernel_table(n_out, n_in)
     grid = geom.positions() if axis == 0 else geom.positions().swapaxes(0, 1)
     lane = data if axis == 0 else data.swapaxes(0, 1)
     n_along, n_across = grid.shape[:2]
@@ -262,10 +292,10 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout):
     span = (length - 1) * stride
     q = np.arange(nfft)
     lag = np.where(q <= span, q, q - nfft)
-    # pairs[q, p] = 1 where row point p and a receiver along the row take lag q
+    # takes[q, p] = 1 where row point p and a receiver along the row take lag q
     gap = np.arange(length) * stride - lag[:, None]
-    pairs = ((gap >= 0) & (gap <= (n_along - 1) * sub) & (gap % sub == 0)).astype(float)
-    realized = pairs.any(axis=1)
+    takes = ((gap >= 0) & (gap <= (n_along - 1) * sub) & (gap % sub == 0)).astype(float)
+    realized = takes.any(axis=1)
 
     # x_r - y per (row, j, lag) site, by component
     start = pts[rows[:, 0]]
@@ -282,28 +312,32 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout):
     r = np.where(live, r, 1.0)
     rhat = [None, None, d_range / r]
     rhat[axis], rhat[other] = d_along / r, d_across / r
-    orient = _orientations(rhat)
+    orient = _orientations(rhat, pairs)
     amp = np.where(live, 1.0 / (4.0 * np.pi * r), 0.0)
-    # (3, rows, lag, 2, 2) -> (3, rows, 2, 2, point) -> (3, rows x point, 2, 2)
-    moments = np.moveaxis(_spread_moments(amp, r, rhat[:2], 1), 2, -1) @ pairs
-    moments = np.moveaxis(moments, -1, 2).reshape(3, n_rows * length, 2, 2)
+    spread = None
+    if moments:
+        # (3, rows, lag, 2, 2) -> (3, rows, 2, 2, point) -> (3, rows x point, 2, 2)
+        spread = np.moveaxis(_spread_moments(amp, r, rhat[:2], 1), 2, -1) @ takes
+        spread = np.moveaxis(spread, -1, 2).reshape(3, n_rows * length, 2, 2)
 
     def sums():
-        lattice_data = np.zeros((nfft, n_across, 9), dtype=complex)
-        kern = np.empty((n_rows, 7, n_across, nfft), dtype=complex)
+        n_kern, n_data = 1 + len(pairs), n_in * n_col
+        lattice_data = np.zeros((nfft, n_across, n_data), dtype=complex)
+        kern = np.empty((n_rows, n_kern, n_across, nfft), dtype=complex)
         # spatial frequency first, so the matmul below batches over it
-        kern_hat = np.empty((nfft, n_rows, 7, n_across), dtype=complex)
+        kern_hat = np.empty((nfft, n_rows, n_kern, n_across), dtype=complex)
         for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
             _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
             np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
-            lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, 9)
+            lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, -1)
             data_hat = np.fft.fft(lattice_data, axis=0)
-            # prods[x, (row, m), (l, k)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, k]
-            prods = kern_hat.reshape(nfft, n_rows * 7, n_across) @ data_hat
-            acc = _fold(prods.reshape(nfft, n_rows, 7, 3, 3))
-            yield np.fft.ifft(acc, axis=0)[: span + 1 : stride].swapaxes(0, 1).reshape(-1, 3, 3)
+            # prods[x, (row, m), (l, q)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, q]
+            prods = kern_hat.reshape(nfft, n_rows * n_kern, n_across) @ data_hat
+            acc = _fold(prods.reshape(nfft, n_rows, n_kern, n_in, n_col), index)
+            acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride]
+            yield acc.swapaxes(0, 1).reshape(-1, n_out, n_col)
 
-    return sums(), moments
+    return sums(), spread
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +345,25 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout):
 # ---------------------------------------------------------------------------
 
 
-def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
-    """Weighted frequency sum of Kirchhoff images, with exact recovery given ``u_s``.
+def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str = "image"):
+    """Weighted frequency sum of Kirchhoff images, projected images or recovered tensors.
 
-    ``data`` is (n1, n2, nfreq, 3, 3).  Returns (image (npts, 3, 3), alpha):
-    given the source basis ``u_s``, alpha sums the per-frequency recovered
-    tensors in the (cross-range, ``u_s``) bases, else it is None.  Work is
-    split into lattice-row chunks and direct point chunks of fixed size, each
-    summing its frequencies in order, so results do not depend on threads.
+    ``data`` is (n1, n2, nfreq, 3, 3), or given the source basis ``u_s`` the
+    (n1, n2, nfreq, 2, 2) core C of preprocessed data ``U_par C u_s^H``.  Returns,
+    per point, the image (npts, 3, 3) for ``mode="image"``; given ``u_s``, its
+    projection ``U_par^T image u_s`` for "fraunhofer" and the sum of the
+    per-frequency recovered tensors for "exact", (npts, 2, 2) in the
+    (cross-range, ``u_s``) bases.  The receiver sums take only the rows and
+    columns of ``conj(G)`` that these bases keep.  Work is split into
+    lattice-row chunks and direct point chunks of fixed size, each summing its
+    frequencies in order, so results do not depend on threads.
     """
     cell = geom.cell_area
     recs = geom.flat_positions()
-    flat = data.reshape(-1, ks.size, 3, 3)
-    image = np.zeros((pts.shape[0], 3, 3), dtype=complex)
-    alpha = np.zeros((pts.shape[0], 2, 2), dtype=complex)
+    n_out = 3 if mode == "image" else 2
+    exact = mode == "exact"
+    flat = data.reshape(-1, ks.size, *data.shape[-2:])
+    out = np.zeros((pts.shape[0], n_out, n_out), dtype=complex)
 
     tasks = []
     rows, rest = _lattice_rows(pts, geom)
@@ -333,39 +372,43 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None):
         # at least one row per chunk, even when a row alone exceeds the target
         n_chunks = min(group.shape[0], -(-group.shape[0] * sites // _SITE_TARGET))
         for chunk in np.array_split(group, n_chunks):
-            tasks.append((chunk.ravel(),
-                          partial(_lattice_sums, geom, data, ks, pts, chunk, layout)))
+            tasks.append((chunk.ravel(), partial(_lattice_sums, geom, data, ks, pts, chunk,
+                                                 layout, n_out, exact)))
     size = max(1, _PAIR_TARGET // recs.shape[0])
     for lo in range(0, rest.size, size):
         idx = rest[lo:lo + size]
-        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx])))
+        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], n_out, exact)))
 
     def accumulate(task):
         idx, sums = task
         per_freq, rec_moments = sums()
         r_s, rhat_s = _pair_geometry(x_s[:, None] - pts[idx].T)
-        amp = 1.0 / (4.0 * np.pi * r_s)
-        img = np.zeros((idx.size, 3, 3), dtype=complex)
-        alp = np.zeros((idx.size, 2, 2), dtype=complex)
-        if u_s is not None:
+        total = np.zeros((idx.size, n_out, n_out), dtype=complex)
+        if exact:
             # one source pair per point; u_s^T conj(G) G u_s needs only v = u_s^T rhat_s
             powers = ks[:, None] ** np.array([0.0, -2.0, -4.0])
             a2 = cell * np.tensordot(powers, rec_moments, 1)
-            src_moments = _spread_moments(amp[None], r_s[None], (u_s.T @ rhat_s)[:, None], 0)
+            amp = 1.0 / (4.0 * np.pi * r_s[None])
+            src_moments = _spread_moments(amp, r_s[None], (u_s.T @ rhat_s)[:, None], 0)
             b2 = np.tensordot(powers, src_moments, 1)
             _guard_cond(a2, "receiver point-spread factor")
             _guard_cond(b2, "source point-spread factor")
             inv_a2, inv_b2 = _inv_2x2(a2), _inv_2x2(b2)
         for fi, (acc, g_s) in enumerate(zip(per_freq, green_band(x_s, pts[idx], ks))):
-            ikm = cell * acc @ np.conj(g_s)
-            img += weights[fi] * ikm
-            if u_s is not None:
-                alp += weights[fi] * (inv_a2[fi] @ project(ikm, u_s) @ inv_b2[fi])
-        image[idx] = img
-        alpha[idx] = alp
+            # the source leg in the bases of the data columns and of the output
+            src = np.conj(g_s)
+            if data.shape[-2] == 2:
+                src = np.conj(u_s).T @ src
+            if n_out == 2:
+                src = src @ u_s
+            ikm = cell * acc @ src
+            if exact:
+                ikm = inv_a2[fi] @ ikm @ inv_b2[fi]
+            total += weights[fi] * ikm
+        out[idx] = total
 
     run_tasks(accumulate, tasks)
-    return image, alpha if u_s is not None else None
+    return out
 
 
 def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray:
@@ -379,7 +422,7 @@ def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray
     data = np.asarray(data, dtype=complex)
     if data.shape != (geom.n1, geom.n2, 3, 3):
         raise ValueError(f"data shape {data.shape} does not match the array geometry")
-    image, _ = _migrate(
+    image = _migrate(
         geom, np.asarray(x_s, dtype=float), data[:, :, None], np.array([float(k)]),
         np.ones(1), pts,
     )
@@ -396,13 +439,36 @@ def _trapezoid_weights(omegas: np.ndarray) -> np.ndarray:
 
 
 def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
-    """Multi-frequency Kirchhoff image: trapezoid integral over the band."""
+    """Multi-frequency Kirchhoff image: trapezoid integral over the band.
+
+    Takes 3x3 response or preprocessed data; coherency data raises ValueError.
+    """
+    return _migrate_band(ds, points, "image")
+
+
+def _migrate_band(ds: ArrayDataSet, points, mode: str):
+    """:func:`_migrate` over the band of ``ds`` with trapezoid weights, one point squeezed.
+
+    Preprocessed data ``U_par C u_s^H`` is migrated as its 2x2 core C; data not
+    of that form is refused rather than projected onto it.
+    """
+    if ds.kind == "coherency2x2":
+        raise ValueError(f"{ds.kind} data cannot be migrated; run preprocess first")
+    u_s = ds.source.basis()
+    data = ds.values
+    if ds.kind == "preprocessed3x3":
+        if np.any(data[..., 2, :] != 0):
+            raise ValueError(f"{ds.kind} data must have an exactly zero third row")
+        core = np.ascontiguousarray(project(data, u_s))
+        # rows of U_par C u_s^H are normal to the source direction, to rounding
+        normal = np.cross(u_s[:, 0], u_s[:, 1])
+        if np.abs(data[..., :2, :] @ normal).max() > 1e-12 * np.abs(core).max():
+            raise ValueError(f"{ds.kind} data rows must lie in the span of the source basis")
+        data = core
     pts, squeeze = _as_points(points)
-    image, _ = _migrate(
-        ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(ds.omegas),
-        pts,
-    )
-    return image[0] if squeeze else image
+    out = _migrate(ds.geom, ds.source.position, data, ds.wavenumbers,
+                   _trapezoid_weights(ds.omegas), pts, u_s, mode)
+    return out[0] if squeeze else out
 
 
 # ---------------------------------------------------------------------------
@@ -512,24 +578,18 @@ def recover_alpha_field(ds: ArrayDataSet, points, mode: str = "exact") -> np.nda
     ``mode="exact"`` recovers at every frequency in the same pass over the
     band as the image and averages with the trapezoid rule; the far-field
     ``mode="fraunhofer"`` estimate is linear in the image, so it is the
-    projected band image rescaled by (4 pi L)^4 / mes(A).
+    projected band image rescaled by (4 pi L)^4 / mes(A).  Takes the data
+    :func:`kirchhoff_band` takes.
     """
     if ds.band.count < 2:
         raise ValueError("band recovery needs at least 2 frequency samples")
     if mode not in ("exact", "fraunhofer"):
         raise ValueError(f"unknown recovery mode {mode!r}")
-    pts, squeeze = _as_points(points)
-    omegas = ds.omegas
-    u_s = ds.source.basis()
-    image, alpha = _migrate(
-        ds.geom, ds.source.position, ds.values, ds.wavenumbers, _trapezoid_weights(omegas),
-        pts, u_s=u_s if mode == "exact" else None,
-    )
+    alpha = _migrate_band(ds, points, mode)
     if mode == "fraunhofer":
         ref_range = float(ds.source.reference_point[2])
-        alpha = (4.0 * np.pi * ref_range) ** 4 / ds.geom.area * project(image, u_s)
-    alpha /= omegas[-1] - omegas[0]
-    return alpha[0] if squeeze else alpha
+        alpha *= (4.0 * np.pi * ref_range) ** 4 / ds.geom.area
+    return alpha / (ds.omegas[-1] - ds.omegas[0])
 
 
 def phase_correct(values, delta_rel: float = DEFAULT_DELTA_REL) -> np.ndarray:

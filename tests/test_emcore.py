@@ -32,6 +32,32 @@ def test_scalar_green_coincident_points():
         pm.dyadic_green([0.0, 0, 0], [0.0, 0, 0], 1.0)
 
 
+def test_dyadic_green_broadcasts_wavenumbers(rng):
+    # an array of k broadcasts against the point batch, ahead of the matrix axes;
+    # single points with a scalar k keep their (3, 3) shape
+    ks = np.array([1.0, 2.0, 3.0])
+    x, y = np.array([0.0, 0, 1]), np.zeros(3)
+    g = pm.dyadic_green(x, y, ks)
+    assert g.shape == (3, 3, 3)
+    for gk, k in zip(g, ks):
+        assert pm.dyadic_green(x, y, k).shape == (3, 3)
+        assert np.array_equal(gk, pm.dyadic_green(x, y, k))
+    pts = rng.uniform(-5, 5, (3, 3))
+    g = pm.dyadic_green(pts, y, ks)
+    assert g.shape == (3, 3, 3)
+    for gk, p, k in zip(g, pts, ks):
+        assert np.array_equal(gk, pm.dyadic_green(p, y, k))
+    assert pm.scalar_green(x, y, ks).shape == (3,)
+
+
+@pytest.mark.parametrize("green", [pm.dyadic_green, pm.scalar_green], ids=["dyadic", "scalar"])
+@pytest.mark.parametrize("k", [0.0, -K0, np.nan, np.inf, [K0, np.nan]],
+                         ids=["zero", "negative", "nan", "inf", "nan-in-array"])
+def test_green_functions_reject_bad_wavenumbers(green, k):
+    with pytest.raises(ValueError, match="positive and finite"):
+        green([0.3, -0.2, L], bench_source().position, k)
+
+
 def test_dyadic_green_symmetry_and_reciprocity(rng):
     for _ in range(50):
         x = rng.uniform(-5, 5, 3)

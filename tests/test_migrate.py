@@ -1,5 +1,7 @@
 """Imaging tests: migration kernels, point-spread functions, recovery, region."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -354,7 +356,16 @@ def test_volume_grid_guard():
 
 def test_parallel_schedule_invariance(monkeypatch):
     scene = three_dipole_scene(n=9)
-    resp = pm.response_synthesize(scene, band(5))
+    _check_schedule_invariance(scene, pm.response_synthesize(scene, band(5)), monkeypatch)
+
+
+def test_parallel_schedule_invariance_on_preprocessed_data(monkeypatch):
+    scene = three_dipole_scene(n=9)
+    pre, _ = pm.preprocess(pm.coherency_synthesize(scene, band(5)))
+    _check_schedule_invariance(scene, pre, monkeypatch)
+
+
+def _check_schedule_invariance(scene, resp, monkeypatch):
     pts = pm.line_profile([0, 0, L], 0, 3 * LAMBDA0, LAMBDA0 / 2)
     # a cross-range lattice slice split over several row chunks
     slice_pts = pm.plane_grid(scene.window, 2, L, 1.25 * LAMBDA0)[0]
@@ -421,10 +432,26 @@ def direct_scene():
     return scene, pm.response_synthesize(scene, band(5))
 
 
+@pytest.fixture(scope="module")
+def direct_scene_preprocessed():
+    scene = three_dipole_scene(n=13)
+    return scene, pm.preprocess(pm.coherency_synthesize(scene, band(5)))[0]
+
+
 @pytest.mark.parametrize("block", [50, 169, 512])
 def test_direct_engine_matches_oracle(direct_scene, block, monkeypatch):
     # 169 receivers: blocks of 50, 50, 50 and a partial 19; one exact block; one short block
-    scene, resp = direct_scene
+    _check_direct_against_oracle(*direct_scene, block, monkeypatch)
+
+
+@pytest.mark.parametrize("block", [50, 169, 512])
+def test_direct_engine_matches_oracle_on_preprocessed_data(direct_scene_preprocessed, block,
+                                                           monkeypatch):
+    # the engine migrates the 2x2 core; the oracle the embedded 3x3 values
+    _check_direct_against_oracle(*direct_scene_preprocessed, block, monkeypatch)
+
+
+def _check_direct_against_oracle(scene, resp, block, monkeypatch):
     pts = _off_lattice_points(scene, 7)
     rows, rest = migrate._lattice_rows(pts, scene.geom)
     assert not rows and rest.size == pts.shape[0]
@@ -460,6 +487,12 @@ def lattice_scene():
     return scene, pm.response_synthesize(scene, band(3))
 
 
+@pytest.fixture(scope="module")
+def lattice_scene_preprocessed():
+    scene = three_dipole_scene(n=13)
+    return scene, pm.preprocess(pm.coherency_synthesize(scene, band(3)))[0]
+
+
 def _lattice_grids(scene):
     pitch = scene.geom.spacing[0]
     win = scene.window
@@ -473,16 +506,28 @@ def _lattice_grids(scene):
     }
 
 
-@pytest.mark.parametrize("grid", [
+_GRIDS = [
     "cross-range slice",
     "range slice, normal_axis 1",
     "range slice, normal_axis 0",
     "line along x1",
     "line along x2",
     "volume grid",
-])
+]
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
 def test_lattice_rows_match_direct_sum(lattice_scene, grid, monkeypatch):
-    scene, resp = lattice_scene
+    _check_lattice_against_direct(*lattice_scene, grid, monkeypatch)
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_lattice_rows_match_direct_sum_on_preprocessed_data(lattice_scene_preprocessed, grid,
+                                                            monkeypatch):
+    _check_lattice_against_direct(*lattice_scene_preprocessed, grid, monkeypatch)
+
+
+def _check_lattice_against_direct(scene, resp, grid, monkeypatch):
     pts = _lattice_grids(scene)[grid]
     rows, rest = migrate._lattice_rows(pts, scene.geom)
     assert rows and rest.size == 0
@@ -546,6 +591,62 @@ def test_engines_reject_a_gapped_band(lattice_scene, engine):
     ks[-1] += ks[1] - ks[0]
     with pytest.raises(ValueError, match="evenly spaced"):
         migrate._migrate(scene.geom, scene.source.position, resp.values, ks, np.ones(ks.size), pts)
+
+
+@pytest.mark.parametrize("engine", ["lattice", "direct"])
+def test_kernel_sets_follow_the_data_and_output_bases(lattice_scene, lattice_scene_preprocessed,
+                                                      engine, monkeypatch):
+    # kernels [conj A, conj B rhat_i rhat_l] for the rows and columns of conj(G)
+    # that the output and data bases keep; moments only for exact recovery
+    scene, resp = lattice_scene
+    pre = lattice_scene_preprocessed[1]
+    pts = _engine_points(scene, engine)
+    stacks, moment_calls = [], []
+    kernel_stack, spread_moments = migrate._kernel_stack, migrate._spread_moments
+
+    def spy_stack(conj_a, conj_b, orient, out):
+        stacks.append(out.shape[-3])
+        kernel_stack(conj_a, conj_b, orient, out)
+
+    def spy_moments(*args):
+        moment_calls.append(1)
+        return spread_moments(*args)
+
+    monkeypatch.setattr(migrate, "_kernel_stack", spy_stack)
+    monkeypatch.setattr(migrate, "_spread_moments", spy_moments)
+    for ds, kernels in [(resp, {"image": 7, "exact": 6, "fraunhofer": 6}),
+                        (pre, {"image": 6, "exact": 4, "fraunhofer": 4})]:
+        for mode, count in kernels.items():
+            stacks.clear()
+            moment_calls.clear()
+            if mode == "image":
+                pm.kirchhoff_band(ds, pts)
+            else:
+                pm.recover_alpha_field(ds, pts, mode=mode)
+            assert stacks and set(stacks) == {count}, (ds.kind, mode)
+            assert bool(moment_calls) == (mode == "exact"), (ds.kind, mode)
+
+
+def test_migrate_refuses_coherency_and_malformed_preprocessed_data(lattice_scene_preprocessed):
+    scene, pre = lattice_scene_preprocessed
+    coherency = pm.coherency_synthesize(scene, band(3))
+    values = pre.values.copy()
+    values[0, 0, 0, 2, 1] = 1e-30
+    third_row = dataclasses.replace(pre, values=values)
+    # a row component along the source direction, which the 2x2 core cannot hold
+    u_s = scene.source.basis()
+    values = pre.values.copy()
+    values[0, 0, 0, 1] += 1e-9 * np.abs(values).max() * np.cross(u_s[:, 0], u_s[:, 1])
+    off_plane = dataclasses.replace(pre, values=values)
+    for call in (lambda ds: pm.kirchhoff_band(ds, _OFF_LATTICE),
+                 lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="exact"),
+                 lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="fraunhofer")):
+        with pytest.raises(ValueError, match="coherency2x2.*run preprocess first"):
+            call(coherency)
+        with pytest.raises(ValueError, match="preprocessed3x3.*third row"):
+            call(third_row)
+        with pytest.raises(ValueError, match="preprocessed3x3.*span of the source basis"):
+            call(off_plane)
 
 
 def test_lattice_single_frequency_matches_direct(lattice_scene, monkeypatch):
@@ -673,9 +774,10 @@ def test_spread_moments_match_point_spread_oracles(lattice_scene, height):
     pts = pts[group.ravel()]
     ks = np.array([1.0 / height, K0])
     data = np.zeros((geom.n1, geom.n2, ks.size, 3, 3), dtype=complex)
-    _, lattice = migrate._lattice_sums(geom, data, ks, pts, np.arange(pts.shape[0])[None], layout)
+    _, lattice = migrate._lattice_sums(geom, data, ks, pts, np.arange(pts.shape[0])[None], layout,
+                                       2, True)
     recs = geom.flat_positions()
-    _, direct = migrate._direct_sums(recs, data.reshape(-1, ks.size, 3, 3), ks, pts)
+    _, direct = migrate._direct_sums(recs, data.reshape(-1, ks.size, 3, 3), ks, pts, 2, True)
     u_s = source.basis()
     r_s, rhat_s = migrate._pair_geometry(source.position[:, None] - pts.T)
     src = migrate._spread_moments(1.0 / (4 * np.pi * r_s[None]), r_s[None],
