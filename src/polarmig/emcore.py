@@ -44,19 +44,30 @@ def as_vec3(x) -> np.ndarray:
     return v
 
 
+def _distances(diff, scale, what: str = "points", axis: int = 0):
+    """Distances and unit vectors of separations ``diff``, components on ``axis``.
+
+    The one coincidence rule of the package: raises CoincidentPointsError
+    where ``r <= COINCIDENT_RTOL * scale``, with ``scale`` at least 1 and at
+    least the norm of either point of each pair (it broadcasts against ``r``).
+    ``diff`` is divided in place and returned as the unit vectors.
+    """
+    r = np.linalg.norm(diff, axis=axis)
+    if np.any(r <= COINCIDENT_RTOL * scale):
+        raise CoincidentPointsError(f"{what} are numerically coincident")
+    diff /= np.expand_dims(r, axis)
+    return r, diff
+
+
 def _separation(x, y):
-    """Return (x - y, |x - y|), raising if any pair is coincident."""
+    """``(|x - y|, (x - y) / |x - y|)``, components last, under the rule of :func:`_distances`."""
     x = as_vec3(x)
     y = as_vec3(y)
-    rvec = x - y
-    r = np.asarray(np.linalg.norm(rvec, axis=-1))
     scale = np.maximum(
         1.0,
         np.maximum(np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)),
     )
-    if np.any(r <= COINCIDENT_RTOL * scale):
-        raise CoincidentPointsError("points are numerically coincident")
-    return rvec, r
+    return _distances(x - y, scale, axis=-1)
 
 
 def _check_wavenumber(k):
@@ -67,7 +78,7 @@ def _check_wavenumber(k):
 def scalar_green(x, y, k):
     """Scalar Helmholtz Green function exp(i k r) / (4 pi r)."""
     _check_wavenumber(k)
-    _, r = _separation(x, y)
+    r, _ = _separation(x, y)
     return np.exp(1j * np.asarray(k) * r) / (4.0 * np.pi * r)
 
 
@@ -80,8 +91,7 @@ def dyadic_green(x, y, k):
     Broadcasts over leading axes of ``x`` and ``y``; ``k`` may broadcast too.
     """
     _check_wavenumber(k)
-    rvec, r = _separation(x, y)
-    rhat = rvec / r[..., None]
+    r, rhat = _separation(x, y)
     outer = rhat[..., :, None] * rhat[..., None, :]
     # k broadcasts against the point batch, ahead of the matrix axes
     r = r[..., None, None]
@@ -91,21 +101,31 @@ def dyadic_green(x, y, k):
     return g * ((1.0 + m) * np.eye(3) - (1.0 + 3.0 * m) * outer)
 
 
-def _conj_factors(conj_g, u):
-    """(conj A, conj B) of ``G = A I + B rhat rhat^T`` from ``conj(g)`` and ``u = 1 / (k r)``.
+def _kernel_table(n_out: int, n_in: int):
+    """Kernels and fold index for rows ``< n_out`` and columns ``< n_in`` of ``conj(G)``.
 
-    ``A = g (1 + m)``, ``B = -g (1 + 3 m)``, ``g = exp(i k r) / (4 pi r)``, ``m = i u - u^2``.
+    Rows and columns are those of I_3, or their first two, U_par.  Kernel 0 is
+    conj A and kernel 1 + m is conj B rhat_i rhat_l for the m-th pair (i <= l) of
+    ``pairs``; ``index[o, l]`` is the kernel of conj B rhat_o rhat_l.
     """
-    u2 = u * u
-    return conj_g * ((1.0 - u2) - 1j * u), conj_g * ((3.0 * u2 - 1.0) + 3j * u)
+    pairs = sorted({(min(o, l), max(o, l)) for o in range(n_out) for l in range(n_in)})
+    index = np.array([[1 + pairs.index((min(o, l), max(o, l))) for l in range(n_in)]
+                      for o in range(n_out)])
+    return pairs, index
 
 
-def _band_walk(r, ks, amp):
-    """``(u, conj(g))`` per wavenumber: ``u = 1 / (k r)``, ``conj(g) = amp exp(-i k r)``.
+def _kernel_walk(r, rhat, ks, amp, pairs, out):
+    """Write the kernels ``[conj A, conj B rhat_i rhat_l]`` into ``out`` for each wavenumber.
 
-    ``conj(g)`` steps by the band's mean spacing, which keeps its drift near
-    rounding.  Raises ValueError unless the wavenumbers are positive, finite
-    and evenly spaced to 1e-9 of the step, as ``FrequencyBand`` asks.
+    ``G = A I + B rhat rhat^T`` with ``A = g (1 + m)``, ``B = -g (1 + 3 m)``,
+    ``g = amp exp(i k r)`` and ``m = i u - u^2``, ``u = 1 / (k r)``; ``amp`` is
+    ``1 / (4 pi r)``, or zero to drop a term.  ``rhat`` has its components on
+    axis 0, ``pairs`` lists the products (i, l) wanted, and the caller's ``out``,
+    ``(1 + len(pairs),) + r.shape``, is overwritten before the band index is
+    yielded.  ``conj(g)`` steps by the band's mean spacing, which keeps its
+    drift near rounding.  Raises ValueError unless the wavenumbers are
+    positive, finite and evenly spaced to 1e-9 of the step, as
+    ``FrequencyBand`` asks.
     """
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or not np.all((ks > 0) & (ks < np.inf)):
@@ -113,10 +133,26 @@ def _band_walk(r, ks, amp):
     step = (ks[-1] - ks[0]) / (ks.size - 1) if ks.size > 1 else 0.0
     if np.any(np.abs(ks - ks[:1] - step * np.arange(ks.size)) > 1e-9 * abs(step)):
         raise ValueError("wavenumbers must be evenly spaced")
+    orient = np.stack([rhat[i] * rhat[l] for i, l in pairs])
+    del rhat  # a caller that drops its unit vectors frees them during the walk
     phase = np.exp(-1j * step * r) if step else 1.0
-    for i, k in enumerate(ks):
-        conj_g = conj_g * phase if i else amp * np.exp(-1j * k * r)
-        yield 1.0 / (k * r), conj_g
+    for fi, k in enumerate(ks):
+        conj_g = conj_g * phase if fi else amp * np.exp(-1j * k * r)
+        u = 1.0 / (k * r)
+        u2 = u * u
+        np.multiply(conj_g, (1.0 - u2) - 1j * u, out=out[:1])
+        np.multiply(conj_g * ((3.0 * u2 - 1.0) + 3j * u), orient, out=out[1:])
+        yield fi
+
+
+def _green_walk(r, rhat, ks):
+    """``G`` per wavenumber from checked distances and unit vectors (components on axis 0)."""
+    pairs, index = _kernel_table(3, 3)
+    kern = np.empty(np.shape(r) + (1 + len(pairs),), dtype=complex)
+    for _ in _kernel_walk(r, rhat, ks, 1.0 / (4.0 * np.pi * r), pairs, np.moveaxis(kern, -1, 0)):
+        g = np.conj(np.take(kern, index, axis=-1))
+        g[..., range(3), range(3)] += np.conj(kern[..., :1])
+        yield g
 
 
 def green_band(x, y, ks):
@@ -125,12 +161,8 @@ def green_band(x, y, ks):
     Geometry and coincidence are checked once, when iteration starts; then each
     wavenumber costs one phase step and the ``1/(kr)`` polynomial.
     """
-    rvec, r = _separation(x, y)
-    rhat = rvec / r[..., None]
-    outer = rhat[..., :, None] * rhat[..., None, :]
-    for u, conj_g in _band_walk(r, ks, 1.0 / (4.0 * np.pi * r)):
-        a, b = (np.conj(f)[..., None, None] for f in _conj_factors(conj_g, u))
-        yield a * np.eye(3) + b * outer
+    r, rhat = _separation(x, y)
+    yield from _green_walk(r, np.moveaxis(rhat, -1, 0), ks)
 
 
 def projector(x, y):
@@ -138,11 +170,10 @@ def projector(x, y):
 
     Symmetric, idempotent, rank 2: ``I - (x-y)(x-y)^T / |x-y|^2``.
     """
-    rvec, r = _separation(x, y)
-    squeeze = r.ndim == 0
+    _, rhat = _separation(x, y)
+    squeeze = rhat.ndim == 1
     if squeeze:
-        rvec, r = rvec[None, :], r[None]
-    rhat = rvec / r[..., None]
+        rhat = rhat[None, :]
     out = np.eye(3) - rhat[..., :, None] * rhat[..., None, :]
     return out[0] if squeeze else out
 
@@ -167,10 +198,9 @@ def source_basis(x_s, y0) -> np.ndarray:
     to get the first column, and complete with ``rhat x u1``.  Any fixed rule
     works; recovered tensors are reported in this basis.
     """
-    rvec, r = _separation(as_vec3(y0), as_vec3(x_s))
-    if rvec.ndim != 1:
+    _, rhat = _separation(y0, x_s)
+    if rhat.ndim != 1:
         raise ValueError("source_basis takes single points, not batches")
-    rhat = rvec / r
     e3 = np.array([0.0, 0.0, 1.0])
     e1 = np.array([1.0, 0.0, 0.0])
     seed = e3 if abs(rhat @ e3) < _BASIS_SEED_SWITCH else e1

@@ -5,12 +5,12 @@ class PolarmigError(Exception):
     """Base class for all package errors."""
 
 
-class CoincidentPointsError(PolarmigError, ValueError):
-    """Two points that must be distinct are numerically coincident."""
-
-
 class DegenerateGeometryError(PolarmigError, ValueError):
     """A geometric configuration (collinear triangle, flat array) is degenerate."""
+
+
+class CoincidentPointsError(DegenerateGeometryError):
+    """Two points that must be distinct are numerically coincident."""
 
 
 class NumericalError(PolarmigError, RuntimeError):

@@ -50,17 +50,18 @@ def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> n
     try:
         tails = _tails(scene, ks, single, double)
         tails = tails if u_s is None else tails @ u_s
-        out = np.zeros((recs.shape[0], ks.size, 3, tails.shape[-1]), dtype=complex)
+        rows = 3 if u_s is None else 2
+        out = np.zeros((recs.shape[0], ks.size, rows, tails.shape[-1]), dtype=complex)
         chunk = max(1, _CHUNK_TARGET // recs.shape[0])
         for lo in range(0, pos.shape[0], chunk):
             band = green_band(recs[:, None, :], pos[None, lo:lo + chunk, :], ks)
             for fi, g in enumerate(band):
-                out[:, fi] += np.einsum("rnij,njk->rik", g, tails[lo:lo + chunk, fi])
+                out[:, fi] += np.einsum("rnij,njk->rik", g[..., :rows, :], tails[lo:lo + chunk, fi])
     except CoincidentPointsError as exc:
         raise CoincidentPointsError(
             "a scatterer coincides with the source, a receiver or another scatterer"
         ) from exc
-    return out if u_s is None else out[..., :2, :]
+    return out
 
 
 def _response(scene: Scene, ks, single=True, double=False) -> np.ndarray:
@@ -100,15 +101,18 @@ def projected_incident(scene: Scene, k: float) -> np.ndarray:
     return gt.reshape(scene.geom.n1, scene.geom.n2, 2, 2)
 
 
-def _projected_transfer(scene: Scene, ks, include_second_born: bool = False):
-    """Projected total transfer ``Gtilde + Pitilde`` per receiver and band sample.
+def _transfer(scene: Scene, ks, recs, u_s=None, double: bool = False) -> np.ndarray:
+    """Total transfer, direct ``G(x_r, x_s)`` plus scattered, at ``recs`` per band sample.
 
-    Returns (nrec, nfreq, 2, 2) over the array's flattened receivers.
+    Returns (nrec, nfreq, 3, 3), or given the source basis ``u_s`` the
+    projected ``Gtilde + Pitilde``, (nrec, nfreq, 2, 2), whose direct term is
+    :func:`~polarmig.preprocess.gtilde` bitwise (addition commutes).
     """
-    src = scene.source
-    recs = scene.geom.flat_positions()
-    out = gtilde(recs, src.position, src.reference_point, ks)
-    out += _scattered(scene, ks, recs, True, include_second_born, src.basis())
+    out = _scattered(scene, ks, recs, True, double, u_s)
+    direct = np.empty_like(out)
+    for fi, g in enumerate(green_band(recs, scene.source.position, ks)):
+        direct[:, fi] = g if u_s is None else project(g, u_s)
+    out += direct
     return out
 
 
@@ -130,7 +134,8 @@ def coherency_synthesize(
     the incident, two cross, and scattered terms.  Hermitian by construction
     and positive semidefinite for a physical source coherency.
     """
-    m = _projected_transfer(scene, band.wavenumbers(scene.wave_speed), include_second_born)
+    m = _transfer(scene, band.wavenumbers(scene.wave_speed), scene.geom.flat_positions(),
+                  scene.source.basis(), include_second_born)
     m = m.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
     values = m @ scene.source.coherency_table(band.count) @ np.conj(np.swapaxes(m, -1, -2))
     return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)

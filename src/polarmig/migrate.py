@@ -19,9 +19,12 @@ data components in one matmul per frequency, taking only the rows and columns
 of ``conj(G)`` that the output and the data keep: preprocessed data
 ``U_par C u_s^H`` is migrated as its 2x2 core C, so recovery from it takes 4
 kernels x 4 components and an image 6 x 4, against 6 x 9 and 7 x 9 for 3x3
-data.  The kernels come from the band walk of :mod:`polarmig.emcore`, which
-also drives the synthesis through :func:`~polarmig.emcore.green_band`, as does
-the source leg here.
+data.  Everything about the kernels comes from :mod:`polarmig.emcore`: the
+kernel table, the band walk that writes the kernels in place into each
+engine's stack, the source leg's ``G``, and the one coincidence rule for
+imaging points against receivers and the source.  Each engine returns its
+sums for the whole band, and the band is contracted with the source leg,
+unwound and weighted at once.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import numpy as np
 
 from ._parallel import run_tasks
 from .dataset import ArrayDataSet
-from .emcore import (CROSS_RANGE_BASIS, _band_walk, _conj_factors, dyadic_green, green_band,
-                     project, projector)
+from .emcore import (CROSS_RANGE_BASIS, _distances, _green_walk, _kernel_table, _kernel_walk,
+                     as_vec3, dyadic_green, project, projector)
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
@@ -53,6 +56,10 @@ _SITE_TARGET = 40_000
 # Row steps are matched to the receiver pitch over subdivisions up to this.
 _MAX_SUBDIVISION = 12
 
+# Coincident pairs are named in errors by these labels.
+_RECEIVER_PAIR = "an imaging point and a receiver"
+_SOURCE_PAIR = "an imaging point and the source"
+
 # Row points must sit on their lattice to this many ulps of the largest
 # coordinate, so lattice offsets equal the direct ones to rounding.
 _LATTICE_ULPS = 64
@@ -65,7 +72,7 @@ DEFAULT_DELTA_REL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Green-function kernels shared by both engines and the source leg
+# Point-spread moments and the kernel fold shared by both engines
 # ---------------------------------------------------------------------------
 
 
@@ -88,30 +95,6 @@ def _spread_moments(amp, r, v, axis: int):
     return np.moveaxis(np.array([[iso + s11, s12], [s12, iso + s22]]), (0, 1, -1), (-2, -1, 0))
 
 
-def _kernel_table(n_out: int, n_in: int):
-    """Kernels and fold index for rows ``< n_out`` and columns ``< n_in`` of ``conj(G)``.
-
-    Rows and columns are those of I_3, or their first two, U_par.  Kernel 0 is
-    conj A and kernel 1 + m is conj B rhat_i rhat_l for the m-th pair (i <= l) of
-    ``pairs``; ``index[o, l]`` is the kernel of conj B rhat_o rhat_l.
-    """
-    pairs = sorted({(min(o, l), max(o, l)) for o in range(n_out) for l in range(n_in)})
-    index = np.array([[1 + pairs.index((min(o, l), max(o, l))) for l in range(n_in)]
-                      for o in range(n_out)])
-    return pairs, index
-
-
-def _orientations(rhat, pairs):
-    """The products rhat_i rhat_l of ``pairs``, stacked on axis -3."""
-    return np.stack([rhat[i] * rhat[l] for i, l in pairs], axis=-3)
-
-
-def _kernel_stack(conj_a, conj_b, orient, out):
-    """Fill ``out`` with the kernels ``[conj A, conj B rhat_i rhat_l]`` on axis -3."""
-    out[..., 0, :, :] = conj_a
-    np.multiply(conj_b[..., None, :, :], orient, out=out[..., 1:, :, :])
-
-
 def _fold(prods, index):
     """``sum_l (conj A delta_ol + conj B rhat_o rhat_l) D_lq`` from kernel x ``D_lq`` sums.
 
@@ -126,19 +109,10 @@ def _fold(prods, index):
     return acc
 
 
-def _pair_geometry(diff):
-    """Distances and unit vectors of separations ``diff``, components on axis 0."""
-    r = np.linalg.norm(diff, axis=0)
-    if np.any(r <= 0):
-        raise DegenerateGeometryError("imaging point coincides with a receiver or source")
-    return r, diff / r
-
-
 def _as_points(points) -> tuple[np.ndarray, bool]:
-    p = np.asarray(points, dtype=float)
-    if p.ndim == 1:
-        return p[None, :], True
-    return p, False
+    """Finite points as (npts, 3), leading axes flattened, and whether one point was given."""
+    p = as_vec3(points)
+    return p.reshape(-1, 3), p.ndim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +120,17 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_sums(recs, data, ks, pts, n_out: int, moments: bool):
+def _direct_sums(recs, data, ks, pts, n_out: int, moments: bool, scale: float):
     """Per-frequency backpropagation sums and receiver spread moments by direct pairs.
 
     ``data`` is (receivers, nfreq, n_in, n_col) with rows in I_3 (n_in = 3) or
     U_par (n_in = 2); the sums are the first ``n_out`` rows of ``conj(G) data``,
-    (nfreq, points, n_out, n_col).  Each block of ``_RECEIVER_BLOCK`` receivers
-    computes its pair geometry, and spread moments if asked (else None is
-    returned for them), once and adds one ``(kernels x points x block) @ (block x
-    n_in n_col)`` matmul per frequency; blocks are summed in order, so memory is
-    bounded by the block and rounding does not depend on threads.
+    (nfreq, points, n_out, n_col); ``scale`` is the coincidence scale of
+    :func:`~polarmig.emcore._distances`.  Each block of ``_RECEIVER_BLOCK``
+    receivers computes its pair geometry, and spread moments if asked (else None
+    is returned for them), once and adds one ``(kernels x points x block) @
+    (block x n_in n_col)`` matmul per frequency; blocks are summed in order, so
+    memory is bounded by the block and rounding does not depend on threads.
     """
     n_pts, nfreq = pts.shape[0], ks.size
     n_in, n_col = data.shape[-2:]
@@ -164,14 +139,12 @@ def _direct_sums(recs, data, ks, pts, n_out: int, moments: bool):
     spread = np.zeros((3, n_pts, 2, 2)) if moments else None
     for lo in range(0, recs.shape[0], _RECEIVER_BLOCK):
         hi = min(lo + _RECEIVER_BLOCK, recs.shape[0])
-        r, rhat = _pair_geometry(recs[lo:hi].T[:, None, :] - pts.T[:, :, None])
-        orient = _orientations(rhat, pairs)
+        r, rhat = _distances(recs[lo:hi].T[:, None, :] - pts.T[:, :, None], scale, _RECEIVER_PAIR)
         amp = 1.0 / (4.0 * np.pi * r)
         if moments:
             spread += _spread_moments(amp, r, rhat[:2], 1)
         kern = np.empty((1 + len(pairs), n_pts, hi - lo), dtype=complex)
-        for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
-            _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
+        for fi in _kernel_walk(r, rhat, ks, amp, pairs, kern):
             prods[fi] += kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, n_in * n_col)
     prods = prods.reshape(nfreq, 1 + len(pairs), n_pts, n_in, n_col).swapaxes(1, 2)
     return _fold(prods, index), spread
@@ -267,13 +240,13 @@ def _lattice_rows(pts, geom: ArrayGeom):
 
 
 def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_out: int,
-                  moments: bool):
+                  moments: bool, scale: float):
     """Per-frequency backpropagation sums and receiver spread moments for lattice rows.
 
     ``data`` is (n1, n2, nfreq, n_in, n_col) and ``rows`` a (rows, length)
-    array of point indices, each row sorted along ``layout.axis``; ``n_out``
-    and ``moments`` are as for :func:`_direct_sums`.  For row point p and
-    receiver (i, j), with i along the row axis and j across it, the Green
+    array of point indices, each row sorted along ``layout.axis``; ``n_out``,
+    ``moments`` and ``scale`` are as for :func:`_direct_sums`.  For row point p
+    and receiver (i, j), with i along the row axis and j across it, the Green
     function depends on the lag ``p stride - i sub`` and on j alone.  The
     kernel is evaluated once per (j, lag) site, the sum over i is a circular
     convolution over an FFT length that holds every lag without wrap-around,
@@ -297,47 +270,41 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
     takes = ((gap >= 0) & (gap <= (n_along - 1) * sub) & (gap % sub == 0)).astype(float)
     realized = takes.any(axis=1)
 
-    # x_r - y per (row, j, lag) site, by component
+    # x_r - y per (row, j, lag) site, components on axis 0
     start = pts[rows[:, 0]]
-    d_along = ((grid[0, 0, axis] - start[:, axis])[:, None]
-               - lag * (geom.spacing[axis] / sub))[:, None, :]
-    d_across = (grid[0, :, other] - start[:, other, None])[:, :, None]
-    d_range = -start[:, 2, None, None]
-    r = np.sqrt(d_along**2 + d_across**2 + d_range**2)
-    near = r <= _lattice_atol(pts, geom)
-    if np.any(near & realized):
-        raise DegenerateGeometryError("imaging point coincides with a receiver or source")
+    diff = [None, None, -start[:, 2, None, None]]
+    diff[axis] = ((grid[0, 0, axis] - start[:, axis])[:, None]
+                  - lag * (geom.spacing[axis] / sub))[:, None, :]
+    diff[other] = (grid[0, :, other] - start[:, other, None])[:, :, None]
+    diff = np.stack(np.broadcast_arrays(*diff))
     # lags no (point, receiver) pair takes, and FFT padding, get a zero kernel
-    live = realized & ~near
-    r = np.where(live, r, 1.0)
-    rhat = [None, None, d_range / r]
-    rhat[axis], rhat[other] = d_along / r, d_across / r
-    orient = _orientations(rhat, pairs)
-    amp = np.where(live, 1.0 / (4.0 * np.pi * r), 0.0)
+    diff[..., ~realized] = 1.0
+    r, rhat = _distances(diff, scale, _RECEIVER_PAIR)
+    amp = np.where(realized, 1.0 / (4.0 * np.pi * r), 0.0)
     spread = None
     if moments:
         # (3, rows, lag, 2, 2) -> (3, rows, 2, 2, point) -> (3, rows x point, 2, 2)
         spread = np.moveaxis(_spread_moments(amp, r, rhat[:2], 1), 2, -1) @ takes
         spread = np.moveaxis(spread, -1, 2).reshape(3, n_rows * length, 2, 2)
 
-    def sums():
-        n_kern, n_data = 1 + len(pairs), n_in * n_col
-        lattice_data = np.zeros((nfft, n_across, n_data), dtype=complex)
-        kern = np.empty((n_rows, n_kern, n_across, nfft), dtype=complex)
-        # spatial frequency first, so the matmul below batches over it
-        kern_hat = np.empty((nfft, n_rows, n_kern, n_across), dtype=complex)
-        for fi, (u, conj_g) in enumerate(_band_walk(r, ks, amp)):
-            _kernel_stack(*_conj_factors(conj_g, u), orient, kern)
-            np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
-            lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, -1)
-            data_hat = np.fft.fft(lattice_data, axis=0)
-            # prods[x, (row, m), (l, q)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, q]
-            prods = kern_hat.reshape(nfft, n_rows * n_kern, n_across) @ data_hat
-            acc = _fold(prods.reshape(nfft, n_rows, n_kern, n_in, n_col), index)
-            acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride]
-            yield acc.swapaxes(0, 1).reshape(-1, n_out, n_col)
-
-    return sums(), spread
+    n_kern, n_data = 1 + len(pairs), n_in * n_col
+    sums = np.empty((ks.size, n_rows * length, n_out, n_col), dtype=complex)
+    lattice_data = np.zeros((nfft, n_across, n_data), dtype=complex)
+    kern = np.empty((n_rows, n_kern, n_across, nfft), dtype=complex)
+    # spatial frequency first, so the matmul below batches over it
+    kern_hat = np.empty((nfft, n_rows, n_kern, n_across), dtype=complex)
+    walk = _kernel_walk(r, rhat, ks, amp, pairs, kern.swapaxes(0, 1))
+    del diff, rhat  # the walk keeps only their orientation products
+    for fi in walk:
+        np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
+        lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, -1)
+        data_hat = np.fft.fft(lattice_data, axis=0)
+        # prods[x, (row, m), (l, q)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, q]
+        prods = kern_hat.reshape(nfft, n_rows * n_kern, n_across) @ data_hat
+        acc = _fold(prods.reshape(nfft, n_rows, n_kern, n_in, n_col), index)
+        acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride]
+        sums[fi] = acc.swapaxes(0, 1).reshape(-1, n_out, n_col)
+    return sums, spread
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +322,8 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
     per-frequency recovered tensors for "exact", (npts, 2, 2) in the
     (cross-range, ``u_s``) bases.  The receiver sums take only the rows and
     columns of ``conj(G)`` that these bases keep.  Work is split into
-    lattice-row chunks and direct point chunks of fixed size, each summing its
-    frequencies in order, so results do not depend on threads.
+    lattice-row chunks and direct point chunks of fixed size, so results do
+    not depend on threads.
     """
     cell = geom.cell_area
     recs = geom.flat_positions()
@@ -364,6 +331,8 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
     exact = mode == "exact"
     flat = data.reshape(-1, ks.size, *data.shape[-2:])
     out = np.zeros((pts.shape[0], n_out, n_out), dtype=complex)
+    # the coincidence scale: at least 1 and every receiver, point and source norm
+    scale = np.linalg.norm(np.concatenate([recs, pts, x_s[None]]), axis=1).max(initial=1.0)
 
     tasks = []
     rows, rest = _lattice_rows(pts, geom)
@@ -373,17 +342,25 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
         n_chunks = min(group.shape[0], -(-group.shape[0] * sites // _SITE_TARGET))
         for chunk in np.array_split(group, n_chunks):
             tasks.append((chunk.ravel(), partial(_lattice_sums, geom, data, ks, pts, chunk,
-                                                 layout, n_out, exact)))
+                                                 layout, n_out, exact, scale)))
     size = max(1, _PAIR_TARGET // recs.shape[0])
     for lo in range(0, rest.size, size):
         idx = rest[lo:lo + size]
-        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], n_out, exact)))
+        tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], n_out, exact, scale)))
 
     def accumulate(task):
         idx, sums = task
         per_freq, rec_moments = sums()
-        r_s, rhat_s = _pair_geometry(x_s[:, None] - pts[idx].T)
-        total = np.zeros((idx.size, n_out, n_out), dtype=complex)
+        r_s, rhat_s = _distances(x_s[:, None] - pts[idx].T, scale, _SOURCE_PAIR)
+        # the source leg over the band, in the bases of the data columns and of the output
+        src = np.conj(np.stack(list(_green_walk(r_s, rhat_s, ks))))
+        if data.shape[-2] == 2:
+            src = np.conj(u_s).T @ src
+        if n_out == 2:
+            src = src @ u_s
+        # the products of tiny matrices below are einsum loops, not BLAS calls:
+        # BLAS threads started here competed with the chunk threads
+        ikm = cell * np.einsum("fpij,fpjk->fpik", per_freq, src)
         if exact:
             # one source pair per point; u_s^T conj(G) G u_s needs only v = u_s^T rhat_s
             powers = ks[:, None] ** np.array([0.0, -2.0, -4.0])
@@ -393,19 +370,8 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
             b2 = np.tensordot(powers, src_moments, 1)
             _guard_cond(a2, "receiver point-spread factor")
             _guard_cond(b2, "source point-spread factor")
-            inv_a2, inv_b2 = _inv_2x2(a2), _inv_2x2(b2)
-        for fi, (acc, g_s) in enumerate(zip(per_freq, green_band(x_s, pts[idx], ks))):
-            # the source leg in the bases of the data columns and of the output
-            src = np.conj(g_s)
-            if data.shape[-2] == 2:
-                src = np.conj(u_s).T @ src
-            if n_out == 2:
-                src = src @ u_s
-            ikm = cell * acc @ src
-            if exact:
-                ikm = inv_a2[fi] @ ikm @ inv_b2[fi]
-            total += weights[fi] * ikm
-        out[idx] = total
+            ikm = np.einsum("fpij,fpjk,fpkl->fpil", _inv_2x2(a2), ikm, _inv_2x2(b2))
+        out[idx] = np.einsum("f,f...->...", weights, ikm)
 
     run_tasks(accumulate, tasks)
     return out
@@ -423,7 +389,7 @@ def kirchhoff_single(data, geom: ArrayGeom, x_s, k: float, points) -> np.ndarray
     if data.shape != (geom.n1, geom.n2, 3, 3):
         raise ValueError(f"data shape {data.shape} does not match the array geometry")
     image = _migrate(
-        geom, np.asarray(x_s, dtype=float), data[:, :, None], np.array([float(k)]),
+        geom, as_vec3(x_s), data[:, :, None], np.array([float(k)]),
         np.ones(1), pts,
     )
     return image[0] if squeeze else image

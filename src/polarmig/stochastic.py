@@ -31,8 +31,7 @@ import numpy as np
 
 from .dataset import ArrayDataSet, _header_field, _read_container, _write_container
 from .errors import DatasetFormatError
-from .emcore import green_band
-from .forward import _projected_transfer, _scattered
+from .forward import _transfer
 from .scene import FrequencyBand, Scene
 
 TWO_PI = 2.0 * np.pi
@@ -201,20 +200,11 @@ def synth_source(spec: SourceProcessSpec, basis: np.ndarray, rng=None) -> TimeSi
 # ---------------------------------------------------------------------------
 
 
-def _transfer_matrices(scene: Scene, omegas: np.ndarray, receivers: np.ndarray):
-    """Direct plus scattered 3x3 transfer matrices on a uniform band, (nrec, nfreq, 3, 3)."""
-    ks = omegas / scene.wave_speed
-    out = _scattered(scene, ks, receivers)
-    for fi, g in enumerate(green_band(receivers, scene.source.position, ks)):
-        out[:, fi] += g
-    return out
-
-
 def _active_transfer(scene: Scene, omegas, active, receivers):
-    """:func:`_transfer_matrices` at ``active`` bins, taken over the uniform span holding them."""
+    """3x3 transfer at ``active`` bins, taken over the uniform span holding them."""
     idx = np.flatnonzero(active)
     span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0)
-    return _transfer_matrices(scene, omegas[span], receivers)[:, active[span]]
+    return _transfer(scene, omegas[span] / scene.wave_speed, receivers)[:, active[span]]
 
 
 def _propagate_bins(transfer, j_hat, active, n_pad: int, dt: float) -> np.ndarray:
@@ -367,7 +357,8 @@ def stochastic_coherency_dataset(
     duration = 2.0 * spec.half_duration
 
     # projected 2x2 transfer at the picked bins only
-    transfer = _projected_transfer(scene, omegas[picked] / scene.wave_speed)
+    transfer = _transfer(scene, omegas[picked] / scene.wave_speed, scene.geom.flat_positions(),
+                         scene.source.basis())
 
     seeds = np.random.SeedSequence(spec.seed).spawn(realizations)
     psi = np.zeros_like(transfer)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig.emcore import CROSS_RANGE_BASIS, embed, green_band, project
+from polarmig.emcore import (CROSS_RANGE_BASIS, _kernel_table, _kernel_walk, embed, green_band,
+                             project)
 from polarmig.scene import DEFAULT_WAVE_SPEED
 
 from conftest import BANDWIDTH, K0, L, LAMBDA0, OMEGA0, bench_source
@@ -274,6 +275,28 @@ def test_green_band_matches_dyadic_green_across_128_bins():
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
         count += 1
     assert count == ks.size
+
+
+@pytest.mark.parametrize("n_out, n_in", [(3, 3), (2, 2), (3, 2)])
+def test_kernel_walk_matches_dyadic_green_across_128_bins(n_out, n_in):
+    # the kernels of the rows and columns kept, written in place, rebuild
+    # conj(G); dyadic_green rounds its phase k r by about eps kr, so the
+    # points sit 20 wavelengths above the array (kr <= 276)
+    recs = pm.ArrayGeom(side=20 * LAMBDA0, n1=31, n2=31).flat_positions()
+    pts = np.array([[0.0, 0.0, 20 * LAMBDA0], [3 * LAMBDA0, -7 * LAMBDA0, 18 * LAMBDA0]])
+    ks = pm.FrequencyBand(center=OMEGA0, width=BANDWIDTH, count=128).wavenumbers(DEFAULT_WAVE_SPEED)
+    diff = recs.T[:, None, :] - pts.T[:, :, None]
+    r = np.linalg.norm(diff, axis=0)
+    pairs, index = _kernel_table(n_out, n_in)
+    out = np.empty((1 + len(pairs),) + r.shape, dtype=complex)
+    seen = []
+    for fi in _kernel_walk(r, diff / r, ks, 1.0 / (4 * np.pi * r), pairs, out):
+        seen.append(fi)
+        ref = np.conj(pm.dyadic_green(recs[None], pts[:, None], ks[fi]))[..., :n_out, :n_in]
+        got = np.moveaxis(out[index], (0, 1), (-2, -1))
+        got[..., range(min(n_out, n_in)), range(min(n_out, n_in))] += out[0][..., None]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert seen == list(range(ks.size))
 
 
 def test_green_band_one_sample_empty_band_and_coincident_points():

@@ -602,17 +602,17 @@ def test_kernel_sets_follow_the_data_and_output_bases(lattice_scene, lattice_sce
     pre = lattice_scene_preprocessed[1]
     pts = _engine_points(scene, engine)
     stacks, moment_calls = [], []
-    kernel_stack, spread_moments = migrate._kernel_stack, migrate._spread_moments
+    kernel_walk, spread_moments = migrate._kernel_walk, migrate._spread_moments
 
-    def spy_stack(conj_a, conj_b, orient, out):
-        stacks.append(out.shape[-3])
-        kernel_stack(conj_a, conj_b, orient, out)
+    def spy_walk(r, rhat, ks, amp, pairs, out):
+        stacks.append(out.shape[0])
+        return kernel_walk(r, rhat, ks, amp, pairs, out)
 
     def spy_moments(*args):
         moment_calls.append(1)
         return spread_moments(*args)
 
-    monkeypatch.setattr(migrate, "_kernel_stack", spy_stack)
+    monkeypatch.setattr(migrate, "_kernel_walk", spy_walk)
     monkeypatch.setattr(migrate, "_spread_moments", spy_moments)
     for ds, kernels in [(resp, {"image": 7, "exact": 6, "fraunhofer": 6}),
                         (pre, {"image": 6, "exact": 4, "fraunhofer": 4})]:
@@ -746,6 +746,50 @@ def test_line_profile_through_receiver_raises(lattice_scene, pitch_fraction):
         pm.kirchhoff_band(resp, pts)
 
 
+@pytest.mark.parametrize("engine", ["lattice", "direct"])
+@pytest.mark.parametrize("offset", [0.0, 1e-16, 1e-14])
+@pytest.mark.parametrize("target", ["receiver", "source"])
+def test_near_coincident_point_raises(lattice_scene, target, offset, engine):
+    # one rule, COINCIDENT_RTOL times the coordinate scale, on both engines and
+    # the source leg, for every mode
+    scene, resp = lattice_scene
+    center = scene.geom.positions()[3, 5] if target == "receiver" else scene.source.position
+    center = center + [0.0, 0.0, offset]
+    if engine == "lattice":
+        pts = np.tile(center, (13, 1))
+        pts[:, 0] += scene.geom.spacing[0] / 2 * np.arange(-6, 7)
+    else:
+        pts = np.stack([center, _OFF_LATTICE[0]])
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert bool(rows) == (engine == "lattice") and bool(rest.size) == (engine == "direct")
+    match = "a receiver" if target == "receiver" else "the source"
+    for mode in ("image", "exact", "fraunhofer"):
+        with pytest.raises(pm.CoincidentPointsError, match=match):
+            migrate._migrate_band(resp, pts, mode)
+
+
+_BAD_POINTS = {
+    "two components": np.zeros((4, 2)),
+    "infinite": [[0.0, 0.0, L], [np.inf, 0.0, L]],
+    "nan": [[0.0, 0.0, L], [0.0, np.nan, L]],
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_POINTS))
+@pytest.mark.parametrize("call", ["kirchhoff_single", "kirchhoff_band", "recover_alpha_field"])
+def test_bad_points_are_refused_before_migration(lattice_scene, call, bad, monkeypatch):
+    scene, resp = lattice_scene
+    calls = {
+        "kirchhoff_single": lambda pts: pm.kirchhoff_single(
+            resp.values[:, :, 0], scene.geom, scene.source.position, resp.wavenumbers[0], pts),
+        "kirchhoff_band": lambda pts: pm.kirchhoff_band(resp, pts),
+        "recover_alpha_field": lambda pts: pm.recover_alpha_field(resp, pts),
+    }
+    monkeypatch.setattr(migrate, "_migrate", lambda *args: pytest.fail("points reached _migrate"))
+    with pytest.raises(ValueError, match="trailing axis of length 3|non-finite"):
+        calls[call](_BAD_POINTS[bad])
+
+
 def test_recover_unknown_mode_raises(lattice_scene):
     _, resp = lattice_scene
     with pytest.raises(ValueError, match="unknown recovery mode"):
@@ -774,12 +818,16 @@ def test_spread_moments_match_point_spread_oracles(lattice_scene, height):
     pts = pts[group.ravel()]
     ks = np.array([1.0 / height, K0])
     data = np.zeros((geom.n1, geom.n2, ks.size, 3, 3), dtype=complex)
-    _, lattice = migrate._lattice_sums(geom, data, ks, pts, np.arange(pts.shape[0])[None], layout,
-                                       2, True)
     recs = geom.flat_positions()
-    _, direct = migrate._direct_sums(recs, data.reshape(-1, ks.size, 3, 3), ks, pts, 2, True)
+    scale = np.linalg.norm(np.concatenate([recs, pts]), axis=1).max()
+    _, lattice = migrate._lattice_sums(geom, data, ks, pts, np.arange(pts.shape[0])[None], layout,
+                                       2, True, scale)
+    _, direct = migrate._direct_sums(recs, data.reshape(-1, ks.size, 3, 3), ks, pts, 2, True,
+                                     scale)
     u_s = source.basis()
-    r_s, rhat_s = migrate._pair_geometry(source.position[:, None] - pts.T)
+    diff = source.position[:, None] - pts.T
+    r_s = np.linalg.norm(diff, axis=0)
+    rhat_s = diff / r_s
     src = migrate._spread_moments(1.0 / (4 * np.pi * r_s[None]), r_s[None],
                                   (u_s.T @ rhat_s)[:, None], 0)
     for k in ks:

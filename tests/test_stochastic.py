@@ -356,10 +356,10 @@ def test_ergodicity_variance_of_variance_scaling():
     omegas = spectrum_grid(n_pad, spec.dt)
     power = spec.spectrum(omegas)
     active = (omegas > 0) & (power > 1e-12 * power.max())
-    from polarmig.stochastic import _transfer_matrices
+    from polarmig.forward import _transfer
 
     rec = scene.geom.flat_positions()[:1]
-    transfer = _transfer_matrices(scene, omegas[active], rec)
+    transfer = _transfer(scene, omegas[active] / scene.wave_speed, rec)
     u_s = scene.source.basis()
     pool = []
     for seed in range(120):
