@@ -26,6 +26,10 @@ from .errors import CoincidentPointsError, DegenerateGeometryError
 # treated as coincident; guards the 1/r singularity.
 COINCIDENT_RTOL = 1e-12
 
+# Largest coordinate magnitude accepted, in meters.  Distances between points
+# beyond about 1e154 m overflow when squared; this leaves room for k r too.
+MAX_COORDINATE = 1e150
+
 # Cross-range basis [e1, e2] of the receiver plane, as a 3x2 matrix.
 CROSS_RANGE_BASIS = np.eye(3)[:, :2].copy()
 CROSS_RANGE_BASIS.setflags(write=False)
@@ -35,12 +39,17 @@ _BASIS_SEED_SWITCH = 0.9
 
 
 def as_vec3(x) -> np.ndarray:
-    """Coerce to a float array whose trailing axis has length 3."""
+    """Coerce to a finite float array whose trailing axis has length 3.
+
+    Components beyond ``MAX_COORDINATE`` are refused with a ValueError.
+    """
     v = np.asarray(x, dtype=float)
     if v.shape[-1:] != (3,):
         raise ValueError(f"expected trailing axis of length 3, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("position has non-finite components")
+    if np.any(np.abs(v) > MAX_COORDINATE):
+        raise ValueError(f"position has a component beyond {MAX_COORDINATE:.0e} m")
     return v
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .dataset import ArrayDataSet
 from .emcore import green_band, project
 from .errors import CoincidentPointsError
-from .preprocess import gtilde
+from .preprocess import _mul_2x2, gtilde
 from .scene import FrequencyBand, Scene
 
 # Scatterer chunk size keeping the (receivers, chunk, 3, 3) Green block small.
@@ -56,7 +56,10 @@ def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> n
         for lo in range(0, pos.shape[0], chunk):
             band = green_band(recs[:, None, :], pos[None, lo:lo + chunk, :], ks)
             for fi, g in enumerate(band):
-                out[:, fi] += np.einsum("rnij,njk->rik", g[..., :rows, :], tails[lo:lo + chunk, fi])
+                # one (receivers.rows, scatterers.3) @ (scatterers.3, cols) GEMM per bin
+                lhs = g[..., :rows, :].transpose(0, 2, 1, 3).reshape(recs.shape[0] * rows, -1)
+                rhs = tails[lo:lo + chunk, fi].reshape(-1, tails.shape[-1])
+                out[:, fi] += (lhs @ rhs).reshape(recs.shape[0], rows, -1)
     except CoincidentPointsError as exc:
         raise CoincidentPointsError(
             "a scatterer coincides with the source, a receiver or another scatterer"
@@ -137,5 +140,6 @@ def coherency_synthesize(
     m = _transfer(scene, band.wavenumbers(scene.wave_speed), scene.geom.flat_positions(),
                   scene.source.basis(), include_second_born)
     m = m.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
-    values = m @ scene.source.coherency_table(band.count) @ np.conj(np.swapaxes(m, -1, -2))
+    js = scene.source.coherency_table(band.count)
+    values = _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
     return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)

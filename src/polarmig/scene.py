@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .emcore import as_vec3, source_basis
+from .emcore import MAX_COORDINATE, as_vec3, source_basis
 from .errors import ConfigError, NumericalError
 
 #: Wave speed used by every preset (vacuum light speed, rounded as is
@@ -101,6 +101,8 @@ class ArrayGeom:
     def __post_init__(self):
         if not 0 < self.side < np.inf:
             raise ValueError("array side must be positive and finite")
+        if self.side > MAX_COORDINATE:
+            raise ValueError(f"array side is beyond {MAX_COORDINATE:.0e} m")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("need at least 2 receivers per axis")
 

@@ -319,3 +319,23 @@ def test_green_band_one_sample_empty_band_and_coincident_points():
 def test_green_band_rejects_bad_wavenumbers(ks, message):
     with pytest.raises(ValueError, match=message):
         next(green_band([0.3, -0.2, L], bench_source().position, ks))
+
+
+def test_coordinates_beyond_the_limit_are_refused():
+    # beyond ~1e154 m squared distances overflow, so every pair would read as
+    # coincident; positions and array sides past MAX_COORDINATE are refused
+    far = [1e160, 0.0, 1.0]
+    geom = pm.ArrayGeom(side=20 * LAMBDA0, n1=5, n2=5)
+    src = bench_source()
+    zeros = np.zeros((5, 5, 3, 3), dtype=complex)
+    with pytest.raises(ValueError, match=r"beyond 1e\+150 m"):
+        pm.kirchhoff_single(zeros, geom, src.position, K0, far)
+    with pytest.raises(ValueError, match=r"beyond 1e\+150 m"):
+        pm.dyadic_green(far, [0.0, 0.0, 0.0], K0)
+    with pytest.raises(ValueError, match=r"beyond 1e\+150 m"):
+        pm.SourceSpec(position=far, reference_point=[0.0, 0.0, L])
+    with pytest.raises(ValueError, match=r"beyond 1e\+150 m"):
+        pm.ArrayGeom(side=1e160, n1=5, n2=5)
+    # at the limit the Green function is still finite
+    g = pm.dyadic_green([1e150, 0.0, 1.0], [0.0, 0.0, 0.0], K0)
+    assert np.all(np.isfinite(g))

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig import forward
+from polarmig.emcore import CROSS_RANGE_BASIS
 from polarmig.forward import projected_incident, projected_response
 
 from conftest import (
@@ -217,3 +219,25 @@ def test_cube_scene_counts_and_bounds():
     pos8 = np.stack([s.position for s in single])
     dists = np.linalg.norm(pos8[:, None] - pos8[None, :], axis=-1)
     assert dists[~np.eye(8, dtype=bool)].min() >= 1.0 - 1e-12
+
+
+def test_transfer_matches_explicit_green_sums(monkeypatch):
+    # independent of _scattered: G(x_r, x_s) + sum_n G(x_r, y_n) alpha_n G(y_n, x_s)
+    # from dyadic_green per wavenumber, against the chunked GEMM receiver sum
+    scene = three_dipole_scene(n=5)
+    recs = scene.geom.flat_positions()
+    ks = band(3).wavenumbers(scene.wave_speed)
+    u_s = scene.source.basis()
+    monkeypatch.setattr(forward, "_CHUNK_TARGET", 2 * recs.shape[0])  # chunks of 2 and 1
+    x_s = scene.source.position
+    ref = np.empty((recs.shape[0], ks.size, 3, 3), dtype=complex)
+    for fi, k in enumerate(ks):
+        ref[:, fi] = pm.dyadic_green(recs, x_s, k)
+        for s in scene.scatterers:
+            ref[:, fi] += pm.dyadic_green(recs, s.position, k) @ s.alpha @ pm.dyadic_green(
+                s.position, x_s, k)
+    full = forward._transfer(scene, ks, recs)
+    proj = forward._transfer(scene, ks, recs, u_s)
+    ref_proj = CROSS_RANGE_BASIS.T @ ref @ u_s
+    assert np.abs(full - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(proj - ref_proj).max() <= 1e-13 * np.abs(ref_proj).max()

@@ -6,7 +6,9 @@ import pytest
 import polarmig as pm
 from polarmig.emcore import CROSS_RANGE_BASIS
 from polarmig.forward import projected_response
-from polarmig.preprocess import GTILDE_COND_LIMIT
+from polarmig.errors import NumericalError
+from polarmig.migrate import _guard_cond
+from polarmig.preprocess import GTILDE_COND_LIMIT, _cond_2x2, _mul_2x2
 
 from conftest import (
     ALPHA_1,
@@ -74,12 +76,60 @@ def test_gtilde_scaling_with_wavenumber():
 
 
 def test_preprocess_incident_only_is_zero():
+    # synthesis M Js M^* and preprocessing Gt Js Gt^* run the same products,
+    # so a scene without scatterers cancels exactly
     scene = bench_scene([], n=5)
+    js = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+    scene = pm.Scene(
+        source=pm.SourceSpec(scene.source.position, scene.source.reference_point, js),
+        geom=scene.geom, window=scene.window, scatterers=[],
+    )
     ds = pm.coherency_synthesize(scene, band(3))
     pre, report = pm.preprocess(ds)
-    gt_scale = np.abs(ds.values).max()
-    assert np.abs(pre.values).max() < 1e-12 * gt_scale
+    assert np.abs(ds.values).max() > 0
+    assert np.all(pre.values == 0)
     assert report.regularized_count == 0
+
+
+def _with_condition(rng, c, count=200):
+    """``count`` matrices ``3 U diag(1, 1/c) V^*`` with random unitary U and V."""
+    z = rng.standard_normal((2, count, 2, 2)) + 1j * rng.standard_normal((2, count, 2, 2))
+    u, v = np.linalg.qr(z)[0]
+    s = np.array([1.0, 1.0 / c])
+    return 3.0 * (u * s) @ np.conj(np.swapaxes(v, -1, -2))
+
+
+@pytest.mark.parametrize("c", [1e2, 1e4, 1e6, 1e8])
+def test_cond_2x2_matches_svd(rng, c):
+    a = _with_condition(rng, c)
+    sv = np.linalg.svd(a, compute_uv=False)
+    ref = sv[:, 0] / sv[:, 1]
+    assert np.abs(_cond_2x2(a) / ref - 1).max() < 1e-6
+
+
+def test_cond_2x2_singular_and_identity():
+    assert _cond_2x2(np.zeros((2, 2), dtype=complex)) == np.inf
+    assert _cond_2x2(np.array([[1, 2], [2, 4]], dtype=complex)) == np.inf
+    assert _cond_2x2(np.eye(2, dtype=complex)) == 1.0
+
+
+def test_guard_cond_limit_is_read_sharply(rng):
+    _guard_cond(_with_condition(rng, 5e7)[None], "test factor")
+    with pytest.raises(NumericalError, match="test factor"):
+        _guard_cond(_with_condition(rng, 2e8)[None], "test factor")
+
+
+def test_mul_2x2_matches_matmul_on_broadcast_shapes(rng):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, js = cplx(3, 4, 5, 2, 2), cplx(5, 2, 2)
+    ah = np.swapaxes(a.conj(), -1, -2)  # a strided, conj-transposed operand
+    for x, y in [(a, js), (a, ah), (ah, a), (js, a)]:
+        ref = x @ y
+        got = _mul_2x2(x, y)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_preprocess_exact_identity():
