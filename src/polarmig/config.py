@@ -53,6 +53,20 @@ def _parse_count(value, where: str) -> int:
     raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
+def _parse_number(value, where: str) -> float:
+    """A JSON number; a bool or string is refused, not coerced."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
+def _parse_flag(value, where: str) -> bool:
+    """A JSON boolean; a string such as "false" is refused, not read by truthiness."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected true or false, got {value!r}")
+
+
 def _parse_point(value, lambda0: float, where: str) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where}: expected a 3-component point")
@@ -124,15 +138,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     with _section("wave_speed"):
-        wave_speed = float(raw.get("wave_speed", DEFAULT_WAVE_SPEED))
+        wave_speed = _parse_number(raw.get("wave_speed", DEFAULT_WAVE_SPEED), "wave_speed")
     # checked before lambda0 = 2 pi wave_speed / center scales every length
     if not 0.0 < wave_speed < math.inf:
         raise ConfigError("wave_speed: must be positive and finite")
     with _section("band"):
         band_raw = raw["band"]
         band = FrequencyBand(
-            center=TWO_PI * float(band_raw["center_hz"]),
-            width=TWO_PI * float(band_raw.get("width_hz", 0.0)),
+            center=TWO_PI * _parse_number(band_raw["center_hz"], "band.center_hz"),
+            width=TWO_PI * _parse_number(band_raw.get("width_hz", 0.0), "band.width_hz"),
             count=_parse_count(band_raw["count"], "band.count"),
         )
     lambda0 = TWO_PI * wave_speed / band.center
@@ -220,10 +234,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         pipe = raw.get("pipeline", {})
         gamma = _parse_count(pipe.get("gamma", 3), "pipeline.gamma")
         mode = pipe.get("recover_mode", "exact")
-        delta_rel = float(pipe.get("delta_rel", 1e-6))
-        glyph_threshold = float(pipe.get("glyph_threshold", 0.5))
-        second_born = bool(pipe.get("second_born", False))
-        emit_reference = bool(pipe.get("emit_reference", True))
+        delta_rel = _parse_number(pipe.get("delta_rel", 1e-6), "pipeline.delta_rel")
+        glyph_threshold = _parse_number(pipe.get("glyph_threshold", 0.5),
+                                        "pipeline.glyph_threshold")
+        second_born = _parse_flag(pipe.get("second_born", False), "pipeline.second_born")
+        emit_reference = _parse_flag(pipe.get("emit_reference", True), "pipeline.emit_reference")
     if gamma not in (1, 3):
         raise ConfigError("pipeline.gamma: must be 1 or 3")
     if mode not in ("exact", "fraunhofer"):
@@ -240,8 +255,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         with _section("stochastic"):
             st_raw = raw["stochastic"]
             stoch = StochasticSpec(
-                correlation_time=float(st_raw["correlation_time"]),
-                half_duration=float(st_raw["half_duration"]),
+                correlation_time=_parse_number(st_raw["correlation_time"],
+                                               "stochastic.correlation_time"),
+                half_duration=_parse_number(st_raw["half_duration"], "stochastic.half_duration"),
                 samples=_parse_count(st_raw["samples"], "stochastic.samples"),
                 band_count=_parse_count(
                     st_raw.get("band_count", band.count), "stochastic.band_count"),

@@ -15,6 +15,7 @@ the native complex128 layout.  Array datasets are indexed
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -86,14 +87,19 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
     shape = _header_field(header, "shape", _dims)
     if not isinstance(header.get("meta"), dict):
         raise DatasetFormatError("header key 'meta' is missing or not an object")
-    nbytes = int(np.prod(shape)) * dtype.itemsize
-    if len(data) - off != nbytes:
+    # Python ints: a numpy product of large entries wraps around
+    count = math.prod(shape)
+    if len(data) - off != count * dtype.itemsize:
         raise DatasetFormatError(
-            f"payload size mismatch at offset {off}: header declares {nbytes} bytes, "
-            f"file holds {len(data) - off}"
+            f"payload size mismatch at offset {off}: header key 'shape' declares "
+            f"{count * dtype.itemsize} bytes, file holds {len(data) - off}"
         )
-    values = np.frombuffer(data, dtype=dtype, count=int(np.prod(shape)), offset=off)
-    return kind, values.reshape(shape).copy(), header["meta"]
+    values = np.frombuffer(data, dtype=dtype, count=count, offset=off)
+    try:
+        values = values.reshape(shape)
+    except ValueError as exc:  # an empty payload whose other dimensions are too large
+        raise DatasetFormatError(f"header key 'shape' is out of range: {exc}") from exc
+    return kind, values.copy(), header["meta"]
 
 
 def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
@@ -112,7 +118,13 @@ def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
 
 
 def _dims(value) -> tuple:
-    return tuple(operator.index(n) for n in value)
+    """Nonnegative integer dimensions; a bool is refused, not read as 0 or 1."""
+    if any(isinstance(n, bool) for n in value):
+        raise TypeError(f"expected integer dimensions, got {value!r}")
+    dims = tuple(operator.index(n) for n in value)
+    if any(n < 0 for n in dims):
+        raise ValueError(f"negative dimension in {value!r}")
+    return dims
 
 
 def _numbers(value) -> np.ndarray:
@@ -227,8 +239,9 @@ class ImageField:
             raise ValueError("points must be (npts, 3)")
         if self.values.shape[0] != self.points.shape[0]:
             raise ValueError("points/values length mismatch")
-        if int(np.prod(self.shape)) != self.points.shape[0]:
-            raise ValueError("grid shape does not match point count")
+        # negative entries are refused here as they are when a container is read
+        if any(n < 0 for n in self.shape) or math.prod(self.shape) != self.points.shape[0]:
+            raise ValueError("grid shape must be nonnegative and match the point count")
         for name, arr in (("points", self.points), ("values", self.values)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"image field {name} must be finite (NaN or inf found)")

@@ -159,8 +159,10 @@ def _green_walk(r, rhat, ks):
     pairs, index = _kernel_table(3, 3)
     kern = np.empty(np.shape(r) + (1 + len(pairs),), dtype=complex)
     for _ in _kernel_walk(r, rhat, ks, 1.0 / (4.0 * np.pi * r), pairs, np.moveaxis(kern, -1, 0)):
-        g = np.conj(np.take(kern, index, axis=-1))
-        g[..., range(3), range(3)] += np.conj(kern[..., :1])
+        # the walk rewrites the whole stack each step, so it is conjugated back in place
+        np.conjugate(kern, out=kern)
+        g = np.take(kern, index, axis=-1)
+        g[..., range(3), range(3)] += kern[..., :1]
         yield g
 
 

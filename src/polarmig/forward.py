@@ -1,8 +1,9 @@
 """Synthetic data generation: Born responses and coherency-matrix synthesis.
 
-Band first: each Green function comes from :func:`~polarmig.emcore.green_band`
-over the whole uniform band, and the single-frequency functions are its
-one-sample case.
+Band first: the scatterer tails and the direct term come from
+:func:`~polarmig.emcore.green_band` over the whole uniform band, the receiver sum
+over the scatterers is migrate's direct engine, and the single-frequency
+functions are the one-sample case.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import numpy as np
 from .dataset import ArrayDataSet
 from .emcore import green_band, project
 from .errors import CoincidentPointsError
+from .migrate import _PAIR_TARGET, _direct_sums
 from .preprocess import _mul_2x2, gtilde
 from .scene import FrequencyBand, Scene
-
-# Scatterer chunk size keeping the (receivers, chunk, 3, 3) Green block small.
-_CHUNK_TARGET = 2_000_000
 
 
 def _tails(scene: Scene, ks, single: bool, double: bool) -> np.ndarray:
@@ -42,24 +41,23 @@ def _tails(scene: Scene, ks, single: bool, double: bool) -> np.ndarray:
 def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> np.ndarray:
     """Scattered transfer ``sum_n G(x_r, y_n) T_n`` at ``recs``, (nrec, nfreq, 3, 3).
 
-    Both scattering orders of :func:`_tails` share one receiver sum, chunked
-    over scatterers to bound the Green block.  Given the source basis ``u_s``
-    it is the projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
+    ``G`` is symmetric, so this is ``conj(sum_n conj(G(y_n, x_r)) conj(T_n))``: migrate's
+    direct engine summed over the scatterers, for receiver chunks of its pair target; both
+    scattering orders of :func:`_tails` share it.  Given the source basis ``u_s`` it is the
+    projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
     """
     pos = scene.scatterer_positions()
+    # the engine's coincidence scale: at least 1 and every receiver and scatterer norm
+    scale = np.linalg.norm(np.concatenate([recs, pos]), axis=1).max(initial=1.0)
+    chunk = max(1, _PAIR_TARGET // max(1, pos.shape[0]))
     try:
         tails = _tails(scene, ks, single, double)
-        tails = tails if u_s is None else tails @ u_s
-        rows = 3 if u_s is None else 2
-        out = np.zeros((recs.shape[0], ks.size, rows, tails.shape[-1]), dtype=complex)
-        chunk = max(1, _CHUNK_TARGET // recs.shape[0])
-        for lo in range(0, pos.shape[0], chunk):
-            band = green_band(recs[:, None, :], pos[None, lo:lo + chunk, :], ks)
-            for fi, g in enumerate(band):
-                # one (receivers.rows, scatterers.3) @ (scatterers.3, cols) GEMM per bin
-                lhs = g[..., :rows, :].transpose(0, 2, 1, 3).reshape(recs.shape[0] * rows, -1)
-                rhs = tails[lo:lo + chunk, fi].reshape(-1, tails.shape[-1])
-                out[:, fi] += (lhs @ rhs).reshape(recs.shape[0], rows, -1)
+        data = np.conj(tails if u_s is None else tails @ u_s)
+        n = data.shape[-1]  # as many output rows as columns: 3, or 2 when projected
+        out = np.empty((recs.shape[0], ks.size, n, n), dtype=complex)
+        for lo in range(0, recs.shape[0], chunk):
+            sums, _ = _direct_sums(pos, data, ks, recs[lo:lo + chunk], n, False, scale)
+            np.conjugate(sums.swapaxes(0, 1), out=out[lo:lo + chunk])
     except CoincidentPointsError as exc:
         raise CoincidentPointsError(
             "a scatterer coincides with the source, a receiver or another scatterer"

@@ -14,17 +14,17 @@ Imaging points that form lattice rows (evenly spaced along a receiver axis,
 at a step commensurate with the receiver pitch) get them from FFT
 correlations along that axis, since the Green function depends only on
 ``x_r - y``; all other points use the direct pair sum over fixed receiver
-blocks.  Both contract scalar kernels of ``G = A I + B rhat rhat^T`` with the
-data components in one matmul per frequency, taking only the rows and columns
-of ``conj(G)`` that the output and the data keep: preprocessed data
-``U_par C u_s^H`` is migrated as its 2x2 core C, so recovery from it takes 4
-kernels x 4 components and an image 6 x 4, against 6 x 9 and 7 x 9 for 3x3
-data.  Everything about the kernels comes from :mod:`polarmig.emcore`: the
-kernel table, the band walk that writes the kernels in place into each
-engine's stack, the source leg's ``G``, and the one coincidence rule for
-imaging points against receivers and the source.  Each engine returns its
-sums for the whole band, and the band is contracted with the source leg,
-unwound and weighted at once.
+blocks, which synthesis runs too, with the scatterers as the summed set.  Both
+contract scalar kernels of ``G = A I + B rhat rhat^T`` with the data components
+in one matmul per frequency, taking only the rows and columns of ``conj(G)``
+that the output and the data keep: preprocessed data ``U_par C u_s^H`` is
+migrated as its 2x2 core C, so recovery from it takes 4 kernels x 4 components
+and an image 6 x 4, against 6 x 9 and 7 x 9 for 3x3 data.  Everything about the
+kernels comes from :mod:`polarmig.emcore`: the kernel table, the band walk that
+writes the kernels in place into each engine's stack, the source leg's ``G``,
+and the one coincidence rule for imaging points against receivers and the
+source.  Each engine returns its sums for the whole band, and the band is
+contracted with the source leg, unwound and weighted at once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
 
-# Imaging points per chunk are sized so receiver-point pair blocks stay small.
+# Points per direct-sum chunk are sized so their pairs with the summed set stay few.
 _PAIR_TARGET = 600_000
 
-# Receivers per direct-sum block; bounds the (kernels, points, block) stack.
+# Summed points per direct-sum block; bounds the (kernels, points, block) stack.
 _RECEIVER_BLOCK = 512
 
 # Lattice-row chunks are sized by kernel sites (rows x FFT length x receivers
@@ -95,18 +95,16 @@ def _spread_moments(amp, r, v, axis: int):
     return np.moveaxis(np.array([[iso + s11, s12], [s12, iso + s22]]), (0, 1, -1), (-2, -1, 0))
 
 
-def _fold(prods, index):
-    """``sum_l (conj A delta_ol + conj B rhat_o rhat_l) D_lq`` from kernel x ``D_lq`` sums.
+def _fold(prods, index, out):
+    """Add ``sum_l (conj A delta_ol + conj B rhat_o rhat_l) D_lq`` from kernel x ``D_lq`` sums.
 
-    ``prods`` is (..., kernels, n_in, n_col); returns (..., n_out, n_col).
+    ``prods`` is (..., kernels, n_in, n_col); the fold is added to ``out``, (..., n_out, n_col).
     """
     n_out, n_in = index.shape
     diag = min(n_out, n_in)
-    acc = np.zeros(prods.shape[:-3] + (n_out, prods.shape[-1]), dtype=prods.dtype)
-    acc[..., :diag, :] = prods[..., 0, :diag, :]
+    out[..., :diag, :] += prods[..., 0, :diag, :]
     for l in range(n_in):
-        acc += prods[..., index[:, l], l, :]
-    return acc
+        out += prods[..., index[:, l], l, :]
 
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
@@ -120,34 +118,35 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_sums(recs, data, ks, pts, n_out: int, moments: bool, scale: float):
-    """Per-frequency backpropagation sums and receiver spread moments by direct pairs.
+def _direct_sums(xs, data, ks, pts, n_out: int, moments: bool, scale: float):
+    """Per-frequency sums of ``conj(G) data`` over a point set by direct pairs, and spread moments.
 
-    ``data`` is (receivers, nfreq, n_in, n_col) with rows in I_3 (n_in = 3) or
-    U_par (n_in = 2); the sums are the first ``n_out`` rows of ``conj(G) data``,
-    (nfreq, points, n_out, n_col); ``scale`` is the coincidence scale of
-    :func:`~polarmig.emcore._distances`.  Each block of ``_RECEIVER_BLOCK``
-    receivers computes its pair geometry, and spread moments if asked (else None
-    is returned for them), once and adds one ``(kernels x points x block) @
-    (block x n_in n_col)`` matmul per frequency; blocks are summed in order, so
-    memory is bounded by the block and rounding does not depend on threads.
+    The summed set ``xs`` is the receivers in migration and the scatterers in
+    synthesis; ``data`` is (len(xs), nfreq, n_in, n_col) with rows in I_3 (n_in = 3)
+    or U_par (n_in = 2).  The sums are the first ``n_out`` rows of ``conj(G) data``
+    at ``pts``, (nfreq, points, n_out, n_col); ``scale`` is the coincidence scale of
+    :func:`~polarmig.emcore._distances`.  Each block of ``_RECEIVER_BLOCK`` summed
+    points computes its pair geometry, and spread moments if asked (else None is
+    returned for them), once, and folds one ``(kernels x points x block) @ (block x
+    n_in n_col)`` matmul per frequency into the sums; blocks are summed in order, so
+    memory is bounded by the block and the sums and rounding does not depend on threads.
     """
     n_pts, nfreq = pts.shape[0], ks.size
     n_in, n_col = data.shape[-2:]
     pairs, index = _kernel_table(n_out, n_in)
-    prods = np.zeros((nfreq, (1 + len(pairs)) * n_pts, n_in * n_col), dtype=complex)
+    sums = np.zeros((nfreq, n_pts, n_out, n_col), dtype=complex)
     spread = np.zeros((3, n_pts, 2, 2)) if moments else None
-    for lo in range(0, recs.shape[0], _RECEIVER_BLOCK):
-        hi = min(lo + _RECEIVER_BLOCK, recs.shape[0])
-        r, rhat = _distances(recs[lo:hi].T[:, None, :] - pts.T[:, :, None], scale, _RECEIVER_PAIR)
+    for lo in range(0, xs.shape[0], _RECEIVER_BLOCK):
+        hi = min(lo + _RECEIVER_BLOCK, xs.shape[0])
+        r, rhat = _distances(xs[lo:hi].T[:, None, :] - pts.T[:, :, None], scale, _RECEIVER_PAIR)
         amp = 1.0 / (4.0 * np.pi * r)
         if moments:
             spread += _spread_moments(amp, r, rhat[:2], 1)
         kern = np.empty((1 + len(pairs), n_pts, hi - lo), dtype=complex)
         for fi in _kernel_walk(r, rhat, ks, amp, pairs, kern):
-            prods[fi] += kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, n_in * n_col)
-    prods = prods.reshape(nfreq, 1 + len(pairs), n_pts, n_in, n_col).swapaxes(1, 2)
-    return _fold(prods, index), spread
+            prods = kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, n_in * n_col)
+            _fold(prods.reshape(-1, n_pts, n_in, n_col).swapaxes(0, 1), index, sums[fi])
+    return sums, spread
 
 
 # Shape shared by a set of lattice rows: the lattice step is ``pitch / sub``
@@ -301,7 +300,8 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
         data_hat = np.fft.fft(lattice_data, axis=0)
         # prods[x, (row, m), (l, q)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, q]
         prods = kern_hat.reshape(nfft, n_rows * n_kern, n_across) @ data_hat
-        acc = _fold(prods.reshape(nfft, n_rows, n_kern, n_in, n_col), index)
+        acc = np.zeros((nfft, n_rows, n_out, n_col), dtype=complex)
+        _fold(prods.reshape(nfft, n_rows, n_kern, n_in, n_col), index, acc)
         acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride]
         sums[fi] = acc.swapaxes(0, 1).reshape(-1, n_out, n_col)
     return sums, spread

@@ -14,7 +14,7 @@ from polarmig.cli import main as cli_main
 from polarmig.config import parse_config, preset
 from polarmig.pipeline import run_pipeline
 
-from conftest import LAMBDA0
+from conftest import LAMBDA0, band, bench_scene
 
 
 def _tiny_config(**overrides) -> dict:
@@ -161,6 +161,20 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys):
                for line in lines)
 
 
+def test_cli_ill_conditioned_source_coherency_exits_3(tmp_path, capsys):
+    # positive definite, so the container is valid, but cond 1e13 is past JS_COND_LIMIT
+    scene = bench_scene([], n=3)
+    source = pm.SourceSpec(scene.source.position, scene.source.reference_point,
+                           np.diag([1.0, 1e-13]))
+    scene = pm.Scene(source=source, geom=scene.geom, window=scene.window, scatterers=[])
+    path = tmp_path / "coherency.pmds"
+    pm.coherency_synthesize(scene, band(3)).write(path)
+    assert cli_main(["preprocess", str(path), "--out", str(tmp_path / "pre")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: source coherency")
+    assert not (tmp_path / "pre" / "preprocessed.pmds").exists()
+
+
 def test_cli_stage_roundtrip(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config()))
@@ -297,6 +311,15 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("stochastic", "correlation_time"), np.nan, "stochastic: correlation time"),
         (("pipeline", "delta_rel"), np.nan, r"pipeline\.delta_rel: must be nonnegative and finite"),
         (("pipeline", "delta_rel"), np.inf, r"pipeline\.delta_rel: must be nonnegative and finite"),
+        # flags are JSON booleans and numbers refuse them, not read by truthiness
+        (("pipeline", "second_born"), "false", r"pipeline\.second_born: expected true or false"),
+        (("pipeline", "emit_reference"), "no", r"pipeline\.emit_reference: expected true or"),
+        (("pipeline", "emit_reference"), 1, r"pipeline\.emit_reference: expected true or"),
+        (("pipeline", "delta_rel"), True, r"pipeline\.delta_rel: expected a number"),
+        (("pipeline", "glyph_threshold"), False, r"pipeline\.glyph_threshold: expected a number"),
+        (("wave_speed",), True, "wave_speed: expected a number"),
+        (("band", "width_hz"), False, r"band\.width_hz: expected a number"),
+        (("stochastic", "correlation_time"), True, r"stochastic\.correlation_time: expected a"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):

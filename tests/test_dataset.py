@@ -123,6 +123,9 @@ def test_image_field_roundtrip(tmp_path, rng):
     assert back.shape == (3, 4)
     assert back.meta["offset"] == 1.5
     assert np.allclose(back.norms(), np.linalg.norm(vals, axis=(1, 2)))
+    # a shape a container read would refuse is refused before it is written
+    with pytest.raises(ValueError, match="grid shape must be nonnegative"):
+        pm.ImageField(points=pts, values=vals, shape=(-3, -4), meta={})
 
 
 def test_kind_cross_reads_rejected(tmp_path, rng):
@@ -210,6 +213,24 @@ def test_malformed_image_header_exits_2(tmp_path, rng, capsys):
         bad = tmp_path / f"bad{i}.pmds"
         _rewrite_header(good, bad, lambda h: _set(h, path, value))
         _assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "g")], path[-1])
+
+
+@pytest.mark.parametrize("shape, nbytes", [
+    ([4294967296, 4294967296], 0),  # an int64 product wraps around to 0
+    ([-1, -16], 256),
+    ([True, 16], 256),
+    ([2**62, 0], 0),
+])
+def test_container_shape_out_of_range_exits_2(tmp_path, rng, capsys, shape, nbytes):
+    good, bad = tmp_path / "good.pmds", tmp_path / "bad.pmds"
+    _small_dataset(rng).write(good)
+    _rewrite_header(good, bad, lambda h: _set(h, ("shape",), shape))
+    blob = bad.read_bytes()
+    hlen = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    bad.write_bytes(blob[:len(MAGIC) + 8 + hlen] + bytes(nbytes))
+    with pytest.raises(pm.DatasetFormatError, match="'shape'"):
+        _read_container(bad)
+    _assert_cli_rejects(capsys, ["preprocess", str(bad), "--out", str(tmp_path / "out")], "'shape'")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

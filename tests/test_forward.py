@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig import forward
+from polarmig import forward, migrate
 from polarmig.emcore import CROSS_RANGE_BASIS
 from polarmig.forward import projected_incident, projected_response
 
@@ -223,12 +223,13 @@ def test_cube_scene_counts_and_bounds():
 
 def test_transfer_matches_explicit_green_sums(monkeypatch):
     # independent of _scattered: G(x_r, x_s) + sum_n G(x_r, y_n) alpha_n G(y_n, x_s)
-    # from dyadic_green per wavenumber, against the chunked GEMM receiver sum
+    # from dyadic_green per wavenumber, against the direct engine's sum over scatterers
     scene = three_dipole_scene(n=5)
     recs = scene.geom.flat_positions()
     ks = band(3).wavenumbers(scene.wave_speed)
     u_s = scene.source.basis()
-    monkeypatch.setattr(forward, "_CHUNK_TARGET", 2 * recs.shape[0])  # chunks of 2 and 1
+    monkeypatch.setattr(migrate, "_RECEIVER_BLOCK", 2)  # scatterer blocks of 2 and 1
+    monkeypatch.setattr(forward, "_PAIR_TARGET", 3 * 9)  # receiver chunks of 9, 9 and 7
     x_s = scene.source.position
     ref = np.empty((recs.shape[0], ks.size, 3, 3), dtype=complex)
     for fi, k in enumerate(ks):
@@ -241,3 +242,16 @@ def test_transfer_matches_explicit_green_sums(monkeypatch):
     ref_proj = CROSS_RANGE_BASIS.T @ ref @ u_s
     assert np.abs(full - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.abs(proj - ref_proj).max() <= 1e-13 * np.abs(ref_proj).max()
+
+
+def test_scatterer_on_a_receiver_raises():
+    # a window reaching the array plane lets a scatterer sit exactly on a receiver
+    scene = bench_scene([], n=3)
+    on_rec = scene.geom.flat_positions()[4]
+    bad = pm.Scene(
+        source=scene.source, geom=scene.geom,
+        window=pm.ImagingWindow(center=[0, 0, L / 2], cross_range=4.0, range_extent=L),
+        scatterers=[pm.Scatterer(on_rec, ALPHA_1)],
+    )
+    with pytest.raises(pm.CoincidentPointsError, match="a scatterer coincides with"):
+        pm.born_response(bad, K0)
