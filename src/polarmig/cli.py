@@ -13,19 +13,11 @@ import sys
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    parse_config,
-    placement_report,
-    preset,
-    read_config,
-    regime_report,
-)
+from .config import ExperimentConfig, parse_config, preset, read_config
 from .dataset import ArrayDataSet, ImageField
 from .errors import ConfigError, NumericalError, PolarmigError
-from .forward import coherency_synthesize, response_synthesize
 from .glyphs import emit_glyphs
-from .pipeline import simulate_stage, write_preprocessed, write_slice, write_tensors
+from .pipeline import report_text, write_preprocessed, write_simulated, write_slice, write_tensors
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -66,12 +58,7 @@ def _add_config_opts(p: argparse.ArgumentParser) -> None:
 def cmd_simulate(args) -> None:
     cfg = _config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    ds = coherency_synthesize(cfg.scene, cfg.band, cfg.second_born)
-    ds.write(os.path.join(args.out, "coherency.pmds"))
-    if args.reference:
-        response_synthesize(cfg.scene, cfg.band, cfg.second_born).write(
-            os.path.join(args.out, "response.pmds")
-        )
+    write_simulated(cfg, args.out)
 
 
 def cmd_stochastic(args) -> None:
@@ -79,7 +66,7 @@ def cmd_stochastic(args) -> None:
     if cfg.stochastic is None:
         raise ConfigError("configuration has no stochastic section")
     os.makedirs(args.out, exist_ok=True)
-    simulate_stage(cfg).write(os.path.join(args.out, "coherency.pmds"))
+    write_simulated(cfg, args.out)
 
 
 def cmd_preprocess(args) -> None:
@@ -146,8 +133,7 @@ def cmd_recover(args) -> None:
 
 
 def cmd_report(args) -> None:
-    cfg = _config_from_args(args)
-    text = regime_report(cfg).text() + "\n" + placement_report(cfg) + "\n"
+    text = report_text(_config_from_args(args))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
@@ -173,10 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="synthesize deterministic coherency data")
+    p = sub.add_parser("simulate", help="synthesize coherency data per the configuration")
     _add_config_opts(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--reference", action="store_true", help="also write the 3x3 response")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("stochastic", help="synthesize random-source coherency data")

@@ -377,7 +377,7 @@ def preset(name: str) -> dict:
 
     ``three-dipoles`` is the deterministic microwave scene (full array);
     ``three-dipoles-reduced`` shrinks the array and band for quick runs;
-    ``cube`` is the extended-scatterer lattice; ``stochastic`` drives the
+    ``cube`` is the extended-scatterer lattice; ``stochastic-reduced`` drives the
     three-dipole scene with the random source.
     """
     base = {

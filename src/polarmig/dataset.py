@@ -212,9 +212,9 @@ class ArrayDataSet:
         kind, values, meta = _read_container(path)
         if kind == "timeseries":
             raise DatasetFormatError("file holds a time signal, not an array dataset")
-        geom, source, band, wave_speed = _geometry_from_meta(meta)
         if kind in ("image2x2", "image3x3"):
             raise DatasetFormatError("file holds an image field, use ImageField.read")
+        geom, source, band, wave_speed = _geometry_from_meta(meta)
         return ArrayDataSet(kind, values, geom, source, band, wave_speed)
 
 

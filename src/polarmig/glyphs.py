@@ -92,7 +92,15 @@ def _field_peaks(norms: np.ndarray, shape, threshold: float) -> list[int]:
     return sorted(flat.tolist(), key=lambda i: (-norms[i], i))
 
 
-def glyphs_for_field(field: ImageField, threshold: float, axes=(0, 1)) -> list[EllipseGlyph]:
+def _in_plane(field: ImageField) -> np.ndarray:
+    """The points' coordinates on the slice's two in-plane axes (normal x3 if unset)."""
+    normal = field.meta.get("normal_axis", 2)
+    if normal not in (0, 1, 2):
+        raise ValueError(f"normal_axis must be 0, 1 or 2, got {normal!r}")
+    return field.points[:, [axis for axis in range(3) if axis != normal]]
+
+
+def glyphs_for_field(field: ImageField, threshold: float) -> list[EllipseGlyph]:
     """Glyphs (real and imaginary parts) at the norm peaks of a 2x2 field."""
     if field.dim != 2:
         raise ValueError("glyphs need a 2x2 tensor field")
@@ -101,9 +109,10 @@ def glyphs_for_field(field: ImageField, threshold: float, axes=(0, 1)) -> list[E
     norms = field.norms()
     if norms.size == 0 or norms.max() == 0:
         raise ValueError("empty field: nothing to draw")
+    plane = _in_plane(field)
     out = []
     for idx in _field_peaks(norms, field.shape, threshold):
-        center = field.points[idx][list(axes)]
+        center = plane[idx]
         value = field.values[idx]
         out.append(ellipse_glyph(np.real(value), center, part="re"))
         out.append(ellipse_glyph(np.imag(value), center, part="im"))
@@ -177,8 +186,8 @@ def emit_glyphs(
     """Write glyphs at field peaks to an SVG and a CSV; returns the glyphs."""
     glyphs = glyphs_for_field(field, threshold)
     if glyph_size is None:
-        pts = field.points
-        extent = float(np.ptp(pts[:, 0]) + np.ptp(pts[:, 1]))
+        plane = _in_plane(field)
+        extent = float(np.ptp(plane[:, 0]) + np.ptp(plane[:, 1]))
         glyph_size = max(extent / 40.0, 1e-6)
     write_glyph_svg(glyphs, svg_path, glyph_size)
     write_glyph_csv(glyphs, csv_path)

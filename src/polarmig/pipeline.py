@@ -67,6 +67,21 @@ def simulate_stage(config: ExperimentConfig) -> ArrayDataSet:
     return coherency_synthesize(config.scene, config.band, config.second_born)
 
 
+def write_simulated(config: ExperimentConfig, outdir) -> tuple[ArrayDataSet, list[str]]:
+    """Coherency data per the configuration, written as ``coherency.pmds``.
+
+    A deterministic run with ``pipeline.emit_reference`` set also writes the 3x3
+    response as ``response.pmds``.  Returns the dataset and the names written.
+    """
+    ds = simulate_stage(config)
+    ds.write(os.path.join(outdir, "coherency.pmds"))
+    if config.emit_reference and config.stochastic is None:
+        ref = response_synthesize(config.scene, config.band, config.second_born)
+        ref.write(os.path.join(outdir, "response.pmds"))
+        return ds, ["coherency.pmds", "response.pmds"]
+    return ds, ["coherency.pmds"]
+
+
 def write_preprocessed(ds: ArrayDataSet, outdir) -> tuple[ArrayDataSet, PreprocessReport]:
     """Preprocess coherency data into ``preprocessed.pmds`` and ``preprocess.txt``."""
     pre, report = preprocess(ds)
@@ -125,6 +140,21 @@ def write_tensors(ds: ArrayDataSet, config: ExperimentConfig, outdir) -> list:
     return rows
 
 
+def report_text(config: ExperimentConfig, rows=()) -> str:
+    """Text of ``report.txt``: regime diagnostics, placement, then tensor norms.
+
+    ``rows`` are ``write_tensors`` rows; without them the text ends after the
+    placement line.
+    """
+    lines = [regime_report(config).text(), "", placement_report(config), ""]
+    if rows:
+        lines.append("recovered tensor norms at scatterer cells:")
+        for i, (rec, true) in enumerate(zip(rows[::2], rows[1::2])):
+            lines.append(f"  scatterer {i}: |rec|={np.linalg.norm(rec[2]):.6g} "
+                         f"|proj true|={np.linalg.norm(true[2]):.6g}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass
 class PipelineResult:
     outdir: str
@@ -134,47 +164,21 @@ class PipelineResult:
 def run_pipeline(config: ExperimentConfig, outdir) -> PipelineResult:
     """Run the full chain and write a deterministic artifact directory."""
     os.makedirs(outdir, exist_ok=True)
-    files: list[str] = []
-
-    def emit(name: str) -> str:
-        files.append(name)
-        return os.path.join(outdir, name)
-
-    report_lines = [regime_report(config).text(), "", placement_report(config), ""]
-    ds = simulate_stage(config)
-    ds.write(emit("coherency.pmds"))
-    if config.emit_reference and config.stochastic is None:
-        response_synthesize(config.scene, config.band, config.second_born).write(
-            emit("response.pmds")
-        )
-
+    ds, files = write_simulated(config, outdir)
     pre, _ = write_preprocessed(ds, outdir)
     files += ["preprocessed.pmds", "preprocess.txt"]
-
     for si in range(len(config.slices)):
         field, names = write_slice(pre, config, si, outdir)
         files += names
+        glyphs = [f"slice{si:02d}_glyphs.svg", f"slice{si:02d}_glyphs.csv"]
         try:
-            emit_glyphs(
-                field,
-                config.glyph_threshold,
-                emit(f"slice{si:02d}_glyphs.svg"),
-                emit(f"slice{si:02d}_glyphs.csv"),
-            )
+            emit_glyphs(field, config.glyph_threshold,
+                        *(os.path.join(outdir, name) for name in glyphs))
         except ValueError:
-            # an all-zero slice has nothing to draw
-            files.remove(f"slice{si:02d}_glyphs.svg")
-            files.remove(f"slice{si:02d}_glyphs.csv")
-
+            continue  # an all-zero slice has nothing to draw
+        files += glyphs
     rows = write_tensors(pre, config, outdir)
     if rows:
         files.append("tensors.csv")
-        report_lines.append("recovered tensor norms at scatterer cells:")
-        for i, (rec, true) in enumerate(zip(rows[::2], rows[1::2])):
-            report_lines.append(
-                f"  scatterer {i}: |rec|={np.linalg.norm(rec[2]):.6g} "
-                f"|proj true|={np.linalg.norm(true[2]):.6g}"
-            )
-
-    Path(emit("report.txt")).write_text("\n".join(report_lines) + "\n", encoding="utf-8")
-    return PipelineResult(outdir=str(outdir), files=sorted(files))
+    Path(outdir, "report.txt").write_text(report_text(config, rows), encoding="utf-8")
+    return PipelineResult(outdir=str(outdir), files=sorted(files + ["report.txt"]))

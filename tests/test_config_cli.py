@@ -51,6 +51,13 @@ def test_preset_slice_layout():
     assert slices == [(2, 100.0), (2, 106.0), (1, -5.0), (1, 8.0)]
 
 
+def test_preset_stochastic_reduced():
+    cfg = parse_config(preset("stochastic-reduced"))
+    assert (cfg.scene.geom.n1, cfg.scene.geom.n2) == (61, 61)
+    assert cfg.stochastic.band_count == 128
+    assert cfg.stochastic.samples == 8001
+
+
 def test_unknown_preset():
     with pytest.raises(pm.ConfigError, match="unknown preset"):
         preset("nope")
@@ -253,6 +260,39 @@ def test_cli_stochastic_subcommand(tmp_path):
     assert cli_main(["stochastic", "--config", str(plain), "--out", str(out)]) == 2
 
 
+def test_cli_simulate_follows_the_stochastic_section(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))))
+    for command in ("simulate", "stochastic"):
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
+        # random-source data has no noise-free reference
+        assert os.listdir(tmp_path / command) == ["coherency.pmds"]
+    written = [(tmp_path / c / "coherency.pmds").read_bytes() for c in ("simulate", "stochastic")]
+    assert written[0] == written[1]
+
+
+def test_cli_simulate_and_report_match_run_pipeline(tmp_path, capsys):
+    cfg = _tiny_config()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ref, sim, rep = tmp_path / "pipeline", tmp_path / "sim", tmp_path / "rep"
+    run_pipeline(parse_config(cfg), ref)
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert (sim / "response.pmds").read_bytes() == (ref / "response.pmds").read_bytes()
+    capsys.readouterr()
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(rep)]) == 0
+    head = (rep / "report.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == head
+    full = (ref / "report.txt").read_text(encoding="utf-8")
+    assert full.startswith(head)
+    assert full[len(head):].startswith("recovered tensor norms at scatterer cells:")
+    # pipeline.emit_reference false: coherency data only
+    cfg["pipeline"]["emit_reference"] = False
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "plain")]) == 0
+    assert os.listdir(tmp_path / "plain") == ["coherency.pmds"]
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "polarmig.cli", "report", "--preset", "three-dipoles-reduced"],
@@ -320,6 +360,8 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("wave_speed",), True, "wave_speed: expected a number"),
         (("band", "width_hz"), False, r"band\.width_hz: expected a number"),
         (("stochastic", "correlation_time"), True, r"stochastic\.correlation_time: expected a"),
+        (("pipeline", "recover_mode"), "best", r"pipeline\.recover_mode: must be 'exact' or"),
+        (("pipeline", "glyph_threshold"), 1.5, r"pipeline\.glyph_threshold: must lie in \[0, 1\]"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -349,7 +391,7 @@ def test_cli_chain_matches_run_pipeline(tmp_path, recover_mode):
     cfg["pipeline"]["recover_mode"] = recover_mode
     run_pipeline(parse_config(cfg), ref)
     sim, pre, rec = tmp_path / "sim", tmp_path / "pre", tmp_path / "rec"
-    assert cli_main(["simulate", "--config", str(cfg_path), "--reference", "--out", str(sim)]) == 0
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
     assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
     argv = ["recover", str(pre / "preprocessed.pmds"), "--config", str(cfg_path), "--out", str(rec)]
     if recover_mode == "fraunhofer":

@@ -144,6 +144,16 @@ def test_kind_cross_reads_rejected(tmp_path, rng):
     assert back.dt == sig.dt
 
 
+def test_array_read_of_an_image_field_names_it(tmp_path, rng, capsys):
+    field = pm.ImageField(rng.uniform(-1, 1, (6, 3)), np.ones((6, 2, 2)), (2, 3), {})
+    path = tmp_path / "slice00_alpha.pmds"
+    field.write(path)
+    with pytest.raises(pm.DatasetFormatError, match="image field"):
+        pm.ArrayDataSet.read(path)
+    argv = ["preprocess", str(path), "--out", str(tmp_path / "out")]
+    _assert_cli_rejects(capsys, argv, "file holds an image field")
+
+
 def _rewrite_header(src, dst, edit) -> None:
     """Copy a container, passing its JSON header through ``edit`` on the way."""
     blob = src.read_bytes()

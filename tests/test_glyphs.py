@@ -94,6 +94,29 @@ def test_emit_glyphs_files(tmp_path):
     assert "scale" in header
 
 
+def test_range_slice_glyphs_keep_the_range_axis(tmp_path):
+    pts, shape, _ = pm.plane_grid(
+        pm.ImagingWindow(center=[0, 0, 10.0], cross_range=4.0, range_extent=4.0),
+        1,
+        0.5,
+        0.5,
+    )
+    vals = np.zeros((pts.shape[0], 2, 2), dtype=complex)
+    peaks = [np.argmin(np.linalg.norm(pts[:, (0, 2)] - xz, axis=1))
+             for xz in ([1.0, 9.0], [-1.0, 11.0])]
+    vals[peaks] = A_SYMM + 1j * A_SHEAR
+    field = pm.ImageField(points=pts, values=vals, shape=shape, meta={"normal_axis": 1})
+    csv = tmp_path / "g.csv"
+    pm.emit_glyphs(field, 0.5, tmp_path / "g.svg", csv)
+    rows = [line.split(",") for line in csv.read_text().strip().splitlines()[1:]]
+    centers = {(float(r[2]), float(r[3])) for r in rows}
+    assert centers == {(pts[i, 0], pts[i, 2]) for i in peaks}
+    assert len({c[1] for c in centers}) == 2
+    field.meta["normal_axis"] = 3
+    with pytest.raises(ValueError, match="normal_axis must be 0, 1 or 2"):
+        glyphs_for_field(field, 0.5)
+
+
 def test_emit_glyphs_empty_field_rejected(tmp_path):
     pts = np.zeros((4, 3))
     pts[:, 0] = np.arange(4)

@@ -7,6 +7,7 @@ import pytest
 
 import polarmig as pm
 from polarmig import migrate
+from polarmig._parallel import thread_count
 from polarmig.emcore import CROSS_RANGE_BASIS
 
 from conftest import (
@@ -393,6 +394,13 @@ def _check_schedule_invariance(scene, resp, monkeypatch):
     for b, o, t in zip(base, one, three):
         assert np.array_equal(b, o)
         assert np.array_equal(b, t)
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_thread_count_refuses_a_bad_setting(monkeypatch, value):
+    monkeypatch.setenv("POLARMIG_THREADS", value)
+    with pytest.raises(ValueError, match="POLARMIG_THREADS"):
+        thread_count()
 
 
 # ---------------------------------------------------------------------------
