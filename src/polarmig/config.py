@@ -93,9 +93,9 @@ class SliceSpec:
 
 @dataclass
 class StochasticSpec:
-    correlation_time: float
-    half_duration: float
-    samples: int
+    """Random-source acquisition: the source process and how many band bins it is read at."""
+
+    process: SourceProcessSpec
     band_count: int
 
 
@@ -112,7 +112,6 @@ class ExperimentConfig:
     delta_rel: float = 1e-6
     recover_mode: str = "exact"
     glyph_threshold: float = 0.5
-    seed: int = 0
     emit_reference: bool = True
 
     @property
@@ -255,16 +254,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
         with _section("stochastic"):
             st_raw = raw["stochastic"]
             stoch = StochasticSpec(
-                correlation_time=_parse_number(st_raw["correlation_time"],
-                                               "stochastic.correlation_time"),
-                half_duration=_parse_number(st_raw["half_duration"], "stochastic.half_duration"),
-                samples=_parse_count(st_raw["samples"], "stochastic.samples"),
+                process=SourceProcessSpec(
+                    correlation_time=_parse_number(st_raw["correlation_time"],
+                                                   "stochastic.correlation_time"),
+                    center=band.center,
+                    half_duration=_parse_number(st_raw["half_duration"],
+                                                "stochastic.half_duration"),
+                    samples=_parse_count(st_raw["samples"], "stochastic.samples"),
+                    seed=seed,
+                ),
                 band_count=_parse_count(
                     st_raw.get("band_count", band.count), "stochastic.band_count"),
-            )
-            # check the sampling plan now rather than after synthesis starts
-            SourceProcessSpec(
-                stoch.correlation_time, band.center, stoch.half_duration, stoch.samples
             )
 
     return ExperimentConfig(
@@ -277,7 +277,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         delta_rel=delta_rel,
         recover_mode=mode,
         glyph_threshold=glyph_threshold,
-        seed=seed,
         emit_reference=emit_reference,
     )
 

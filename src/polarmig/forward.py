@@ -14,7 +14,7 @@ from .dataset import ArrayDataSet
 from .emcore import green_band, project
 from .errors import CoincidentPointsError
 from .migrate import _PAIR_TARGET, _direct_sums
-from .preprocess import _mul_2x2, gtilde
+from .preprocess import _coherency, gtilde
 from .scene import FrequencyBand, Scene
 
 
@@ -139,5 +139,5 @@ def coherency_synthesize(
                   scene.source.basis(), include_second_born)
     m = m.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
     js = scene.source.coherency_table(band.count)
-    values = _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
+    values = _coherency(m, js)
     return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)

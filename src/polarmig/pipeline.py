@@ -20,7 +20,7 @@ from .forward import coherency_synthesize, response_synthesize
 from .glyphs import emit_glyphs
 from .migrate import kirchhoff_band, phase_correct, plane_grid, recover_alpha_field
 from .preprocess import PreprocessReport, preprocess
-from .stochastic import SourceProcessSpec, stochastic_coherency_dataset
+from .stochastic import stochastic_coherency_dataset
 
 
 def _write_norms_csv(field: ImageField, path) -> None:
@@ -51,18 +51,12 @@ def _write_tensor_table(rows, path) -> None:
 def simulate_stage(config: ExperimentConfig) -> ArrayDataSet:
     """Coherency dataset per the configuration (deterministic or stochastic)."""
     if config.stochastic is not None:
-        spec = SourceProcessSpec(
-            correlation_time=config.stochastic.correlation_time,
-            center=config.band.center,
-            half_duration=config.stochastic.half_duration,
-            samples=config.stochastic.samples,
-            seed=config.seed,
-        )
         return stochastic_coherency_dataset(
             config.scene,
-            spec,
+            config.stochastic.process,
             band_count=config.stochastic.band_count,
             band_width=config.band.width,
+            include_second_born=config.second_born,
         )
     return coherency_synthesize(config.scene, config.band, config.second_born)
 

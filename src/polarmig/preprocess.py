@@ -12,8 +12,9 @@ Applied to synthesized coherency data this returns the projected response
 approximation is involved.
 
 Its 2x2 products, inverses and condition numbers are entrywise closed forms
-over all receivers and frequencies, not numpy's per-matrix ``@``.  Synthesis
-forms ``M Js M^*`` with the same product as ``(Gt Js) Gt^*`` here, so data
+over all receivers and frequencies, not numpy's per-matrix ``@``.  Every
+coherency ``M Js M^*`` in the package -- the incident term here, deterministic
+synthesis and the random-source estimates -- is :func:`_coherency`, so data
 without scatterers cancels to exactly zero.
 """
 
@@ -114,6 +115,11 @@ def _mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
+def _coherency(m: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Coherency ``M Js M^*`` of transfers ``m`` and source coherencies ``js``, batched."""
+    return _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
+
+
 def _inv_2x2(a: np.ndarray) -> np.ndarray:
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     out = np.empty_like(a)
@@ -171,7 +177,7 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
         raise ValueError(f"preprocess expects coherency2x2 data, got {ds.kind!r}")
     u_s = ds.source.basis()
     js, js_inv, gt, cond, flagged, inv_gt_star = _inversion_tables(ds)
-    incident = _mul_2x2(_mul_2x2(gt, js), np.conj(np.swapaxes(gt, -1, -2)))
+    incident = _coherency(gt, js)
     core = _mul_2x2(_mul_2x2(ds.values - incident, inv_gt_star), js_inv)
     del gt, incident, inv_gt_star  # the 3x3 lift is the memory peak; free the tables first
     out = replace(ds, kind="preprocessed3x3", values=embed(core, u_s))

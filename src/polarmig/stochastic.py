@@ -18,9 +18,16 @@ a strictly positive spectrum.
 
 Empirical autocorrelations are computed through the scaled periodogram:
 ``Psi_hat(w) = (2 pi / 2T) Epar(w) Epar(w)^*`` with the analysis transform
-``E(w) = (dt / 2 pi) sum_n E(t_n) exp(+i w t_n)``.  Signals are zero padded at
-least twofold before any product of transforms so correlations are linear,
-not circular.
+``E(w) = (dt / 2 pi) sum_n E(t_n) exp(+i w t_n)``.  Signals are zero padded
+twofold before any product of transforms so correlations are linear, not
+circular.
+
+A random source changes only the source coherency: with ``zeta`` the analysis
+transform of the two source channels, the array sees ``M J_hat M^*``, where
+``J_hat = (2 pi / 2T) zeta zeta^*`` and ``M`` is the projected total transfer.
+The coherency dataset and the ergodicity probe form it with the product of
+deterministic synthesis, :func:`~polarmig.preprocess._coherency`; the probe sums
+it over frequency (Wiener-Khinchin) instead of propagating in time.
 """
 
 from __future__ import annotations
@@ -30,8 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import ArrayDataSet, _header_field, _read_container, _write_container
+from .emcore import project
 from .errors import DatasetFormatError
 from .forward import _transfer
+from .preprocess import _coherency
 from .scene import FrequencyBand, Scene
 
 TWO_PI = 2.0 * np.pi
@@ -60,6 +69,8 @@ class SourceProcessSpec:
         plan = (self.correlation_time, self.center, self.half_duration)
         if not all(0 < x < np.inf for x in plan):
             raise ValueError("correlation time, center and duration must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 16:
             raise ValueError("need at least 16 samples")
         w_max = self.center + _BAND_HALF_WIDTHS * np.pi / self.correlation_time
@@ -104,8 +115,10 @@ class TimeSignal:
             raise ValueError("samples must have a time axis")
         if not np.all(np.isfinite(s)):
             raise ValueError("samples must be finite")
-        if self.dt <= 0:
-            raise ValueError("sample interval must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("sample interval must be positive and finite")
+        if not np.isfinite(self.t0):
+            raise ValueError("start time must be finite")
         self.samples = s
 
     @property
@@ -134,10 +147,9 @@ class TimeSignal:
 # ---------------------------------------------------------------------------
 
 
-def _pad_length(n: int, factor: float = 2.0) -> int:
-    """Transform-friendly length at least ``factor * n`` (power of two)."""
-    target = int(np.ceil(n * factor))
-    return 1 << int(np.ceil(np.log2(target)))
+def _pad_length(n: int) -> int:
+    """Transform-friendly length at least ``2 n`` (power of two)."""
+    return 1 << int(np.ceil(np.log2(2 * n)))
 
 
 def spectrum_grid(n: int, dt: float) -> np.ndarray:
@@ -195,6 +207,13 @@ def synth_source(spec: SourceProcessSpec, basis: np.ndarray, rng=None) -> TimeSi
     )
 
 
+def _source_spectrum(spec: SourceProcessSpec, n_pad: int, seq) -> np.ndarray:
+    """Analysis transform ``zeta`` of the 2 channels drawn from ``seq``, padded to ``n_pad``."""
+    padded = np.zeros((2, n_pad))
+    padded[:, : spec.samples] = _synth_channels(spec, 2, np.random.default_rng(seq))
+    return analysis_transform(padded, spec.dt)
+
+
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -207,46 +226,31 @@ def _active_transfer(scene: Scene, omegas, active, receivers):
     return _transfer(scene, omegas[span] / scene.wave_speed, receivers)[:, active[span]]
 
 
-def _propagate_bins(transfer, j_hat, active, n_pad: int, dt: float) -> np.ndarray:
-    """Received samples (nrec, 3, n_pad): transfer times source spectrum per active bin."""
-    e_hat = np.zeros((transfer.shape[0], 3, j_hat.shape[-1]), dtype=complex)
-    e_hat[:, :, active] = np.einsum(
-        "rfij,jf->rif", transfer, j_hat[:, active], optimize=True
-    )
-    return synthesis_transform(e_hat, n_pad, dt)
-
-
-def simulate_received(
-    scene: Scene,
-    source: TimeSignal,
-    receivers=None,
-    pad_factor: float = 2.0,
-    spectrum_floor: float = 1e-12,
-) -> TimeSignal:
+def simulate_received(scene: Scene, source: TimeSignal, receivers=None) -> TimeSignal:
     """Propagate a 3-channel source signal to the receivers.
 
-    Works bin by bin on the zero-padded frequency grid: the received spectrum
-    is the total transfer matrix times the source spectrum.  Bins where the
-    source carries less than ``spectrum_floor`` of its peak are skipped (this
+    Works bin by bin on the twofold zero-padded frequency grid: the received
+    spectrum is the total transfer matrix times the source spectrum.  Bins
+    where the source carries less than 1e-12 of its peak are skipped (this
     also guards the undefined zero-frequency response).  Output samples have
     shape (nrec, 3, n_padded) and remain real.
     """
     if source.samples.shape[0] != 3 or source.samples.ndim != 2:
         raise ValueError("source signal must have 3 channels")
-    if pad_factor < 2.0:
-        raise ValueError("pad factor below 2 risks circular wrap-around")
     if receivers is None:
         receivers = scene.geom.flat_positions()
     receivers = np.asarray(receivers, dtype=float).reshape(-1, 3)
-    n_pad = _pad_length(source.n, pad_factor)
+    n_pad = _pad_length(source.n)
     padded = np.zeros((3, n_pad))
     padded[:, : source.n] = source.samples
     j_hat = analysis_transform(padded, source.dt)
     omegas = spectrum_grid(n_pad, source.dt)
     power = np.abs(j_hat).max(axis=0)
-    active = (omegas > 0) & (power > spectrum_floor * power.max())
+    active = (omegas > 0) & (power > 1e-12 * power.max())
     transfer = _active_transfer(scene, omegas, active, receivers)
-    samples = _propagate_bins(transfer, j_hat, active, n_pad, source.dt)
+    e_hat = np.zeros((receivers.shape[0], 3, omegas.size), dtype=complex)
+    e_hat[:, :, active] = np.einsum("rfij,jf->rif", transfer, j_hat[:, active], optimize=True)
+    samples = synthesis_transform(e_hat, n_pad, source.dt)
     return TimeSignal(samples=samples, dt=source.dt, t0=source.t0)
 
 
@@ -255,18 +259,18 @@ def simulate_received(
 # ---------------------------------------------------------------------------
 
 
-def _padded_field(signal: TimeSignal, duration: float, pad_factor: float) -> np.ndarray:
+def _padded_field(signal: TimeSignal, duration: float) -> np.ndarray:
     """Check a (..., 3, n) signal and its window 2T, then zero-pad it for FFT correlation."""
     if signal.samples.shape[-2] != 3:
         raise ValueError("expected 3 field components on the next-to-last axis")
     if duration <= 0:
         raise ValueError("duration must be positive")
-    padded = np.zeros(signal.samples.shape[:-1] + (_pad_length(signal.n, pad_factor),))
+    padded = np.zeros(signal.samples.shape[:-1] + (_pad_length(signal.n),))
     padded[..., : signal.n] = signal.samples
     return padded
 
 
-def empirical_coherency(signal: TimeSignal, duration: float, pad_factor: float = 2.0):
+def empirical_coherency(signal: TimeSignal, duration: float):
     """Scaled periodogram estimate of the coherency spectrum.
 
     Returns ``(omegas, psi_hat)`` with ``psi_hat[..., m, :, :]`` the 2x2
@@ -274,7 +278,7 @@ def empirical_coherency(signal: TimeSignal, duration: float, pad_factor: float =
     (..., 3, n) signal; ``duration`` is the physical acquisition window 2T
     used for normalization.
     """
-    padded = _padded_field(signal, duration, pad_factor)
+    padded = _padded_field(signal, duration)
     e_hat = analysis_transform(padded, signal.dt)
     e_par = e_hat[..., :2, :]
     psi = (TWO_PI / duration) * np.einsum(
@@ -283,27 +287,17 @@ def empirical_coherency(signal: TimeSignal, duration: float, pad_factor: float =
     return spectrum_grid(padded.shape[-1], signal.dt), psi
 
 
-def empirical_autocorrelation(
-    signal: TimeSignal,
-    duration: float,
-    mode: str = "freq",
-    max_lag: float | None = None,
-    pad_factor: float = 2.0,
-):
-    """Empirical autocorrelation of the cross-range field components.
+def empirical_autocorrelation(signal: TimeSignal, duration: float, max_lag: float | None = None):
+    """Empirical autocorrelation of the cross-range field components in the lag domain.
 
-    ``mode="freq"`` returns the coherency spectrum estimate (see
-    :func:`empirical_coherency`).  ``mode="lag"`` returns ``(lags, psi_emp)``
-    with ``psi_emp(tau) = (1/2T) integral Epar(t + tau) Epar(t)^T dt``
-    evaluated at nonnegative grid lags up to ``max_lag``.
+    Returns ``(lags, psi_emp)`` with
+    ``psi_emp(tau) = (1/2T) integral Epar(t + tau) Epar(t)^T dt`` evaluated at
+    nonnegative grid lags up to ``max_lag``; its spectrum counterpart is
+    :func:`empirical_coherency`.
     """
-    if mode == "freq":
-        return empirical_coherency(signal, duration, pad_factor)
-    if mode != "lag":
-        raise ValueError(f"unknown mode {mode!r}")
     if max_lag is not None and not 0 <= max_lag < np.inf:
         raise ValueError(f"max_lag must be nonnegative and finite, got {max_lag!r}")
-    padded = _padded_field(signal, duration, pad_factor)
+    padded = _padded_field(signal, duration)
     n_pad = padded.shape[-1]
     spec = np.fft.rfft(padded, axis=-1)
     e_par = spec[..., :2, :]
@@ -326,16 +320,18 @@ def stochastic_coherency_dataset(
     band_count: int,
     band_width: float | None = None,
     realizations: int = 1,
-    pad_factor: float = 2.0,
+    include_second_born: bool = False,
 ) -> ArrayDataSet:
     """Coherency dataset estimated from random-source acquisitions.
 
-    Equivalent, bin for bin, to simulating the received time signals and
-    forming the scaled periodogram, but evaluated only at ``band_count``
-    frequency bins spread across the source band (a uniform stride over the
-    padded transform grid).  Multiple realizations average the estimate; the
-    attached source coherency is the known per-frequency spectrum so the
-    dataset feeds straight into preprocessing.
+    ``M J_hat M^*`` at ``band_count`` frequency bins spread across the source
+    band (a uniform stride over the twofold padded transform grid), with ``M``
+    the projected total transfer (double scattering included if asked, as in
+    :func:`~polarmig.forward.coherency_synthesize`) and ``J_hat`` the realized
+    source coherency averaged over ``realizations``.  Bin for bin this is the
+    scaled periodogram of the received time signals.  The attached source
+    coherency is the known per-frequency spectrum so the dataset feeds
+    straight into preprocessing.
     """
     if band_count < 2:
         raise ValueError("need at least 2 band samples")
@@ -344,7 +340,7 @@ def stochastic_coherency_dataset(
     width = band_width if band_width is not None else TWO_PI * _BAND_HALF_WIDTHS / (
         2.0 * spec.correlation_time
     )
-    n_pad = _pad_length(spec.samples, pad_factor)
+    n_pad = _pad_length(spec.samples)
     omegas = spectrum_grid(n_pad, spec.dt)
     lo, hi = spec.center - width / 2, spec.center + width / 2
     candidates = np.nonzero((omegas >= lo) & (omegas <= hi))[0]
@@ -354,29 +350,19 @@ def stochastic_coherency_dataset(
     picked = candidates[: stride * band_count : stride]
     band = FrequencyBand.from_omegas(omegas[picked])
 
-    duration = 2.0 * spec.half_duration
+    j_hat = np.zeros((picked.size, 2, 2), dtype=complex)
+    for seq in np.random.SeedSequence(spec.seed).spawn(realizations):
+        zeta = _source_spectrum(spec, n_pad, seq)[:, picked].T
+        j_hat += zeta[:, :, None] * np.conj(zeta[:, None, :])
+    j_hat *= TWO_PI / (2.0 * spec.half_duration * realizations)
 
-    # projected 2x2 transfer at the picked bins only
-    transfer = _transfer(scene, omegas[picked] / scene.wave_speed, scene.geom.flat_positions(),
-                         scene.source.basis())
-
-    seeds = np.random.SeedSequence(spec.seed).spawn(realizations)
-    psi = np.zeros_like(transfer)
-    for seq in seeds:
-        rng = np.random.default_rng(seq)
-        channels = _synth_channels(spec, 2, rng)
-        padded = np.zeros((2, n_pad))
-        padded[:, : spec.samples] = channels
-        zeta = analysis_transform(padded, spec.dt)[:, picked]
-        e_par = np.einsum("rfij,jf->rfi", transfer, zeta, optimize=True)
-        psi += (TWO_PI / duration) * np.einsum(
-            "rfi,rfj->rfij", e_par, np.conj(e_par), optimize=True
-        )
-    psi /= realizations
-
+    m = _transfer(scene, omegas[picked] / scene.wave_speed, scene.geom.flat_positions(),
+                  scene.source.basis(), include_second_born)
     js_table = spec.spectrum(omegas[picked])[:, None, None] * np.eye(2)
     source = replace(scene.source, coherency=js_table)
-    values = psi.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
+    # contiguous, or the container write copies the strided product while it is alive
+    values = np.ascontiguousarray(_coherency(m, j_hat))
+    values = values.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
     return ArrayDataSet("coherency2x2", values, scene.geom, source, band, scene.wave_speed)
 
 
@@ -413,8 +399,11 @@ def ergodicity_probe(
     """Empirical variance of lag-zero autocorrelations across realizations.
 
     For each acquisition half-duration T (keeping the sampling interval of
-    ``base_spec``), draws fresh realizations, propagates them to a few probe
-    receivers, and records the variance of every autocorrelation entry.  The
+    ``base_spec``), draws fresh realizations and records, at a few probe
+    receivers, the variance of every entry of the lag-zero autocorrelation of
+    the twofold padded received field.  By Parseval that autocorrelation is
+    ``2 d_omega sum_k Re(M_k J_hat_k M_k^*)`` over the bins strictly between
+    zero and Nyquist whose source spectrum exceeds 1e-12 of its peak.  The
     fitted slope of log variance versus log T is the ergodicity diagnostic.
     Realizations own seeds derived from (seed, duration index, realization
     index), so results are schedule independent.
@@ -435,22 +424,18 @@ def ergodicity_probe(
     for ti, half in enumerate(half_durations):
         n = int(round(2.0 * half / base_spec.dt))
         spec = replace(base_spec, half_duration=half, samples=n)
-        n_pad = _pad_length(n, 2.0)
+        n_pad = _pad_length(n)
         omegas = spectrum_grid(n_pad, spec.dt)
         power = spec.spectrum(omegas)
-        active = (omegas > 0) & (power > 1e-12 * power.max())
-        transfer = _active_transfer(scene, omegas, active, receivers)
+        active = (omegas > 0) & (omegas < omegas[-1]) & (power > 1e-12 * power.max())
+        m = project(_active_transfer(scene, omegas, active, receivers), u_s)
+        # 2 d_omega times the periodogram scale 2 pi / 2T
+        weight = 2.0 * (TWO_PI / (n_pad * spec.dt)) * (TWO_PI / (2.0 * half))
         samples = np.empty((realizations, receivers.shape[0], 2, 2))
         for ri, seq in enumerate(t_seqs[ti].spawn(realizations)):
-            rng = np.random.default_rng(seq)
-            channels = _synth_channels(spec, 2, rng)
-            padded = np.zeros((3, n_pad))
-            padded[:, :n] = u_s @ channels
-            j_hat = analysis_transform(padded, spec.dt)
-            e_par = _propagate_bins(transfer, j_hat, active, n_pad, spec.dt)[:, :2, :]
-            samples[ri] = (spec.dt / (2.0 * half)) * np.einsum(
-                "rit,rjt->rij", e_par, e_par
-            )
+            zeta = _source_spectrum(spec, n_pad, seq)[:, active].T
+            j_hat = weight * zeta[:, :, None] * np.conj(zeta[:, None, :])
+            samples[ri] = _coherency(m, j_hat).real.sum(axis=1)
         variances[ti] = samples.var(axis=0, ddof=1).mean()
     slope = float(np.polyfit(np.log(half_durations), np.log(variances), 1)[0])
     return ErgodicityProbe(durations=half_durations, variances=variances, slope=slope)

@@ -55,7 +55,7 @@ def test_preset_stochastic_reduced():
     cfg = parse_config(preset("stochastic-reduced"))
     assert (cfg.scene.geom.n1, cfg.scene.geom.n2) == (61, 61)
     assert cfg.stochastic.band_count == 128
-    assert cfg.stochastic.samples == 8001
+    assert cfg.stochastic.process.samples == 8001
 
 
 def test_unknown_preset():
@@ -271,6 +271,19 @@ def test_cli_simulate_follows_the_stochastic_section(tmp_path):
     assert written[0] == written[1]
 
 
+def test_cli_simulate_second_born_reaches_random_source_data(tmp_path):
+    cfg = _tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))
+    cfg["scatterers"] = cfg["scatterers"][:2]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    written = []
+    for flags in ([], ["--second-born"]):
+        out = tmp_path / ("double" if flags else "single")
+        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+        written.append((out / "coherency.pmds").read_bytes())
+    assert written[0] != written[1]
+
+
 def test_cli_simulate_and_report_match_run_pipeline(tmp_path, capsys):
     cfg = _tiny_config()
     cfg_path = tmp_path / "cfg.json"
@@ -362,6 +375,8 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("stochastic", "correlation_time"), True, r"stochastic\.correlation_time: expected a"),
         (("pipeline", "recover_mode"), "best", r"pipeline\.recover_mode: must be 'exact' or"),
         (("pipeline", "glyph_threshold"), 1.5, r"pipeline\.glyph_threshold: must lie in \[0, 1\]"),
+        # the source process draws from the seed, which must be nonnegative
+        (("seed",), -1, "stochastic: seed must be nonnegative"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -378,7 +393,7 @@ def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, sec
 def test_parse_config_accepts_integral_floats():
     cfg = parse_config(_with(("band", "count"), 3.0, stochastic=dict(_STOCHASTIC, samples=4000.0)))
     assert cfg.band.count == 3 and type(cfg.band.count) is int
-    assert cfg.stochastic.samples == 4000 and type(cfg.stochastic.samples) is int
+    assert cfg.stochastic.process.samples == 4000 and type(cfg.stochastic.process.samples) is int
 
 
 @pytest.mark.parametrize("recover_mode", ["exact", "fraunhofer"])

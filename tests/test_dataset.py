@@ -144,6 +144,24 @@ def test_kind_cross_reads_rejected(tmp_path, rng):
     assert back.dt == sig.dt
 
 
+@pytest.mark.parametrize("dt, t0, message", [
+    (np.nan, 0.0, "sample interval"),
+    (np.inf, 0.0, "sample interval"),
+    (0.5, np.inf, "start time"),
+    (0.5, np.nan, "start time"),
+])
+def test_time_signal_refuses_non_finite_times(tmp_path, dt, t0, message):
+    # times() returned NaN or inf for these; json reads a NaN token, so the
+    # container path has to refuse them too
+    with pytest.raises(ValueError, match=message):
+        pm.TimeSignal(np.ones((3, 8)), dt=dt, t0=t0)
+    good, bad = tmp_path / "good.pmds", tmp_path / "bad.pmds"
+    pm.TimeSignal(np.ones((3, 8)), dt=0.5).write(good)
+    _rewrite_header(good, bad, lambda h: h["meta"].update(dt=dt, t0=t0))
+    with pytest.raises(ValueError, match=message):
+        pm.TimeSignal.read(bad)
+
+
 def test_array_read_of_an_image_field_names_it(tmp_path, rng, capsys):
     field = pm.ImageField(rng.uniform(-1, 1, (6, 3)), np.ones((6, 2, 2)), (2, 3), {})
     path = tmp_path / "slice00_alpha.pmds"

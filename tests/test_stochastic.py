@@ -205,7 +205,7 @@ def test_empirical_autocorrelation_sinusoid_oracle():
     samples[0] = wave
     sig = pm.TimeSignal(samples=samples, dt=dt, t0=0.0)
     duration = n * dt
-    lags, psi = pm.empirical_autocorrelation(sig, duration, mode="lag", max_lag=40 * dt)
+    lags, psi = pm.empirical_autocorrelation(sig, duration, max_lag=40 * dt)
     for li in (0, 7, 23):
         lag = li
         m = n - lag
@@ -217,12 +217,13 @@ def test_empirical_autocorrelation_sinusoid_oracle():
     assert lags[1] - lags[0] == pytest.approx(dt)
 
 
-@pytest.mark.parametrize("mode", ["freq", "lag"])
+@pytest.mark.parametrize("estimator", [pm.empirical_coherency, pm.empirical_autocorrelation],
+                         ids=["freq", "lag"])
 @pytest.mark.parametrize("duration", [0.0, -1e-9])
-def test_empirical_autocorrelation_rejects_nonpositive_duration(mode, duration):
+def test_empirical_autocorrelation_rejects_nonpositive_duration(estimator, duration):
     sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=1e-11)
     with pytest.raises(ValueError, match="duration must be positive"):
-        pm.empirical_autocorrelation(sig, duration, mode=mode)
+        estimator(sig, duration)
 
 
 @pytest.mark.parametrize("max_lag", [-5.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
@@ -232,7 +233,7 @@ def test_empirical_autocorrelation_rejects_bad_max_lag(max_lag):
     dt = 1e-11
     sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=dt)
     with pytest.raises(ValueError, match="max_lag"):
-        pm.empirical_autocorrelation(sig, 64 * dt, mode="lag", max_lag=max_lag * dt)
+        pm.empirical_autocorrelation(sig, 64 * dt, max_lag=max_lag * dt)
 
 
 def test_empirical_coherency_mean_matches_deterministic():
@@ -320,7 +321,7 @@ def test_bin_selected_dataset_matches_time_domain_route():
     realization = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
     src_sig = pm.synth_source(spec, basis, rng=realization)
     received = pm.simulate_received(scene, src_sig, receivers=scene.geom.flat_positions())
-    omegas, psi = pm.empirical_coherency(received, 2 * spec.half_duration, pad_factor=1.0)
+    omegas, psi = pm.empirical_coherency(received, 2 * spec.half_duration)
     picked = [int(np.argmin(np.abs(omegas - w))) for w in ds.omegas]
     assert np.allclose(omegas[picked], ds.omegas, rtol=1e-9)
     direct = psi[:, picked].reshape(ds.values.shape)
@@ -380,3 +381,39 @@ def test_ergodicity_variance_of_variance_scaling():
     boots_large = [rng.choice(pool, 60).var(ddof=1) for _ in range(400)]
     ratio = np.var(boots_small) / np.var(boots_large)
     assert 1.3 < ratio < 3.2
+
+
+def test_ergodicity_probe_values_match_time_domain_route():
+    # the probe sums M J_hat M^* over frequency; propagating each realization
+    # through the time domain and summing the lag-zero product must give the
+    # same variances, draw for draw
+    from polarmig.forward import _transfer
+
+    scene = _stats_scene(n=2)
+    base = _spec(seed=7, half=40e-9, samples=1200)
+    ladder = [20e-9, 30e-9, 40e-9]
+    realizations = 30
+    rec = scene.geom.flat_positions()[:2]
+    probe = pm.ergodicity_probe(scene, base, ladder, realizations=realizations, receivers=rec)
+    u_s = scene.source.basis()
+    expected = []
+    for half, t_seq in zip(ladder, np.random.SeedSequence(base.seed).spawn(len(ladder))):
+        n = int(round(2 * half / base.dt))
+        spec = _spec(seed=7, half=half, samples=n)
+        n_pad = _pad_length(n)
+        omegas = spectrum_grid(n_pad, spec.dt)
+        power = spec.spectrum(omegas)
+        active = (omegas > 0) & (power > 1e-12 * power.max())
+        transfer = _transfer(scene, omegas[active] / scene.wave_speed, rec)
+        pool = []
+        for seq in t_seq.spawn(realizations):
+            ch = _synth_channels(spec, 2, np.random.default_rng(seq))
+            padded = np.zeros((3, n_pad))
+            padded[:, :n] = u_s @ ch
+            j_hat = analysis_transform(padded, spec.dt)
+            e_hat = np.zeros((rec.shape[0], 3, omegas.size), dtype=complex)
+            e_hat[:, :, active] = np.einsum("rfij,jf->rif", transfer, j_hat[:, active])
+            e_par = synthesis_transform(e_hat, n_pad, spec.dt)[:, :2, :]
+            pool.append((spec.dt / (2 * half)) * np.einsum("rit,rjt->rij", e_par, e_par))
+        expected.append(np.var(pool, axis=0, ddof=1).mean())
+    assert np.allclose(probe.variances, expected, rtol=1e-10, atol=0)
