@@ -13,9 +13,12 @@ import numpy as np
 from .dataset import ArrayDataSet
 from .emcore import green_band, project
 from .errors import CoincidentPointsError
-from .migrate import _PAIR_TARGET, _direct_sums
+from .migrate import _direct_sums
 from .preprocess import _coherency, gtilde
 from .scene import FrequencyBand, Scene
+
+# Receivers per transfer chunk are sized so their pairs with the scatterers stay few.
+_PAIR_TARGET = 600_000
 
 
 def _tails(scene: Scene, ks, single: bool, double: bool) -> np.ndarray:
@@ -42,9 +45,9 @@ def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> n
     """Scattered transfer ``sum_n G(x_r, y_n) T_n`` at ``recs``, (nrec, nfreq, 3, 3).
 
     ``G`` is symmetric, so this is ``conj(sum_n conj(G(y_n, x_r)) conj(T_n))``: migrate's
-    direct engine summed over the scatterers, for receiver chunks of its pair target; both
-    scattering orders of :func:`_tails` share it.  Given the source basis ``u_s`` it is the
-    projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
+    direct engine summed over the scatterers, for receiver chunks of ``_PAIR_TARGET``
+    pairs; both scattering orders of :func:`_tails` share it.  Given the source basis
+    ``u_s`` it is the projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
     """
     pos = scene.scatterer_positions()
     # the engine's coincidence scale: at least 1 and every receiver and scatterer norm

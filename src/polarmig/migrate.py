@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import run_tasks
+from ._parallel import one_blas_thread, run_tasks
 from .dataset import ArrayDataSet
 from .emcore import (CROSS_RANGE_BASIS, _distances, _green_walk, _kernel_table, _kernel_walk,
                      as_vec3, dyadic_green, project, projector)
@@ -43,8 +43,10 @@ from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
 
-# Points per direct-sum chunk are sized so their pairs with the summed set stay few.
-_PAIR_TARGET = 600_000
+# Direct points per migrate task are sized so their pairs with the receivers
+# stay under this: 32 points at 61x61 receivers, so a few dozen points fill
+# two cores.  The rule never reads the thread count, so neither do the tasks.
+_TASK_PAIRS = 120_000
 
 # Summed points per direct-sum block; bounds the (kernels, points, block) stack.
 _RECEIVER_BLOCK = 512
@@ -312,6 +314,7 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
 # ---------------------------------------------------------------------------
 
 
+@one_blas_thread()
 def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str = "image"):
     """Weighted frequency sum of Kirchhoff images, projected images or recovered tensors.
 
@@ -322,8 +325,9 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
     per-frequency recovered tensors for "exact", (npts, 2, 2) in the
     (cross-range, ``u_s``) bases.  The receiver sums take only the rows and
     columns of ``conj(G)`` that these bases keep.  Work is split into
-    lattice-row chunks and direct point chunks of fixed size, so results do
-    not depend on threads.
+    lattice-row chunks and direct point chunks of fixed size, run with
+    OpenBLAS at one thread, so results depend neither on ``POLARMIG_THREADS``
+    nor on the OpenBLAS thread count.
     """
     cell = geom.cell_area
     recs = geom.flat_positions()
@@ -343,7 +347,7 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
         for chunk in np.array_split(group, n_chunks):
             tasks.append((chunk.ravel(), partial(_lattice_sums, geom, data, ks, pts, chunk,
                                                  layout, n_out, exact, scale)))
-    size = max(1, _PAIR_TARGET // recs.shape[0])
+    size = max(1, _TASK_PAIRS // recs.shape[0])
     for lo in range(0, rest.size, size):
         idx = rest[lo:lo + size]
         tasks.append((idx, partial(_direct_sums, recs, flat, ks, pts[idx], n_out, exact, scale)))
@@ -358,8 +362,7 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
             src = np.conj(u_s).T @ src
         if n_out == 2:
             src = src @ u_s
-        # the products of tiny matrices below are einsum loops, not BLAS calls:
-        # BLAS threads started here competed with the chunk threads
+        # einsum loops over the tiny matrices below; matmul would make a BLAS call per matrix
         ikm = cell * np.einsum("fpij,fpjk->fpik", per_freq, src)
         if exact:
             # one source pair per point; u_s^T conj(G) G u_s needs only v = u_s^T rhat_s
@@ -412,6 +415,9 @@ def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
     return _migrate_band(ds, points, "image")
 
 
+# the hold covers the core projection too: a 2-thread product there wakes an
+# OpenBLAS worker, which then spins on a core that the migrate tasks need
+@one_blas_thread()
 def _migrate_band(ds: ArrayDataSet, points, mode: str):
     """:func:`_migrate` over the band of ``ds`` with trapezoid weights, one point squeezed.
 

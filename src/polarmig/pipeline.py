@@ -27,7 +27,7 @@ def _write_norms_csv(field: ImageField, path) -> None:
     lines = ["x1,x2,x3,frobenius_norm"]
     norms = field.norms()
     for p, n in zip(field.points, norms):
-        lines.append(f"{p[0]!r},{p[1]!r},{p[2]!r},{float(n)!r}")
+        lines.append(",".join(repr(float(v)) for v in (*p, n)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

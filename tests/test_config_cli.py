@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig._parallel import blas_threads
 from polarmig.cli import main as cli_main
 from polarmig.config import parse_config, preset
-from polarmig.pipeline import run_pipeline
+from polarmig.pipeline import run_pipeline, write_slice
 
 from conftest import LAMBDA0, band, bench_scene
 
@@ -136,6 +137,21 @@ def test_run_pipeline_artifacts_and_determinism(tmp_path, monkeypatch):
     assert _dir_digest(tmp_path / "run1") == _dir_digest(tmp_path / "run3")
 
 
+def test_norms_tables_hold_plain_numbers(tmp_path):
+    cfg = parse_config(_tiny_config())
+    run_pipeline(cfg, tmp_path)
+    pre = pm.ArrayDataSet.read(tmp_path / "preprocessed.pmds")
+    write_slice(pre, cfg, 0, tmp_path, recover=False)
+    for name in ("slice00_norms.csv", "slice00_image_norms.csv"):
+        header, *rows = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+        assert header == "x1,x2,x3,frobenius_norm"
+        assert len(rows) == 21 * 21
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == 4
+            assert all(np.isfinite(float(field)) for field in fields), row
+
+
 def test_run_pipeline_zero_scene_images_vanish(tmp_path):
     cfg_dict = _tiny_config()
     ref = run_pipeline(parse_config(cfg_dict), tmp_path / "withscat")
@@ -166,6 +182,22 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys):
     assert len(lines) == 2
     assert all(line.startswith("invalid input: ") and "nonexistent.pmds" in line
                for line in lines)
+
+
+def test_cli_bad_thread_setting_exits_2(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    run_pipeline(parse_config(_tiny_config()), tmp_path / "run")
+    before = blas_threads()
+    monkeypatch.setenv("POLARMIG_THREADS", "abc")
+    capsys.readouterr()
+    for command in ("image", "recover"):
+        argv = [command, str(tmp_path / "run" / "preprocessed.pmds"), "--config", str(cfg_path),
+                "--out", str(tmp_path / command)]
+        assert cli_main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid input: POLARMIG_THREADS must be an integer, got 'abc'"] * 2
+    assert blas_threads() == before
 
 
 def test_cli_ill_conditioned_source_coherency_exits_3(tmp_path, capsys):

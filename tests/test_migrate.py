@@ -1,14 +1,18 @@
 """Imaging tests: migration kernels, point-spread functions, recovery, region."""
 
 import dataclasses
+import sys
+import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig import migrate
-from polarmig._parallel import thread_count
-from polarmig.emcore import CROSS_RANGE_BASIS
+from polarmig import _parallel, migrate
+from polarmig._parallel import (blas_threads, one_blas_thread, run_tasks, set_blas_threads,
+                                thread_count)
+from polarmig.emcore import CROSS_RANGE_BASIS, project
 
 from conftest import (
     ALPHA_1,
@@ -375,10 +379,10 @@ def _check_schedule_invariance(scene, resp, monkeypatch):
     assert rest.size == 0
     # off-lattice points split over at least three direct chunks
     off = _off_lattice_points(scene, 40)
-    monkeypatch.setattr(migrate, "_PAIR_TARGET", 12 * 81)
+    monkeypatch.setattr(migrate, "_TASK_PAIRS", 12 * 81)
     rows, rest = migrate._lattice_rows(off, scene.geom)
     assert not rows and rest.size == 40
-    assert -(-40 // (migrate._PAIR_TARGET // 81)) >= 3
+    assert -(-40 // (migrate._TASK_PAIRS // 81)) >= 3
 
     def run():
         return (pm.kirchhoff_band(resp, pts),
@@ -401,6 +405,167 @@ def test_thread_count_refuses_a_bad_setting(monkeypatch, value):
     monkeypatch.setenv("POLARMIG_THREADS", value)
     with pytest.raises(ValueError, match="POLARMIG_THREADS"):
         thread_count()
+
+
+def test_direct_points_split_into_tasks_whatever_the_threads(monkeypatch):
+    # probe-sized: 64 off-lattice points at 61x61 receivers fill two cores
+    scene = three_dipole_scene(n=61)
+    pts = _off_lattice_points(scene, 64)
+    rows, rest = migrate._lattice_rows(pts, scene.geom)
+    assert not rows and rest.size == 64
+    u_s = scene.source.basis()
+    data = np.ones((61, 61, 1, 2, 2), dtype=complex)
+    splits = []
+
+    def spy(work, tasks):
+        splits.append([idx.tolist() for idx, _ in tasks])
+        return run_tasks(work, tasks)
+
+    monkeypatch.setattr(migrate, "run_tasks", spy)
+    outs = []
+    for threads in (None, "1", "2", "3"):
+        if threads is None:
+            monkeypatch.delenv("POLARMIG_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("POLARMIG_THREADS", threads)
+        outs.append(migrate._migrate(scene.geom, scene.source.position, data, np.array([K0]),
+                                     np.ones(1), pts, u_s, "exact"))
+    assert len(splits[0]) >= 2 and max(map(len, splits[0])) <= 32
+    assert all(split == splits[0] for split in splits)
+    assert all(np.array_equal(out, outs[0]) for out in outs)
+
+
+@pytest.fixture
+def blas_count():
+    """The OpenBLAS thread count before the test (None without one), restored after it."""
+    before = blas_threads()
+    yield before
+    if before is not None:
+        set_blas_threads(before)
+
+
+def test_outputs_do_not_depend_on_blas_threads(blas_count):
+    # at 17x17 receivers a 2-thread OpenBLAS rounds the direct engine's products
+    # differently from a 1-thread one, so only the hold in migrate keeps these equal
+    scene = three_dipole_scene(n=17)
+    datasets = (pm.response_synthesize(scene, band(5)),
+                pm.preprocess(pm.coherency_synthesize(scene, band(5)))[0])
+    off = _off_lattice_points(scene, 40)
+    slice_pts = pm.plane_grid(scene.window, 2, L, 1.25 * LAMBDA0)[0]
+    rows, rest = migrate._lattice_rows(slice_pts, scene.geom)
+    assert rows and rest.size == 0
+    rows, rest = migrate._lattice_rows(off, scene.geom)
+    assert not rows and rest.size == 40
+    calls = (pm.kirchhoff_band, partial(pm.recover_alpha_field, mode="exact"),
+             partial(pm.recover_alpha_field, mode="fraunhofer"))
+
+    def run():
+        return [call(ds, pts) for ds in datasets for pts in (off, slice_pts) for call in calls]
+
+    set_blas_threads(1)
+    one = run()
+    set_blas_threads(2)
+    two = run()
+    for a, b in zip(one, two):
+        assert np.array_equal(a, b)
+
+
+def _hold_spy(monkeypatch):
+    """Record the OpenBLAS thread count while migrate's tasks run."""
+    seen = []
+
+    def spy(work, tasks):
+        seen.append(blas_threads())
+        return run_tasks(work, tasks)
+
+    monkeypatch.setattr(migrate, "run_tasks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_migrate_restores_the_blas_count(lattice_scene, blas_count, monkeypatch, count):
+    scene, resp = lattice_scene
+    pts = np.concatenate([_OFF_LATTICE, _lattice_grids(scene)["line along x1"]])
+    seen = _hold_spy(monkeypatch)
+    set_blas_threads(count)
+    before = blas_threads()
+    pm.recover_alpha_field(resp, pts)
+    assert blas_threads() == before
+    # on a point on a receiver a task raises inside the hold
+    with pytest.raises(pm.CoincidentPointsError):
+        pm.kirchhoff_band(resp, np.stack([scene.geom.positions()[3, 5], _OFF_LATTICE[0]]))
+    assert blas_threads() == before
+    # a bad thread setting raises inside the hold too
+    monkeypatch.setenv("POLARMIG_THREADS", "abc")
+    with pytest.raises(ValueError, match="POLARMIG_THREADS"):
+        pm.kirchhoff_band(resp, _OFF_LATTICE)
+    assert blas_threads() == before
+    assert seen == [None if blas_count is None else 1] * 3
+
+
+def test_core_projection_runs_under_the_hold(lattice_scene_preprocessed, blas_count,
+                                             monkeypatch):
+    _, pre = lattice_scene_preprocessed
+    seen = []
+
+    def spy(m, u_s):
+        seen.append(blas_threads())
+        return project(m, u_s)
+
+    monkeypatch.setattr(migrate, "project", spy)
+    set_blas_threads(2)
+    pm.kirchhoff_band(pre, _OFF_LATTICE)
+    assert seen == [None if blas_count is None else 1]
+
+
+def test_overlapping_blas_holds_restore_the_count(blas_count):
+    # more threads than cores, switching often, each opening and closing holds
+    set_blas_threads(2)
+    before = blas_threads()
+    held = None if before is None else 1
+    wrong = []
+    start = threading.Barrier(8, timeout=60)
+
+    def worker():
+        start.wait()
+        for _ in range(2000):
+            with one_blas_thread():
+                if blas_threads() != held:
+                    wrong.append(blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert blas_threads() == before
+
+
+def test_migrate_runs_without_the_blas_symbols(lattice_scene, blas_count, monkeypatch):
+    scene, resp = lattice_scene
+    pts = np.concatenate([_OFF_LATTICE, _lattice_grids(scene)["line along x1"]])
+
+    def run():
+        return [pm.kirchhoff_band(resp, pts), pm.recover_alpha_field(resp, pts, mode="exact"),
+                pm.recover_alpha_field(resp, pts, mode="fraunhofer")]
+
+    held = run()
+    # the count the hold sets, so the unheld products round alike
+    set_blas_threads(1)
+    monkeypatch.setattr(_parallel, "_openblas", lambda: None)
+    assert blas_threads() is None
+    set_blas_threads(3)  # does nothing without the library
+    seen = _hold_spy(monkeypatch)
+    for a, b in zip(held, run()):
+        assert np.array_equal(a, b)
+    assert seen == [None] * 3
 
 
 # ---------------------------------------------------------------------------
