@@ -1,8 +1,10 @@
 """Command line driver.
 
 Subcommands mirror the pipeline stages: simulate, preprocess, image, recover,
-stochastic, report, glyphs.  Exit codes: 0 success, 2 validation error,
-3 numerical failure.  Set POLARMIG_THREADS to override the worker count.
+report, glyphs.  ``simulate`` writes random-source data for a config with a
+``stochastic`` section.  A subcommand takes only the config overrides that
+change its output.  Exit codes: 0 success, 2 validation error, 3 numerical
+failure.  Set POLARMIG_THREADS to override the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .config import ExperimentConfig, parse_config, preset, read_config
 from .dataset import ArrayDataSet, ImageField
 from .errors import ConfigError, NumericalError, PolarmigError
-from .glyphs import emit_glyphs
+from .glyphs import DEFAULT_THRESHOLD, emit_glyphs
 from .pipeline import report_text, write_preprocessed, write_simulated, write_slice, write_tensors
 
 
@@ -34,37 +36,20 @@ def _apply_overrides(raw: dict, args) -> dict:
     if not isinstance(raw, dict) or not isinstance(raw.get("pipeline", {}), dict):
         return raw  # parse_config reports the malformed section
     pipe = raw.setdefault("pipeline", {})
-    for key, node in (("seed", raw), ("gamma", pipe), ("delta_rel", pipe), ("recover_mode", pipe)):
+    for key, node in (("seed", raw), ("second_born", pipe), ("delta_rel", pipe),
+                      ("recover_mode", pipe), ("gamma", pipe)):
         if getattr(args, key, None) is not None:
             node[key] = getattr(args, key)
-    if getattr(args, "second_born", False):
-        pipe["second_born"] = True
     return raw
 
 
 def _add_config_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment configuration JSON")
     p.add_argument("--preset", help="built-in preset name instead of --config")
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--gamma", type=int, choices=(1, 3), help="override the cone factor")
-    p.add_argument("--delta-rel", dest="delta_rel", type=float,
-                   help="override the phase-correction floor")
-    p.add_argument("--recover-mode", dest="recover_mode",
-                   choices=("exact", "fraunhofer"), help="override the recovery mode")
-    p.add_argument("--second-born", dest="second_born", action="store_true",
-                   help="include double-scattering terms in synthesis")
 
 
 def cmd_simulate(args) -> None:
     cfg = _config_from_args(args)
-    os.makedirs(args.out, exist_ok=True)
-    write_simulated(cfg, args.out)
-
-
-def cmd_stochastic(args) -> None:
-    cfg = _config_from_args(args)
-    if cfg.stochastic is None:
-        raise ConfigError("configuration has no stochastic section")
     os.makedirs(args.out, exist_ok=True)
     write_simulated(cfg, args.out)
 
@@ -144,12 +129,8 @@ def cmd_report(args) -> None:
 def cmd_glyphs(args) -> None:
     field = ImageField.read(args.field)
     os.makedirs(args.out, exist_ok=True)
-    emit_glyphs(
-        field,
-        args.threshold,
-        os.path.join(args.out, "glyphs.svg"),
-        os.path.join(args.out, "glyphs.csv"),
-    )
+    emit_glyphs(field, args.threshold, os.path.join(args.out, "glyphs.svg"),
+                os.path.join(args.out, "glyphs.csv"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,13 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize coherency data per the configuration")
     _add_config_opts(p)
+    p.add_argument("--seed", type=int, help="override the configured seed")
+    p.add_argument("--second-born", dest="second_born", action="store_const", const=True,
+                   help="include double-scattering terms in synthesis")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("stochastic", help="synthesize random-source coherency data")
-    _add_config_opts(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_stochastic)
 
     p = sub.add_parser("preprocess", help="map coherency data to response estimates")
     p.add_argument("dataset")
@@ -183,18 +162,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="projected tensor fields and tables")
     p.add_argument("dataset")
     _add_config_opts(p)
+    p.add_argument("--delta-rel", dest="delta_rel", type=float,
+                   help="override the phase-correction floor")
+    p.add_argument("--recover-mode", dest="recover_mode",
+                   choices=("exact", "fraunhofer"), help="override the recovery mode")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("report", help="regime and source-placement diagnostics")
     _add_config_opts(p)
+    p.add_argument("--gamma", type=int, choices=(1, 3), help="override the cone factor")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("glyphs", help="tensor ellipse glyphs from a 2x2 field")
     p.add_argument("field")
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.set_defaults(fn=cmd_glyphs)
 
     return parser

@@ -3,6 +3,9 @@
 Lengths may be plain numbers (meters) or strings like ``"20 lambda0"``, with
 lambda0 the center wavelength of the configured band, so bench presets read
 the way they are usually quoted.
+
+One reader reads each field once and names it as ``section.key`` in any error.
+A present key must parse, null included; only an absent key takes its default.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .migrate import region_check, region_slope
+from .glyphs import DEFAULT_THRESHOLD
+from .migrate import DEFAULT_DELTA_REL, region_check, region_slope
 from .scene import (
     ArrayGeom,
     DEFAULT_WAVE_SPEED,
@@ -32,7 +37,7 @@ from .stochastic import SourceProcessSpec
 TWO_PI = 2.0 * math.pi
 
 
-def _parse_length(value, lambda0: float, where: str) -> float:
+def _parse_length(value, where: str, lambda0: float) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
@@ -67,19 +72,59 @@ def _parse_flag(value, where: str) -> bool:
     raise ConfigError(f"{where}: expected true or false, got {value!r}")
 
 
-def _parse_point(value, lambda0: float, where: str) -> np.ndarray:
+def _parse_list(value, where: str) -> list:
+    if isinstance(value, (list, tuple)):
+        return value
+    raise ConfigError(f"{where}: expected a list, got {value!r}")
+
+
+def _parse_point(value, where: str, lambda0: float) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{where}: expected a 3-component point")
-    return np.array([_parse_length(v, lambda0, f"{where}[{i}]") for i, v in enumerate(value)])
+    return np.array([_parse_length(v, f"{where}[{i}]", lambda0) for i, v in enumerate(value)])
 
 
-def _parse_matrix(entry: dict, where: str) -> np.ndarray:
+def _parse_matrix(entry, where: str) -> np.ndarray:
     try:
         re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
+        return re + 1j * np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected re/im matrix entries") from exc
-    return re + 1j * im
+
+
+def _checked(parse, ok, rule: str):
+    """The parser ``parse`` refusing a parsed value that fails ``ok`` as ``where: rule``."""
+    def read(value, where: str):
+        parsed = parse(value, where)
+        if not ok(parsed):
+            raise ConfigError(f"{where}: {rule}")
+        return parsed
+    return read
+
+
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "must be positive and finite")
+_REQUIRED = object()
+
+
+class _Fields:
+    """One config object, read key by key; an error names the field as ``where.key``.
+
+    A present key must parse, null included.  Only an absent key takes its
+    default, and an absent key without one is refused as
+    ``where: missing field 'key'``.
+    """
+
+    def __init__(self, obj, where: str):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}: expected an object, got {obj!r}")
+        self.obj, self.where = obj, where
+
+    def __call__(self, key: str, parse, default=_REQUIRED):
+        if key in self.obj:
+            return parse(self.obj[key], f"{self.where}.{key}" if self.where else key)
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.where or 'configuration'}: missing field {key!r}")
+        return default
 
 
 @dataclass
@@ -101,18 +146,18 @@ class StochasticSpec:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description consumed by the pipeline."""
+    """Validated experiment description; :func:`parse_config` builds it."""
 
     scene: Scene
     band: FrequencyBand
     slices: list[SliceSpec]
-    second_born: bool = False
-    stochastic: StochasticSpec | None = None
-    gamma: int = 3
-    delta_rel: float = 1e-6
-    recover_mode: str = "exact"
-    glyph_threshold: float = 0.5
-    emit_reference: bool = True
+    second_born: bool
+    stochastic: StochasticSpec | None
+    gamma: int
+    delta_rel: float
+    recover_mode: str
+    glyph_threshold: float
+    emit_reference: bool
 
     @property
     def lambda0(self) -> float:
@@ -121,14 +166,12 @@ class ExperimentConfig:
 
 @contextmanager
 def _section(where: str):
-    """Report a malformed field inside the block as a ConfigError naming ``where``."""
+    """Report a constructor's ValueError inside the block as a ConfigError naming ``where``."""
     try:
         yield
     except ConfigError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -136,148 +179,90 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a configuration dictionary, reporting the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
-    with _section("wave_speed"):
-        wave_speed = _parse_number(raw.get("wave_speed", DEFAULT_WAVE_SPEED), "wave_speed")
+    root = _Fields(raw, "")
     # checked before lambda0 = 2 pi wave_speed / center scales every length
-    if not 0.0 < wave_speed < math.inf:
-        raise ConfigError("wave_speed: must be positive and finite")
+    wave_speed = root("wave_speed", _checked(_parse_number, *_POSITIVE), DEFAULT_WAVE_SPEED)
+    fields = root("band", _Fields)
     with _section("band"):
-        band_raw = raw["band"]
-        band = FrequencyBand(
-            center=TWO_PI * _parse_number(band_raw["center_hz"], "band.center_hz"),
-            width=TWO_PI * _parse_number(band_raw.get("width_hz", 0.0), "band.width_hz"),
-            count=_parse_count(band_raw["count"], "band.count"),
-        )
+        band = FrequencyBand(center=TWO_PI * fields("center_hz", _parse_number),
+                             width=TWO_PI * fields("width_hz", _parse_number, 0.0),
+                             count=fields("count", _parse_count))
     lambda0 = TWO_PI * wave_speed / band.center
+    length = partial(_parse_length, lambda0=lambda0)
+    point = partial(_parse_point, lambda0=lambda0)
 
+    fields = root("array", _Fields)
     with _section("array"):
-        arr = raw["array"]
-        geom = ArrayGeom(
-            side=_parse_length(arr["side"], lambda0, "array.side"),
-            n1=_parse_count(arr["n1"], "array.n1"),
-            n2=_parse_count(arr["n2"], "array.n2"),
-        )
-
+        geom = ArrayGeom(side=fields("side", length), n1=fields("n1", _parse_count),
+                         n2=fields("n2", _parse_count))
+    fields = root("window", _Fields)
     with _section("window"):
-        win_raw = raw["window"]
-        window = ImagingWindow(
-            center=_parse_point(win_raw["center"], lambda0, "window.center"),
-            cross_range=_parse_length(win_raw["cross_range"], lambda0, "window.cross_range"),
-            range_extent=_parse_length(win_raw["range_extent"], lambda0, "window.range_extent"),
-        )
-
+        window = ImagingWindow(center=fields("center", point),
+                               cross_range=fields("cross_range", length),
+                               range_extent=fields("range_extent", length))
+    fields = root("source", _Fields)
     with _section("source"):
-        src_raw = raw["source"]
-        coh = src_raw.get("coherency")
         source = SourceSpec(
-            position=_parse_point(src_raw["position"], lambda0, "source.position"),
-            reference_point=_parse_point(
-                src_raw.get("reference_point", win_raw["center"]),
-                lambda0,
-                "source.reference_point",
-            ),
-            coherency=_parse_matrix(coh, "source.coherency") if coh else np.eye(2, dtype=complex),
+            position=fields("position", point),
+            reference_point=fields("reference_point", point, window.center),
+            coherency=fields("coherency", _parse_matrix, np.eye(2, dtype=complex)),
         )
 
     scatterers: list[Scatterer] = []
-    with _section("scatterers"):
-        for i, entry in enumerate(raw.get("scatterers", [])):
-            where = f"scatterers[{i}]"
-            with _section(where):
-                if "cube" in entry:
-                    cube = entry["cube"]
-                    scatterers.extend(
-                        build_cube_scene(
-                            _parse_point(cube["center"], lambda0, f"{where}.cube.center"),
-                            _parse_length(cube["side"], lambda0, f"{where}.cube.side"),
-                            _parse_length(cube["spacing"], lambda0, f"{where}.cube.spacing"),
-                            _parse_matrix(cube["alpha"], f"{where}.cube.alpha"),
-                        )
-                    )
-                else:
-                    scatterers.append(
-                        Scatterer(
-                            position=_parse_point(entry["position"], lambda0, f"{where}.position"),
-                            alpha=_parse_matrix(entry["alpha"], f"{where}.alpha"),
-                        )
-                    )
-
+    for i, entry in enumerate(root("scatterers", _parse_list, [])):
+        fields = _Fields(entry, f"scatterers[{i}]")
+        cube = fields("cube", _Fields, None)
+        with _section(fields.where):
+            if cube is not None:
+                scatterers.extend(build_cube_scene(
+                    cube("center", point), cube("side", length), cube("spacing", length),
+                    cube("alpha", _parse_matrix)))
+            else:
+                scatterers.append(Scatterer(position=fields("position", point),
+                                            alpha=fields("alpha", _parse_matrix)))
     with _section("scene"):
-        scene = Scene(
-            source=source,
-            geom=geom,
-            window=window,
-            scatterers=tuple(scatterers),
-            wave_speed=wave_speed,
-        )
+        scene = Scene(source=source, geom=geom, window=window, scatterers=tuple(scatterers),
+                      wave_speed=wave_speed)
 
     slices = []
-    with _section("slices"):
-        for i, s in enumerate(raw.get("slices", [])):
-            where = f"slices[{i}]"
-            with _section(where):
-                spec = SliceSpec(
-                    normal_axis=_parse_count(s["normal_axis"], f"{where}.normal_axis"),
-                    offset=_parse_length(s["offset"], lambda0, f"{where}.offset"),
-                    step=_parse_length(s["step"], lambda0, f"{where}.step"),
-                )
-            if spec.normal_axis not in (0, 1, 2):
-                raise ConfigError(f"{where}.normal_axis: must be 0, 1 or 2")
-            if not 0 < spec.step < math.inf:
-                raise ConfigError(f"{where}.step: must be positive and finite")
-            if not math.isfinite(spec.offset):
-                raise ConfigError(f"{where}.offset: must be finite")
-            slices.append(spec)
+    for i, entry in enumerate(root("slices", _parse_list, [])):
+        fields = _Fields(entry, f"slices[{i}]")
+        slices.append(SliceSpec(
+            normal_axis=fields("normal_axis", _checked(_parse_count, lambda a: a in (0, 1, 2),
+                                                       "must be 0, 1 or 2")),
+            offset=fields("offset", _checked(length, math.isfinite, "must be finite")),
+            step=fields("step", _checked(length, *_POSITIVE)),
+        ))
 
-    with _section("pipeline"):
-        pipe = raw.get("pipeline", {})
-        gamma = _parse_count(pipe.get("gamma", 3), "pipeline.gamma")
-        mode = pipe.get("recover_mode", "exact")
-        delta_rel = _parse_number(pipe.get("delta_rel", 1e-6), "pipeline.delta_rel")
-        glyph_threshold = _parse_number(pipe.get("glyph_threshold", 0.5),
-                                        "pipeline.glyph_threshold")
-        second_born = _parse_flag(pipe.get("second_born", False), "pipeline.second_born")
-        emit_reference = _parse_flag(pipe.get("emit_reference", True), "pipeline.emit_reference")
-    if gamma not in (1, 3):
-        raise ConfigError("pipeline.gamma: must be 1 or 3")
-    if mode not in ("exact", "fraunhofer"):
-        raise ConfigError("pipeline.recover_mode: must be 'exact' or 'fraunhofer'")
-    if not 0.0 <= delta_rel < math.inf:
-        raise ConfigError("pipeline.delta_rel: must be nonnegative and finite")
-    if not 0.0 <= glyph_threshold <= 1.0:
-        raise ConfigError("pipeline.glyph_threshold: must lie in [0, 1]")
-    with _section("seed"):
-        seed = _parse_count(raw.get("seed", 0), "seed")
-
+    pipe = root("pipeline", _Fields, _Fields({}, "pipeline"))
+    seed = root("seed", _parse_count, 0)
     stoch = None
-    if raw.get("stochastic"):
+    fields = root("stochastic", _Fields, None)
+    if fields is not None:
         with _section("stochastic"):
-            st_raw = raw["stochastic"]
             stoch = StochasticSpec(
                 process=SourceProcessSpec(
-                    correlation_time=_parse_number(st_raw["correlation_time"],
-                                                   "stochastic.correlation_time"),
+                    correlation_time=fields("correlation_time", _parse_number),
                     center=band.center,
-                    half_duration=_parse_number(st_raw["half_duration"],
-                                                "stochastic.half_duration"),
-                    samples=_parse_count(st_raw["samples"], "stochastic.samples"),
+                    half_duration=fields("half_duration", _parse_number),
+                    samples=fields("samples", _parse_count),
                     seed=seed,
                 ),
-                band_count=_parse_count(
-                    st_raw.get("band_count", band.count), "stochastic.band_count"),
+                band_count=fields("band_count", _parse_count, band.count),
             )
 
     return ExperimentConfig(
-        scene=scene,
-        band=band,
-        slices=slices,
-        second_born=second_born,
-        stochastic=stoch,
-        gamma=gamma,
-        delta_rel=delta_rel,
-        recover_mode=mode,
-        glyph_threshold=glyph_threshold,
-        emit_reference=emit_reference,
+        scene=scene, band=band, slices=slices, stochastic=stoch,
+        second_born=pipe("second_born", _parse_flag, False),
+        gamma=pipe("gamma", _checked(_parse_count, lambda g: g in (1, 3), "must be 1 or 3"), 3),
+        delta_rel=pipe("delta_rel", _checked(_parse_number, lambda d: 0.0 <= d < math.inf,
+                                             "must be nonnegative and finite"), DEFAULT_DELTA_REL),
+        recover_mode=pipe("recover_mode", _checked(
+            lambda v, _: v, lambda m: m in ("exact", "fraunhofer"),
+            "must be 'exact' or 'fraunhofer'"), "exact"),
+        glyph_threshold=pipe("glyph_threshold", _checked(
+            _parse_number, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]"), DEFAULT_THRESHOLD),
+        emit_reference=pipe("emit_reference", _parse_flag, True),
     )
 
 

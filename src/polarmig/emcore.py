@@ -247,9 +247,6 @@ class StokesVec:
                 stacklevel=2,
             )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.i, self.q, self.u, self.v])
-
 
 def coherency_from_stokes(s) -> np.ndarray:
     """2x2 Hermitian coherency matrix of a Stokes vector.

@@ -110,13 +110,15 @@ def _transfer(scene: Scene, ks, recs, u_s=None, double: bool = False) -> np.ndar
 
     Returns (nrec, nfreq, 3, 3), or given the source basis ``u_s`` the
     projected ``Gtilde + Pitilde``, (nrec, nfreq, 2, 2), whose direct term is
-    :func:`~polarmig.preprocess.gtilde` bitwise (addition commutes).
+    :func:`~polarmig.preprocess.gtilde`, the table preprocessing inverts.
     """
     out = _scattered(scene, ks, recs, True, double, u_s)
-    direct = np.empty_like(out)
-    for fi, g in enumerate(green_band(recs, scene.source.position, ks)):
-        direct[:, fi] = g if u_s is None else project(g, u_s)
-    out += direct
+    src = scene.source
+    if u_s is not None:
+        out += gtilde(recs, src.position, src.reference_point, ks)
+        return out
+    for fi, g in enumerate(green_band(recs, src.position, ks)):
+        out[:, fi] += g
     return out
 
 

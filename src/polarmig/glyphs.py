@@ -16,6 +16,9 @@ import numpy as np
 
 from .dataset import ImageField
 
+# fraction of the field's peak norm above which a local maximum gets a glyph
+DEFAULT_THRESHOLD = 0.5
+
 
 @dataclass
 class EllipseGlyph:
@@ -180,15 +183,11 @@ def write_glyph_svg(glyphs: list[EllipseGlyph], path, glyph_size: float) -> None
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_glyphs(
-    field: ImageField, threshold: float, svg_path, csv_path, glyph_size: float | None = None
-) -> list[EllipseGlyph]:
+def emit_glyphs(field: ImageField, threshold: float, svg_path, csv_path) -> list[EllipseGlyph]:
     """Write glyphs at field peaks to an SVG and a CSV; returns the glyphs."""
     glyphs = glyphs_for_field(field, threshold)
-    if glyph_size is None:
-        plane = _in_plane(field)
-        extent = float(np.ptp(plane[:, 0]) + np.ptp(plane[:, 1]))
-        glyph_size = max(extent / 40.0, 1e-6)
-    write_glyph_svg(glyphs, svg_path, glyph_size)
+    plane = _in_plane(field)
+    extent = float(np.ptp(plane[:, 0]) + np.ptp(plane[:, 1]))
+    write_glyph_svg(glyphs, svg_path, max(extent / 40.0, 1e-6))
     write_glyph_csv(glyphs, csv_path)
     return glyphs

@@ -42,7 +42,6 @@ class PreprocessReport:
 
     cond: np.ndarray  # (n1, n2, nfreq) condition numbers of Gt
     regularized: list = field(default_factory=list)  # (row, col, freq) indices
-    cond_limit: float = GTILDE_COND_LIMIT
 
     @property
     def regularized_count(self) -> int:
@@ -54,7 +53,7 @@ class PreprocessReport:
             f"  receivers x frequencies: {self.cond.shape[0]}x{self.cond.shape[1]}"
             f" x {self.cond.shape[2]}",
             f"  cond(Gt): min {self.cond.min():.3e}, max {self.cond.max():.3e}",
-            f"  regularization threshold: {self.cond_limit:.1e}",
+            f"  regularization threshold: {GTILDE_COND_LIMIT:.1e}",
             f"  regularized entries: {self.regularized_count}",
         ]
         for idx in self.regularized[:20]:

@@ -125,9 +125,6 @@ class TimeSignal:
     def n(self) -> int:
         return self.samples.shape[-1]
 
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
-
     def write(self, path) -> None:
         _write_container(
             path, "timeseries", self.samples, {"dt": self.dt, "t0": self.t0}

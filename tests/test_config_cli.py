@@ -11,6 +11,7 @@ import pytest
 
 import polarmig as pm
 from polarmig._parallel import blas_threads
+from polarmig.cli import _config_from_args, build_parser
 from polarmig.cli import main as cli_main
 from polarmig.config import parse_config, preset
 from polarmig.pipeline import run_pipeline, write_slice
@@ -271,36 +272,20 @@ def test_cli_override_flags(tmp_path, capsys):
     assert not np.array_equal(a.values, b.values)
 
 
-def test_cli_stochastic_subcommand(tmp_path):
-    cfg = _tiny_config()
-    cfg["stochastic"] = {
-        "correlation_time": 1e-9,
-        "half_duration": 133e-9,
-        "samples": 4000,
-        "band_count": 8,
-    }
+def test_cli_simulate_follows_the_stochastic_section(tmp_path):
+    cfg = _tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "stoc"
-    assert cli_main(["stochastic", "--config", str(cfg_path), "--out", str(out)]) == 0
+    out = tmp_path / "sim"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # random-source data has no noise-free reference
+    assert os.listdir(out) == ["coherency.pmds"]
     ds = pm.ArrayDataSet.read(out / "coherency.pmds")
     assert ds.kind == "coherency2x2"
     assert ds.band.count == 8
-    # no stochastic section: exit 2
-    plain = tmp_path / "plain.json"
-    plain.write_text(json.dumps(_tiny_config()))
-    assert cli_main(["stochastic", "--config", str(plain), "--out", str(out)]) == 2
-
-
-def test_cli_simulate_follows_the_stochastic_section(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(_tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))))
-    for command in ("simulate", "stochastic"):
-        assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)]) == 0
-        # random-source data has no noise-free reference
-        assert os.listdir(tmp_path / command) == ["coherency.pmds"]
-    written = [(tmp_path / c / "coherency.pmds").read_bytes() for c in ("simulate", "stochastic")]
-    assert written[0] == written[1]
+    run_pipeline(parse_config(cfg), tmp_path / "pipeline")
+    written = (tmp_path / "pipeline" / "coherency.pmds").read_bytes()
+    assert (out / "coherency.pmds").read_bytes() == written
 
 
 def test_cli_simulate_second_born_reaches_random_source_data(tmp_path):
@@ -409,6 +394,22 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("pipeline", "glyph_threshold"), 1.5, r"pipeline\.glyph_threshold: must lie in \[0, 1\]"),
         # the source process draws from the seed, which must be nonnegative
         (("seed",), -1, "stochastic: seed must be nonnegative"),
+        (("slices", 0), 5, r"^slices\[0\]: "),
+        (("source",), 3, "^source: "),
+        (("stochastic",), [1], "^stochastic: "),
+        # a present key must parse, null included: no empty value reads as the default
+        (("source", "coherency"), {}, r"source\.coherency: expected re/im matrix entries"),
+        (("source", "coherency"), [], r"source\.coherency: expected re/im matrix entries"),
+        (("source", "coherency"), 0, r"source\.coherency: expected re/im matrix entries"),
+        (("source", "coherency"), "", r"source\.coherency: expected re/im matrix entries"),
+        (("source", "coherency"), None, r"source\.coherency: expected re/im matrix entries"),
+        (("stochastic",), {}, "stochastic: missing field 'correlation_time'"),
+        (("stochastic",), [], "stochastic: expected an object"),
+        (("stochastic",), 0, "stochastic: expected an object"),
+        (("stochastic",), False, "stochastic: expected an object"),
+        (("stochastic",), None, "stochastic: expected an object"),
+        (("slices",), {}, "slices: expected a list"),
+        (("scatterers",), "", "scatterers: expected a list"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -496,7 +497,7 @@ def test_cli_stochastic_chain_matches_its_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     sim, pre = tmp_path / "sim", tmp_path / "pre"
-    assert cli_main(["stochastic", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
     assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
     image = ["image", str(pre / "preprocessed.pmds"), "--out", str(tmp_path / "img")]
     assert cli_main(image + ["--config", str(cfg_path)]) == 0
@@ -504,3 +505,38 @@ def test_cli_stochastic_chain_matches_its_config(tmp_path):
     del cfg["stochastic"]
     cfg_path.write_text(json.dumps(cfg))
     assert cli_main(image + ["--config", str(cfg_path)]) == 2
+
+
+# each override flag: its arguments, the parsed config entry it sets and the value it sets
+_OVERRIDES = {
+    "--seed": (["7"], lambda cfg: cfg.stochastic.process.seed, 7),
+    "--second-born": ([], lambda cfg: cfg.second_born, True),
+    "--delta-rel": (["0.001"], lambda cfg: cfg.delta_rel, 1e-3),
+    "--recover-mode": (["fraunhofer"], lambda cfg: cfg.recover_mode, "fraunhofer"),
+    "--gamma": (["1"], lambda cfg: cfg.gamma, 1),
+}
+# the overrides each config-reading subcommand takes: those that change its output
+_TAKES = {"simulate": ("--seed", "--second-born"), "image": (),
+          "recover": ("--delta-rel", "--recover-mode"), "report": ("--gamma",)}
+
+
+@pytest.mark.parametrize("flag", [None, *_OVERRIDES])
+@pytest.mark.parametrize("command", [*_TAKES, "stochastic"])
+def test_cli_subcommands_take_only_the_overrides_they_use(tmp_path, capsys, command, flag):
+    dataset = [str(tmp_path / "data.pmds")] if command in ("image", "recover") else []
+    argv = [command, *dataset, "--preset", "stochastic-reduced", "--out", str(tmp_path)]
+    override = [] if flag is None else [flag, *_OVERRIDES[flag][0]]
+    if command not in _TAKES or flag is not None and flag not in _TAKES[command]:
+        # argparse refuses the subcommand or the flag; random-source data comes from simulate
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + override)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("invalid choice: 'stochastic'" if command not in _TAKES
+                else f"unrecognized arguments: {' '.join(override)}") in err
+        return
+    default = _config_from_args(build_parser().parse_args(argv))
+    cfg = _config_from_args(build_parser().parse_args(argv + override))
+    if flag is not None:
+        _, read, value = _OVERRIDES[flag]
+        assert read(default) != value and read(cfg) == value

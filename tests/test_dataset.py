@@ -151,8 +151,8 @@ def test_kind_cross_reads_rejected(tmp_path, rng):
     (0.5, np.nan, "start time"),
 ])
 def test_time_signal_refuses_non_finite_times(tmp_path, dt, t0, message):
-    # times() returned NaN or inf for these; json reads a NaN token, so the
-    # container path has to refuse them too
+    # a NaN or infinite sample clock is refused; json reads a NaN token, so the
+    # container path has to refuse it too
     with pytest.raises(ValueError, match=message):
         pm.TimeSignal(np.ones((3, 8)), dt=dt, t0=t0)
     good, bad = tmp_path / "good.pmds", tmp_path / "bad.pmds"

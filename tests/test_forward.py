@@ -244,6 +244,17 @@ def test_transfer_matches_explicit_green_sums(monkeypatch):
     assert np.abs(proj - ref_proj).max() <= 1e-13 * np.abs(ref_proj).max()
 
 
+def test_projected_transfer_direct_term_is_gtilde():
+    # synthesis takes its direct term from the Gt table preprocessing inverts, bit for bit
+    scene = three_dipole_scene(n=31)
+    recs = scene.geom.flat_positions()
+    ks = band(9).wavenumbers(scene.wave_speed)
+    src = scene.source
+    scattered = forward._scattered(scene, ks, recs, u_s=src.basis())
+    direct = pm.gtilde(recs, src.position, src.reference_point, ks)
+    assert np.array_equal(forward._transfer(scene, ks, recs, src.basis()), scattered + direct)
+
+
 def test_scatterer_on_a_receiver_raises():
     # a window reaching the array plane lets a scatterer sit exactly on a receiver
     scene = bench_scene([], n=3)
