@@ -272,6 +272,20 @@ def test_cli_override_flags(tmp_path, capsys):
     assert not np.array_equal(a.values, b.values)
 
 
+def test_cli_stochastic_subcommand(tmp_path):
+    # random-source data comes from simulate; the stochastic subcommand is gone
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))))
+    out = tmp_path / "stoc"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    ds = pm.ArrayDataSet.read(out / "coherency.pmds")
+    assert ds.kind == "coherency2x2"
+    assert ds.band.count == 8
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["stochastic", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code == 2
+
+
 def test_cli_simulate_follows_the_stochastic_section(tmp_path):
     cfg = _tiny_config(stochastic=dict(_STOCHASTIC, band_count=8))
     cfg_path = tmp_path / "cfg.json"
@@ -280,9 +294,6 @@ def test_cli_simulate_follows_the_stochastic_section(tmp_path):
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     # random-source data has no noise-free reference
     assert os.listdir(out) == ["coherency.pmds"]
-    ds = pm.ArrayDataSet.read(out / "coherency.pmds")
-    assert ds.kind == "coherency2x2"
-    assert ds.band.count == 8
     run_pipeline(parse_config(cfg), tmp_path / "pipeline")
     written = (tmp_path / "pipeline" / "coherency.pmds").read_bytes()
     assert (out / "coherency.pmds").read_bytes() == written
