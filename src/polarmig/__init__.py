@@ -54,7 +54,6 @@ from .migrate import (
 )
 from .config import (
     ExperimentConfig,
-    load_config,
     parse_config,
     placement_report,
     preset,
@@ -75,13 +74,8 @@ from .scene import (
 from .stochastic import (
     ErgodicityProbe,
     SourceProcessSpec,
-    TimeSignal,
-    empirical_autocorrelation,
-    empirical_coherency,
     ergodicity_probe,
-    simulate_received,
     stochastic_coherency_dataset,
-    synth_source,
 )
 
 __version__ = "0.1.0"

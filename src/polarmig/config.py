@@ -87,7 +87,11 @@ def _parse_point(value, where: str, lambda0: float) -> np.ndarray:
 def _parse_matrix(entry, where: str) -> np.ndarray:
     try:
         re = np.asarray(entry["re"], dtype=float)
-        return re + 1j * np.asarray(entry.get("im", np.zeros_like(re)), dtype=float)
+        im = np.asarray(entry.get("im", 0.0), dtype=float)
+        # filled part by part: 1j * inf would warn and turn the real part into NaN
+        out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
+        out.real, out.imag = re, im
+        return out
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected re/im matrix entries") from exc
 
@@ -273,10 +277,6 @@ def read_config(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-
-
-def load_config(path) -> ExperimentConfig:
-    return parse_config(read_config(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""On-disk container for array data, image fields and time signals.
+"""On-disk container for array data and image fields.
 
 Layout (language neutral, streamable, bit exact):
 
@@ -7,8 +7,8 @@ Layout (language neutral, streamable, bit exact):
 * UTF-8 JSON header with keys ``kind``, ``dtype``, ``shape`` and ``meta``,
 * raw little-endian payload in C order.
 
-Complex payloads are stored as float64 pairs (re, im interleaved), which is
-the native complex128 layout.  Array datasets are indexed
+Every kind holds complex ``d x d`` matrices, stored as float64 pairs (re, im
+interleaved), which is the native complex128 layout.  Array datasets are indexed
 ``(receiver_row, receiver_col, frequency, i, j)``.
 """
 
@@ -27,25 +27,20 @@ from .scene import ArrayGeom, FrequencyBand, SourceSpec
 
 MAGIC = b"POLARMIG1\n"
 
-#: kind tag -> (payload dtype, trailing matrix size or None)
-KINDS = {
-    "coherency2x2": ("complex128", 2),
-    "response3x3": ("complex128", 3),
-    "preprocessed3x3": ("complex128", 3),
-    "image2x2": ("complex128", 2),
-    "image3x3": ("complex128", 3),
-    "timeseries": ("float64", None),
-}
+#: payload dtype of every kind
+_DTYPE = np.dtype("<c16")
+
+#: kind tag -> trailing matrix size d
+KINDS = {"coherency2x2": 2, "response3x3": 3, "preprocessed3x3": 3, "image2x2": 2, "image3x3": 3}
 
 
 def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown kind tag {kind!r}")
-    dtype, _ = KINDS[kind]
-    values = np.ascontiguousarray(values, dtype=np.dtype(dtype).newbyteorder("<"))
+    values = np.ascontiguousarray(values, dtype=_DTYPE)
     header = {
         "kind": kind,
-        "dtype": dtype,
+        "dtype": _DTYPE.name,
         "shape": list(values.shape),
         "meta": meta,
     }
@@ -81,20 +76,19 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
     kind = header.get("kind")
     if kind not in KINDS:
         raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
-    if header.get("dtype") != KINDS[kind][0]:
-        raise DatasetFormatError(f"header key 'dtype' must be {KINDS[kind][0]!r} for {kind}")
-    dtype = np.dtype(header["dtype"]).newbyteorder("<")
+    if header.get("dtype") != _DTYPE.name:
+        raise DatasetFormatError(f"header key 'dtype' must be {_DTYPE.name!r} for {kind}")
     shape = _header_field(header, "shape", _dims)
     if not isinstance(header.get("meta"), dict):
         raise DatasetFormatError("header key 'meta' is missing or not an object")
     # Python ints: a numpy product of large entries wraps around
     count = math.prod(shape)
-    if len(data) - off != count * dtype.itemsize:
+    if len(data) - off != count * _DTYPE.itemsize:
         raise DatasetFormatError(
             f"payload size mismatch at offset {off}: header key 'shape' declares "
-            f"{count * dtype.itemsize} bytes, file holds {len(data) - off}"
+            f"{count * _DTYPE.itemsize} bytes, file holds {len(data) - off}"
         )
-    values = np.frombuffer(data, dtype=dtype, count=count, offset=off)
+    values = np.frombuffer(data, dtype=_DTYPE, count=count, offset=off)
     try:
         values = values.reshape(shape)
     except ValueError as exc:  # an empty payload whose other dimensions are too large
@@ -178,8 +172,8 @@ class ArrayDataSet:
     wave_speed: float
 
     def __post_init__(self):
-        dtype, d = KINDS.get(self.kind, (None, None))
-        if dtype != "complex128":
+        d = KINDS.get(self.kind)
+        if d is None:
             raise ValueError(f"kind {self.kind!r} is not an array-data kind")
         expect = (self.geom.n1, self.geom.n2, self.band.count, d, d)
         v = np.asarray(self.values, dtype=complex)
@@ -210,8 +204,6 @@ class ArrayDataSet:
     @staticmethod
     def read(path) -> "ArrayDataSet":
         kind, values, meta = _read_container(path)
-        if kind == "timeseries":
-            raise DatasetFormatError("file holds a time signal, not an array dataset")
         if kind in ("image2x2", "image3x3"):
             raise DatasetFormatError("file holds an image field, use ImageField.read")
         geom, source, band, wave_speed = _geometry_from_meta(meta)

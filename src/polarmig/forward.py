@@ -105,20 +105,15 @@ def projected_incident(scene: Scene, k: float) -> np.ndarray:
     return gt.reshape(scene.geom.n1, scene.geom.n2, 2, 2)
 
 
-def _transfer(scene: Scene, ks, recs, u_s=None, double: bool = False) -> np.ndarray:
-    """Total transfer, direct ``G(x_r, x_s)`` plus scattered, at ``recs`` per band sample.
+def _transfer(scene: Scene, ks, recs, u_s, double: bool = False) -> np.ndarray:
+    """Projected total transfer ``Gtilde + Pitilde`` at ``recs`` per band sample.
 
-    Returns (nrec, nfreq, 3, 3), or given the source basis ``u_s`` the
-    projected ``Gtilde + Pitilde``, (nrec, nfreq, 2, 2), whose direct term is
+    Returns (nrec, nfreq, 2, 2) for the source basis ``u_s``; the direct term is
     :func:`~polarmig.preprocess.gtilde`, the table preprocessing inverts.
     """
     out = _scattered(scene, ks, recs, True, double, u_s)
     src = scene.source
-    if u_s is not None:
-        out += gtilde(recs, src.position, src.reference_point, ks)
-        return out
-    for fi, g in enumerate(green_band(recs, src.position, ks)):
-        out[:, fi] += g
+    out += gtilde(recs, src.position, src.reference_point, ks)
     return out
 
 

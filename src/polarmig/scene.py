@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,12 @@ from .errors import ConfigError, NumericalError
 #: Wave speed used by every preset (vacuum light speed, rounded as is
 #: customary for microwave bench numbers).
 DEFAULT_WAVE_SPEED = 3.0e8
+
+#: Most receivers an array may hold; the largest preset has 3,721.
+RECEIVER_GUARD = 1_000_000
+
+#: Most dipoles a cube lattice may hold; the ``cube`` preset has 9,261.
+CUBE_DIPOLE_GUARD = 1_000_000
 
 
 def _symmetry_defect(a: np.ndarray) -> float:
@@ -105,6 +112,9 @@ class ArrayGeom:
             raise ValueError(f"array side is beyond {MAX_COORDINATE:.0e} m")
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError("need at least 2 receivers per axis")
+        # Python int arithmetic, before any receiver position is allocated
+        if self.n1 * self.n2 > RECEIVER_GUARD:
+            raise ValueError(f"array would hold more than {RECEIVER_GUARD:,} receivers")
 
     @property
     def spacing(self) -> tuple[float, float]:
@@ -250,7 +260,14 @@ def build_cube_scene(center, side, spacing, alpha0) -> list[Scatterer]:
         raise ValueError("lattice spacing must be positive")
     if side < spacing:
         raise ValueError("cube side must be at least the lattice spacing")
-    n = int(np.floor(side / spacing + 1e-9)) + 1
+    if not (math.isfinite(side) and math.isfinite(spacing)):
+        raise ValueError("cube side and lattice spacing must be finite")
+    # Python floats: a ratio too large gives inf, not a warning, and int() sees it only
+    # below the guard
+    ratio = float(side) / float(spacing) + 1e-9
+    if not ratio < CUBE_DIPOLE_GUARD or (int(ratio) + 1) ** 3 > CUBE_DIPOLE_GUARD:
+        raise ValueError(f"cube lattice would hold more than {CUBE_DIPOLE_GUARD:,} dipoles")
+    n = int(ratio) + 1
     offsets = (np.arange(n) - (n - 1) / 2) * spacing
     g1, g2, g3 = np.meshgrid(offsets, offsets, offsets, indexing="ij")
     points = center + np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=-1)

@@ -1,4 +1,4 @@
-"""Time-domain pipeline: random source synthesis, propagation, autocorrelations.
+"""Random-source acquisition: source synthesis, coherency datasets, ergodicity probe.
 
 The dipole source is driven by a real stationary Gaussian process whose
 per-channel autocorrelation is
@@ -16,18 +16,17 @@ anything downstream relies on it.  Synthesis shapes Hermitian-symmetric white
 noise on the frequency grid by sqrt(S) and transforms back, which is exact for
 a strictly positive spectrum.
 
-Empirical autocorrelations are computed through the scaled periodogram:
-``Psi_hat(w) = (2 pi / 2T) Epar(w) Epar(w)^*`` with the analysis transform
-``E(w) = (dt / 2 pi) sum_n E(t_n) exp(+i w t_n)``.  Signals are zero padded
-twofold before any product of transforms so correlations are linear, not
-circular.
-
 A random source changes only the source coherency: with ``zeta`` the analysis
-transform of the two source channels, the array sees ``M J_hat M^*``, where
-``J_hat = (2 pi / 2T) zeta zeta^*`` and ``M`` is the projected total transfer.
-The coherency dataset and the ergodicity probe form it with the product of
-deterministic synthesis, :func:`~polarmig.preprocess._coherency`; the probe sums
-it over frequency (Wiener-Khinchin) instead of propagating in time.
+transform ``(dt / 2 pi) sum_n x(t_n) exp(+i w t_n)`` of the two source
+channels, zero padded twofold so correlations are linear, not circular, the
+array sees ``M J_hat M^*``, where ``J_hat = (2 pi / 2T) zeta zeta^*`` and ``M``
+is the projected total transfer.  The coherency dataset and the ergodicity probe
+form it with the product of deterministic synthesis,
+:func:`~polarmig.preprocess._coherency`; the probe sums it over frequency
+(Wiener-Khinchin).  Bin for bin this equals the scaled periodogram
+``(2 pi / 2T) Epar(w) Epar(w)^*`` of the received time signals; the tests
+compute that periodogram by propagating the same realization through the time
+domain (``tests/timedomain.py``) and compare both with it.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import ArrayDataSet, _header_field, _read_container, _write_container
-from .emcore import project
-from .errors import DatasetFormatError
+from .dataset import ArrayDataSet
 from .forward import _transfer
 from .preprocess import _coherency
 from .scene import FrequencyBand, Scene
@@ -101,44 +98,6 @@ class SourceProcessSpec:
         )
 
 
-@dataclass
-class TimeSignal:
-    """Real multichannel time series; trailing axis is time."""
-
-    samples: np.ndarray
-    dt: float
-    t0: float = 0.0
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim < 1:
-            raise ValueError("samples must have a time axis")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        if not 0 < self.dt < np.inf:
-            raise ValueError("sample interval must be positive and finite")
-        if not np.isfinite(self.t0):
-            raise ValueError("start time must be finite")
-        self.samples = s
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[-1]
-
-    def write(self, path) -> None:
-        _write_container(
-            path, "timeseries", self.samples, {"dt": self.dt, "t0": self.t0}
-        )
-
-    @staticmethod
-    def read(path) -> "TimeSignal":
-        kind, values, meta = _read_container(path)
-        if kind != "timeseries":
-            raise DatasetFormatError(f"file holds kind {kind!r}, not a time signal")
-        dt = _header_field(meta, "dt")
-        return TimeSignal(samples=values, dt=dt, t0=_header_field(meta, "t0"))
-
-
 # ---------------------------------------------------------------------------
 # Discrete transforms in the package convention
 # ---------------------------------------------------------------------------
@@ -187,123 +146,11 @@ def _synth_channels(spec: SourceProcessSpec, nchan: int, rng) -> np.ndarray:
     return synthesis_transform(sigma * z, n, dt)
 
 
-def synth_source(spec: SourceProcessSpec, basis: np.ndarray, rng=None) -> TimeSignal:
-    """Realization of the random dipole moment, lifted to 3 real channels.
-
-    Two independent scalar processes ride the columns of the 3x2 ``basis``;
-    their common autocorrelation is ``spec.autocorrelation``.
-    """
-    basis = np.asarray(basis, dtype=float)
-    if basis.shape != (3, 2):
-        raise ValueError("basis must be 3x2")
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    channels = _synth_channels(spec, 2, rng)
-    return TimeSignal(
-        samples=basis @ channels, dt=spec.dt, t0=-spec.half_duration
-    )
-
-
 def _source_spectrum(spec: SourceProcessSpec, n_pad: int, seq) -> np.ndarray:
     """Analysis transform ``zeta`` of the 2 channels drawn from ``seq``, padded to ``n_pad``."""
     padded = np.zeros((2, n_pad))
     padded[:, : spec.samples] = _synth_channels(spec, 2, np.random.default_rng(seq))
     return analysis_transform(padded, spec.dt)
-
-
-# ---------------------------------------------------------------------------
-# Propagation
-# ---------------------------------------------------------------------------
-
-
-def _active_transfer(scene: Scene, omegas, active, receivers):
-    """3x3 transfer at ``active`` bins, taken over the uniform span holding them."""
-    idx = np.flatnonzero(active)
-    span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0)
-    return _transfer(scene, omegas[span] / scene.wave_speed, receivers)[:, active[span]]
-
-
-def simulate_received(scene: Scene, source: TimeSignal, receivers=None) -> TimeSignal:
-    """Propagate a 3-channel source signal to the receivers.
-
-    Works bin by bin on the twofold zero-padded frequency grid: the received
-    spectrum is the total transfer matrix times the source spectrum.  Bins
-    where the source carries less than 1e-12 of its peak are skipped (this
-    also guards the undefined zero-frequency response).  Output samples have
-    shape (nrec, 3, n_padded) and remain real.
-    """
-    if source.samples.shape[0] != 3 or source.samples.ndim != 2:
-        raise ValueError("source signal must have 3 channels")
-    if receivers is None:
-        receivers = scene.geom.flat_positions()
-    receivers = np.asarray(receivers, dtype=float).reshape(-1, 3)
-    n_pad = _pad_length(source.n)
-    padded = np.zeros((3, n_pad))
-    padded[:, : source.n] = source.samples
-    j_hat = analysis_transform(padded, source.dt)
-    omegas = spectrum_grid(n_pad, source.dt)
-    power = np.abs(j_hat).max(axis=0)
-    active = (omegas > 0) & (power > 1e-12 * power.max())
-    transfer = _active_transfer(scene, omegas, active, receivers)
-    e_hat = np.zeros((receivers.shape[0], 3, omegas.size), dtype=complex)
-    e_hat[:, :, active] = np.einsum("rfij,jf->rif", transfer, j_hat[:, active], optimize=True)
-    samples = synthesis_transform(e_hat, n_pad, source.dt)
-    return TimeSignal(samples=samples, dt=source.dt, t0=source.t0)
-
-
-# ---------------------------------------------------------------------------
-# Empirical autocorrelations
-# ---------------------------------------------------------------------------
-
-
-def _padded_field(signal: TimeSignal, duration: float) -> np.ndarray:
-    """Check a (..., 3, n) signal and its window 2T, then zero-pad it for FFT correlation."""
-    if signal.samples.shape[-2] != 3:
-        raise ValueError("expected 3 field components on the next-to-last axis")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    padded = np.zeros(signal.samples.shape[:-1] + (_pad_length(signal.n),))
-    padded[..., : signal.n] = signal.samples
-    return padded
-
-
-def empirical_coherency(signal: TimeSignal, duration: float):
-    """Scaled periodogram estimate of the coherency spectrum.
-
-    Returns ``(omegas, psi_hat)`` with ``psi_hat[..., m, :, :]`` the 2x2
-    estimate at ``omegas[m]`` built from the cross-range components of a
-    (..., 3, n) signal; ``duration`` is the physical acquisition window 2T
-    used for normalization.
-    """
-    padded = _padded_field(signal, duration)
-    e_hat = analysis_transform(padded, signal.dt)
-    e_par = e_hat[..., :2, :]
-    psi = (TWO_PI / duration) * np.einsum(
-        "...if,...jf->...fij", e_par, np.conj(e_par), optimize=True
-    )
-    return spectrum_grid(padded.shape[-1], signal.dt), psi
-
-
-def empirical_autocorrelation(signal: TimeSignal, duration: float, max_lag: float | None = None):
-    """Empirical autocorrelation of the cross-range field components in the lag domain.
-
-    Returns ``(lags, psi_emp)`` with
-    ``psi_emp(tau) = (1/2T) integral Epar(t + tau) Epar(t)^T dt`` evaluated at
-    nonnegative grid lags up to ``max_lag``; its spectrum counterpart is
-    :func:`empirical_coherency`.
-    """
-    if max_lag is not None and not 0 <= max_lag < np.inf:
-        raise ValueError(f"max_lag must be nonnegative and finite, got {max_lag!r}")
-    padded = _padded_field(signal, duration)
-    n_pad = padded.shape[-1]
-    spec = np.fft.rfft(padded, axis=-1)
-    e_par = spec[..., :2, :]
-    # correlation theorem: sum_n x_{n+l} y_n = idft(X conj(Y))_l
-    cross = np.einsum("...if,...jf->...ijf", e_par, np.conj(e_par), optimize=True)
-    corr = np.fft.irfft(cross, n=n_pad, axis=-1) * (signal.dt / duration)
-    n_lags = signal.n if max_lag is None else min(signal.n, int(max_lag / signal.dt) + 1)
-    lags = signal.dt * np.arange(n_lags)
-    return lags, np.moveaxis(corr[..., :n_lags], -1, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +173,8 @@ def stochastic_coherency_dataset(
     the projected total transfer (double scattering included if asked, as in
     :func:`~polarmig.forward.coherency_synthesize`) and ``J_hat`` the realized
     source coherency averaged over ``realizations``.  Bin for bin this is the
-    scaled periodogram of the received time signals.  The attached source
+    scaled periodogram of the received time signals, which the tests compute
+    by the time-domain route of ``tests/timedomain.py``.  The attached source
     coherency is the known per-frequency spectrum so the dataset feeds
     straight into preprocessing.
     """
@@ -366,6 +214,13 @@ def stochastic_coherency_dataset(
 # ---------------------------------------------------------------------------
 # Ergodicity diagnostics
 # ---------------------------------------------------------------------------
+
+
+def _active_transfer(scene: Scene, omegas, active, receivers, u_s):
+    """Projected transfer at ``active`` bins, taken over the uniform span holding them."""
+    idx = np.flatnonzero(active)
+    span = slice(idx[0], idx[-1] + 1) if idx.size else slice(0)
+    return _transfer(scene, omegas[span] / scene.wave_speed, receivers, u_s)[:, active[span]]
 
 
 @dataclass
@@ -425,7 +280,7 @@ def ergodicity_probe(
         omegas = spectrum_grid(n_pad, spec.dt)
         power = spec.spectrum(omegas)
         active = (omegas > 0) & (omegas < omegas[-1]) & (power > 1e-12 * power.max())
-        m = project(_active_transfer(scene, omegas, active, receivers), u_s)
+        m = _active_transfer(scene, omegas, active, receivers, u_s)
         # 2 d_omega times the periodogram scale 2 pi / 2T
         weight = 2.0 * (TWO_PI / (n_pad * spec.dt)) * (TWO_PI / (2.0 * half))
         samples = np.empty((realizations, receivers.shape[0], 2, 2))

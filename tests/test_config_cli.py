@@ -1,5 +1,6 @@
 """Configuration parsing, regime report, pipeline orchestration and CLI tests."""
 
+import copy
 import hashlib
 import json
 import os
@@ -358,6 +359,15 @@ def _with(path, value, **overrides) -> dict:
 _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 4000}
 
 
+def _cube(side="1 lambda0") -> dict:
+    """A small cube scatterer entry: 27 dipoles at the default side."""
+    return {"cube": {
+        "center": [0, 0, "100 lambda0"], "side": side, "spacing": "0.5 lambda0",
+        "alpha": {"re": [[2, 3, 0], [3, -1, 0], [0, 0, 1]],
+                  "im": [[-1, 2, 0], [2, 0, 0], [0, 0, 0]]},
+    }}
+
+
 @pytest.mark.parametrize(
     "path, value, section",
     [
@@ -421,6 +431,16 @@ _STOCHASTIC = {"correlation_time": 1e-9, "half_duration": 133e-9, "samples": 400
         (("stochastic",), None, "stochastic: expected an object"),
         (("slices",), {}, "slices: expected a list"),
         (("scatterers",), "", "scatterers: expected a list"),
+        # refused before anything is allocated: an infinite or huge lattice, a huge array
+        (("scatterers",), [_cube(side=1e400)],
+         r"scatterers\[0\]: cube side and lattice spacing must be finite"),
+        (("scatterers",), [_cube(side="1e6 lambda0")],
+         r"scatterers\[0\]: cube lattice would hold more than 1,000,000 dipoles"),
+        (("array",), {"side": "20 lambda0", "n1": 100_000, "n2": 100_000},
+         "array: array would hold more than 1,000,000 receivers"),
+        # an infinite imaginary part is refused without a warning first
+        (("scatterers", 0, "alpha", "im", 0, 0), 1e400,
+         r"scatterers\[0\]: polarizability tensor has non-finite entries"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -438,6 +458,43 @@ def test_parse_config_accepts_integral_floats():
     cfg = parse_config(_with(("band", "count"), 3.0, stochastic=dict(_STOCHASTIC, samples=4000.0)))
     assert cfg.band.count == 3 and type(cfg.band.count) is int
     assert cfg.stochastic.process.samples == 4000 and type(cfg.stochastic.process.samples) is int
+
+
+def _leaves(node, path=()):
+    """Paths (keys and list indices) of every value below ``node`` that is no object or list."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+_SWEEP_VALUES = [1e400, -1e400, float("nan"), None, "", [], {}, True, 10**30]
+
+
+def test_pinned_config_sweep_keeps_the_exit_contract(tmp_path, capsys):
+    # each leaf of a tiny config and of a 27-dipole cube config, replaced in turn by each
+    # pinned value, goes through `polarmig report` in process
+    # numpy refuses n1 = 10**30 by its size check alone; the receiver guard, which
+    # refuses far smaller arrays, is checked by arithmetic and allocates no receiver
+    with pytest.raises(ValueError, match="more than 1,000,000 receivers"):
+        pm.ArrayGeom(side=1.0, n1=100_000, n2=100_000)
+    cases = []
+    for overrides in ({}, {"scatterers": [_cube()]}):
+        for path in _leaves(_tiny_config(**overrides)):
+            cases += [((*path, value), _with(path, value, **copy.deepcopy(overrides)))
+                      for value in _SWEEP_VALUES]
+    cfg_path = tmp_path / "cfg.json"
+    for case, cfg in cases:
+        cfg_path.write_text(json.dumps(cfg))
+        code = cli_main(["report", "--config", str(cfg_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3), case
+        if code == 0:
+            assert lines == [], case
+        else:
+            assert len(lines) == 1, (case, lines)
+            assert lines[0].startswith(("invalid input: ", "numerical failure: ")), case
 
 
 @pytest.mark.parametrize("recover_mode", ["exact", "fraunhofer"])

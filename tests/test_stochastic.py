@@ -14,6 +14,13 @@ from polarmig.stochastic import (
 )
 
 from conftest import ALPHA_1, K0, L, LAMBDA0, OMEGA0, bench_scene
+from timedomain import (
+    TimeSignal,
+    empirical_coherency,
+    simulate_received,
+    synth_source,
+    total_transfer,
+)
 
 T_C = 1e-9
 HALF_T = 266e-9
@@ -63,7 +70,7 @@ def test_transform_pair_roundtrip(rng):
 def test_synth_source_is_real_zero_mean_with_target_variance():
     spec = _spec(seed=3)
     basis = pm.source_basis([0, 0, 0], [0, 1.0, 1.0])
-    sig = pm.synth_source(spec, basis)
+    sig = synth_source(spec, basis)
     assert sig.samples.shape == (3, N_SAMPLES)
     assert sig.samples.dtype == np.float64
     j0 = spec.autocorrelation(0.0)
@@ -122,8 +129,8 @@ def test_wiener_khinchin_consistency():
 
 def test_simulate_received_zero_source():
     scene = _stats_scene()
-    src_sig = pm.TimeSignal(samples=np.zeros((3, 1024)), dt=_spec().dt, t0=0.0)
-    out = pm.simulate_received(scene, src_sig, receivers=scene.geom.flat_positions()[:1])
+    src_sig = TimeSignal(samples=np.zeros((3, 1024)), dt=_spec().dt)
+    out = simulate_received(scene, src_sig, receivers=scene.geom.flat_positions()[:1])
     assert np.all(out.samples == 0)
 
 
@@ -134,8 +141,8 @@ def test_simulate_received_spectrum_is_transfer_times_source():
     rec = scene.geom.flat_positions()[:1]
     spec = _spec(seed=5, half=40e-9, samples=1200)
     basis = scene.source.basis()
-    src_sig = pm.synth_source(spec, basis)
-    out = pm.simulate_received(scene, src_sig, receivers=rec)
+    src_sig = synth_source(spec, basis)
+    out = simulate_received(scene, src_sig, receivers=rec)
     assert out.samples.shape[0] == 1 and out.samples.shape[1] == 3
     n_pad = out.samples.shape[-1]
     padded = np.zeros((3, n_pad))
@@ -161,8 +168,8 @@ def test_simulate_received_spectrum_across_a_gap_in_live_bins():
     t = dt * (np.arange(n) - n / 2)
     envelope = np.exp(-((t / 2e-9) ** 2))
     tones = envelope * np.cos(2 * np.pi * np.array([[1.5e9], [3.5e9]]) * t)
-    src_sig = pm.TimeSignal(samples=scene.source.basis() @ tones, dt=dt, t0=t[0])
-    out = pm.simulate_received(scene, src_sig, receivers=rec)
+    src_sig = TimeSignal(samples=scene.source.basis() @ tones, dt=dt)
+    out = simulate_received(scene, src_sig, receivers=rec)
     n_pad = out.samples.shape[-1]
     padded = np.zeros((3, n_pad))
     padded[:, :n] = src_sig.samples
@@ -185,55 +192,11 @@ def test_simulate_received_spectrum_across_a_gap_in_live_bins():
 def test_simulate_received_time_reality():
     scene = _stats_scene()
     spec = _spec(seed=1, half=40e-9, samples=1200)
-    src_sig = pm.synth_source(spec, scene.source.basis())
-    out = pm.simulate_received(scene, src_sig, receivers=scene.geom.flat_positions()[:1])
+    src_sig = synth_source(spec, scene.source.basis())
+    out = simulate_received(scene, src_sig, receivers=scene.geom.flat_positions()[:1])
     # irfft output is real by construction; verify finite energy arrived
     assert out.samples.dtype == np.float64
     assert np.linalg.norm(out.samples) > 0
-
-
-def test_empirical_autocorrelation_sinusoid_oracle():
-    # sampled cosine: the windowed autocorrelation has an exact closed form
-    # via geometric sums, which the transform path must reproduce
-    dt = 1 / 16e9
-    n = 4096
-    freq = 2 * np.pi * 2.4e9
-    t = dt * np.arange(n)
-    amp = 0.7
-    wave = amp * np.cos(freq * t)
-    samples = np.zeros((3, n))
-    samples[0] = wave
-    sig = pm.TimeSignal(samples=samples, dt=dt, t0=0.0)
-    duration = n * dt
-    lags, psi = pm.empirical_autocorrelation(sig, duration, max_lag=40 * dt)
-    for li in (0, 7, 23):
-        lag = li
-        m = n - lag
-        phase = np.exp(2j * freq * dt * np.arange(m) + 1j * freq * dt * lag)
-        exact = (amp**2 / 2) * (m * np.cos(freq * dt * lag) + np.real(np.sum(phase)))
-        exact *= dt / duration
-        assert abs(psi[li, 0, 0] - exact) < 1e-6 * abs(exact)
-        assert abs(psi[li, 1, 1]) < 1e-12
-    assert lags[1] - lags[0] == pytest.approx(dt)
-
-
-@pytest.mark.parametrize("estimator", [pm.empirical_coherency, pm.empirical_autocorrelation],
-                         ids=["freq", "lag"])
-@pytest.mark.parametrize("duration", [0.0, -1e-9])
-def test_empirical_autocorrelation_rejects_nonpositive_duration(estimator, duration):
-    sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=1e-11)
-    with pytest.raises(ValueError, match="duration must be positive"):
-        estimator(sig, duration)
-
-
-@pytest.mark.parametrize("max_lag", [-5.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
-def test_empirical_autocorrelation_rejects_bad_max_lag(max_lag):
-    # -5 dt used to return no lags but 124 rows, NaN a bare int() error and
-    # inf an OverflowError
-    dt = 1e-11
-    sig = pm.TimeSignal(samples=np.ones((3, 64)), dt=dt)
-    with pytest.raises(ValueError, match="max_lag"):
-        pm.empirical_autocorrelation(sig, 64 * dt, max_lag=max_lag * dt)
 
 
 def test_empirical_coherency_mean_matches_deterministic():
@@ -319,9 +282,9 @@ def test_bin_selected_dataset_matches_time_domain_route():
     # the dataset builder derives its realization stream from the spawned
     # seed sequence; reproduce the same draw for the time-domain route
     realization = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
-    src_sig = pm.synth_source(spec, basis, rng=realization)
-    received = pm.simulate_received(scene, src_sig, receivers=scene.geom.flat_positions())
-    omegas, psi = pm.empirical_coherency(received, 2 * spec.half_duration)
+    src_sig = synth_source(spec, basis, rng=realization)
+    received = simulate_received(scene, src_sig, receivers=scene.geom.flat_positions())
+    omegas, psi = empirical_coherency(received, 2 * spec.half_duration)
     picked = [int(np.argmin(np.abs(omegas - w))) for w in ds.omegas]
     assert np.allclose(omegas[picked], ds.omegas, rtol=1e-9)
     direct = psi[:, picked].reshape(ds.values.shape)
@@ -357,10 +320,8 @@ def test_ergodicity_variance_of_variance_scaling():
     omegas = spectrum_grid(n_pad, spec.dt)
     power = spec.spectrum(omegas)
     active = (omegas > 0) & (power > 1e-12 * power.max())
-    from polarmig.forward import _transfer
-
     rec = scene.geom.flat_positions()[:1]
-    transfer = _transfer(scene, omegas[active] / scene.wave_speed, rec)
+    transfer = total_transfer(scene, omegas[active] / scene.wave_speed, rec)
     u_s = scene.source.basis()
     pool = []
     for seed in range(120):
@@ -387,8 +348,6 @@ def test_ergodicity_probe_values_match_time_domain_route():
     # the probe sums M J_hat M^* over frequency; propagating each realization
     # through the time domain and summing the lag-zero product must give the
     # same variances, draw for draw
-    from polarmig.forward import _transfer
-
     scene = _stats_scene(n=2)
     base = _spec(seed=7, half=40e-9, samples=1200)
     ladder = [20e-9, 30e-9, 40e-9]
@@ -404,7 +363,7 @@ def test_ergodicity_probe_values_match_time_domain_route():
         omegas = spectrum_grid(n_pad, spec.dt)
         power = spec.spectrum(omegas)
         active = (omegas > 0) & (power > 1e-12 * power.max())
-        transfer = _transfer(scene, omegas[active] / scene.wave_speed, rec)
+        transfer = total_transfer(scene, omegas[active] / scene.wave_speed, rec)
         pool = []
         for seq in t_seq.spawn(realizations):
             ch = _synth_channels(spec, 2, np.random.default_rng(seq))
