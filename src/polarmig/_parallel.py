@@ -1,12 +1,12 @@
-"""Deterministic execution of independent imaging work units on a thread pool.
+"""Deterministic execution of independent work units on a thread pool.
 
-Grid points are independent, so tasks may run on any number of threads; each
-task writes a disjoint output slice and its internal sums run in a fixed
-serial order, making results bitwise independent of the schedule.  Migration
-runs under :func:`one_blas_thread`: its task threads have the cores, and each
+Imaging points, and the bins of synthesis and preprocessing (in the fixed
+blocks of :func:`bin_blocks`), are independent, so tasks may run on any number
+of threads; each writes a disjoint output slice with its sums in a fixed serial
+order, making results bitwise independent of the schedule.  Every stage runs
+under :func:`one_blas_thread`: its task threads have the cores, and each
 OpenBLAS product, which rounds differently when OpenBLAS splits it over
-threads, runs on the calling thread alone.  Synthesis and preprocessing keep
-OpenBLAS's own thread count.
+threads, runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ _hold_lock = threading.Lock()
 _holds = 0
 _held_from = 1
 
+# Receiver x bin cells per bin block: 4 bins at 61x61 receivers, a few MB per task.
+_BLOCK_CELLS = 16_384
+
 
 def thread_count() -> int:
     raw = os.environ.get(ENV_THREADS, "")
@@ -56,6 +59,15 @@ def run_tasks(work, tasks) -> list:
         return [work(task) for task in tasks]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         return list(pool.map(work, tasks))
+
+
+def bin_blocks(n_rec: int, n_bins: int) -> list[slice]:
+    """Slices of ``n_bins`` bins, all but the last of ``_BLOCK_CELLS // n_rec`` bins.
+
+    The size never reads the thread count, so neither do a block walk's bits.
+    """
+    size = max(1, _BLOCK_CELLS // max(1, n_rec))
+    return [slice(lo, min(lo + size, n_bins)) for lo in range(0, n_bins, size)]
 
 
 @lru_cache(maxsize=None)
@@ -115,3 +127,9 @@ def one_blas_thread():
             _holds -= 1
             if _holds == 0:
                 put(_held_from)
+
+
+@one_blas_thread()
+def run_bin_blocks(work, n_rec: int, n_bins: int) -> None:
+    """``work(bins)`` for each slice of :func:`bin_blocks`, on the task threads, OpenBLAS held."""
+    run_tasks(work, bin_blocks(n_rec, n_bins))

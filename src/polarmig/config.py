@@ -84,15 +84,24 @@ def _parse_point(value, where: str, lambda0: float) -> np.ndarray:
     return np.array([_parse_length(v, f"{where}[{i}]", lambda0) for i, v in enumerate(value)])
 
 
+def _parse_entries(value, where: str):
+    """Nested lists of JSON numbers, each read by :func:`_parse_number` and named by its index."""
+    if isinstance(value, (list, tuple)):
+        return [_parse_entries(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return _parse_number(value, where)
+
+
 def _parse_matrix(entry, where: str) -> np.ndarray:
+    if not isinstance(entry, dict) or "re" not in entry:
+        raise ConfigError(f"{where}: expected re/im matrix entries")
+    re, im = (_parse_entries(entry.get(part, 0.0), f"{where}.{part}") for part in ("re", "im"))
     try:
-        re = np.asarray(entry["re"], dtype=float)
-        im = np.asarray(entry.get("im", 0.0), dtype=float)
+        re, im = np.asarray(re), np.asarray(im)
         # filled part by part: 1j * inf would warn and turn the real part into NaN
         out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
         out.real, out.imag = re, im
         return out
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: expected re/im matrix entries") from exc
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -54,46 +55,48 @@ def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
 
 def _read_container(path) -> tuple[str, np.ndarray, dict]:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[: len(MAGIC)] != MAGIC:
-        raise DatasetFormatError(
-            f"bad magic at offset 0: expected {MAGIC!r}, got {data[:len(MAGIC)]!r}"
-        )
-    off = len(MAGIC)
-    if len(data) < off + 8:
-        raise DatasetFormatError(f"truncated header length field at offset {off}")
-    hlen = int.from_bytes(data[off : off + 8], "little")
-    off += 8
-    if len(data) < off + hlen:
-        raise DatasetFormatError(f"truncated header at offset {off}: need {hlen} bytes")
-    try:
-        header = json.loads(data[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DatasetFormatError(f"unparseable header at offset {off}: {exc}") from exc
-    off += hlen
-    if not isinstance(header, dict):
-        raise DatasetFormatError("header is not a JSON object")
-    kind = header.get("kind")
-    if kind not in KINDS:
-        raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
-    if header.get("dtype") != _DTYPE.name:
-        raise DatasetFormatError(f"header key 'dtype' must be {_DTYPE.name!r} for {kind}")
-    shape = _header_field(header, "shape", _dims)
-    if not isinstance(header.get("meta"), dict):
-        raise DatasetFormatError("header key 'meta' is missing or not an object")
-    # Python ints: a numpy product of large entries wraps around
-    count = math.prod(shape)
-    if len(data) - off != count * _DTYPE.itemsize:
-        raise DatasetFormatError(
-            f"payload size mismatch at offset {off}: header key 'shape' declares "
-            f"{count * _DTYPE.itemsize} bytes, file holds {len(data) - off}"
-        )
-    values = np.frombuffer(data, dtype=_DTYPE, count=count, offset=off)
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise DatasetFormatError(f"bad magic at offset 0: expected {MAGIC!r}, got {magic!r}")
+        off = len(MAGIC)
+        field = fh.read(8)
+        if len(field) < 8:
+            raise DatasetFormatError(f"truncated header length field at offset {off}")
+        hlen = int.from_bytes(field, "little")
+        off += 8
+        if size < off + hlen:
+            raise DatasetFormatError(f"truncated header at offset {off}: need {hlen} bytes")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DatasetFormatError(f"unparseable header at offset {off}: {exc}") from exc
+        off += hlen
+        if not isinstance(header, dict):
+            raise DatasetFormatError("header is not a JSON object")
+        kind = header.get("kind")
+        if kind not in KINDS:
+            raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
+        if header.get("dtype") != _DTYPE.name:
+            raise DatasetFormatError(f"header key 'dtype' must be {_DTYPE.name!r} for {kind}")
+        shape = _header_field(header, "shape", _dims)
+        if not isinstance(header.get("meta"), dict):
+            raise DatasetFormatError("header key 'meta' is missing or not an object")
+        # Python ints: a numpy product of large entries wraps around
+        count = math.prod(shape)
+        if size - off != count * _DTYPE.itemsize:
+            raise DatasetFormatError(
+                f"payload size mismatch at offset {off}: header key 'shape' declares "
+                f"{count * _DTYPE.itemsize} bytes, file holds {size - off}"
+            )
+        # checked against the file size first, so the payload is read once, in place
+        values = np.empty(count, dtype=_DTYPE)
+        fh.readinto(values.view(np.uint8))
     try:
         values = values.reshape(shape)
     except ValueError as exc:  # an empty payload whose other dimensions are too large
         raise DatasetFormatError(f"header key 'shape' is out of range: {exc}") from exc
-    return kind, values.copy(), header["meta"]
+    return kind, values, header["meta"]
 
 
 def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,

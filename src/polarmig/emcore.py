@@ -123,25 +123,29 @@ def _kernel_table(n_out: int, n_in: int):
     return pairs, index
 
 
-def _kernel_walk(r, rhat, ks, amp, pairs, out):
-    """Write the kernels ``[conj A, conj B rhat_i rhat_l]`` into ``out`` for each wavenumber.
-
-    ``G = A I + B rhat rhat^T`` with ``A = g (1 + m)``, ``B = -g (1 + 3 m)``,
-    ``g = amp exp(i k r)`` and ``m = i u - u^2``, ``u = 1 / (k r)``; ``amp`` is
-    ``1 / (4 pi r)``, or zero to drop a term.  ``rhat`` has its components on
-    axis 0, ``pairs`` lists the products (i, l) wanted, and the caller's ``out``,
-    ``(1 + len(pairs),) + r.shape``, is overwritten before the band index is
-    yielded.  ``conj(g)`` steps by the band's mean spacing, which keeps its
-    drift near rounding.  Raises ValueError unless the wavenumbers are
-    positive, finite and evenly spaced to 1e-9 of the step, as
-    ``FrequencyBand`` asks.
-    """
+def _band_step(ks):
+    """Wavenumbers and their mean spacing; ValueError unless positive, finite and even to 1e-9."""
     ks = np.asarray(ks, dtype=float)
     if ks.ndim != 1 or not np.all((ks > 0) & (ks < np.inf)):
         raise ValueError("wavenumbers must be positive and finite")
     step = (ks[-1] - ks[0]) / (ks.size - 1) if ks.size > 1 else 0.0
     if np.any(np.abs(ks - ks[:1] - step * np.arange(ks.size)) > 1e-9 * abs(step)):
         raise ValueError("wavenumbers must be evenly spaced")
+    return ks, step
+
+
+def _kernel_walk(r, rhat, ks, amp, pairs, out):
+    """Write the kernels ``[conj A, conj B rhat_i rhat_l]`` into ``out`` for each wavenumber.
+
+    ``G = A I + B rhat rhat^T`` with ``A = g (1 + m)``, ``B = -g (1 + 3 m)``,
+    ``g = amp exp(i k r)`` and ``m = i u - u^2``, ``u = 1 / (k r)``; ``amp`` is
+    ``1 / (4 pi r)``, or zero to drop a term.  ``rhat`` has its components, or
+    projections of them, on axis 0, ``pairs`` lists the products (i, l) wanted,
+    and the caller's ``out``, ``(1 + len(pairs),) + r.shape``, is overwritten
+    before the band index is yielded.  ``conj(g)`` steps by the band's mean spacing, which keeps its
+    drift near rounding; the band is checked by :func:`_band_step`.
+    """
+    ks, step = _band_step(ks)
     orient = np.stack([rhat[i] * rhat[l] for i, l in pairs])
     del rhat  # a caller that drops its unit vectors frees them during the walk
     phase = np.exp(-1j * step * r) if step else 1.0

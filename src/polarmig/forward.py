@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._parallel import run_bin_blocks
 from .dataset import ArrayDataSet
-from .emcore import green_band, project
+from .emcore import _band_step, green_band, project
 from .errors import CoincidentPointsError
 from .migrate import _direct_sums
-from .preprocess import _coherency, gtilde
+from .preprocess import _coherency_table, gtilde
 from .scene import FrequencyBand, Scene
 
 # Receivers per transfer chunk are sized so their pairs with the scatterers stay few.
@@ -45,22 +46,27 @@ def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> n
     """Scattered transfer ``sum_n G(x_r, y_n) T_n`` at ``recs``, (nrec, nfreq, 3, 3).
 
     ``G`` is symmetric, so this is ``conj(sum_n conj(G(y_n, x_r)) conj(T_n))``: migrate's
-    direct engine summed over the scatterers, for receiver chunks of ``_PAIR_TARGET``
-    pairs; both scattering orders of :func:`_tails` share it.  Given the source basis
-    ``u_s`` it is the projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
+    direct engine summed over the scatterers, for bin blocks and receiver chunks of
+    ``_PAIR_TARGET`` pairs; both scattering orders of :func:`_tails` share it.  Given
+    the source basis ``u_s`` it is the projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
     """
+    ks, _ = _band_step(ks)
     pos = scene.scatterer_positions()
     # the engine's coincidence scale: at least 1 and every receiver and scatterer norm
     scale = np.linalg.norm(np.concatenate([recs, pos]), axis=1).max(initial=1.0)
     chunk = max(1, _PAIR_TARGET // max(1, pos.shape[0]))
-    try:
-        tails = _tails(scene, ks, single, double)
+    n = 3 if u_s is None else 2  # as many output rows as columns
+    out = np.empty((recs.shape[0], ks.size, n, n), dtype=complex)
+
+    def block(bins):
+        tails = _tails(scene, ks[bins], single, double)
         data = np.conj(tails if u_s is None else tails @ u_s)
-        n = data.shape[-1]  # as many output rows as columns: 3, or 2 when projected
-        out = np.empty((recs.shape[0], ks.size, n, n), dtype=complex)
         for lo in range(0, recs.shape[0], chunk):
-            sums, _ = _direct_sums(pos, data, ks, recs[lo:lo + chunk], n, False, scale)
-            np.conjugate(sums.swapaxes(0, 1), out=out[lo:lo + chunk])
+            sums, _ = _direct_sums(pos, data, ks[bins], recs[lo:lo + chunk], n, False, scale)
+            np.conjugate(sums.swapaxes(0, 1), out=out[lo:lo + chunk, bins])
+
+    try:
+        run_bin_blocks(block, recs.shape[0], ks.size)
     except CoincidentPointsError as exc:
         raise CoincidentPointsError(
             "a scatterer coincides with the source, a receiver or another scatterer"
@@ -138,6 +144,5 @@ def coherency_synthesize(
     m = _transfer(scene, band.wavenumbers(scene.wave_speed), scene.geom.flat_positions(),
                   scene.source.basis(), include_second_born)
     m = m.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
-    js = scene.source.coherency_table(band.count)
-    values = _coherency(m, js)
+    values = _coherency_table(m, scene.source.coherency_table(band.count))
     return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)

@@ -12,7 +12,7 @@ Applied to synthesized coherency data this returns the projected response
 approximation is involved.
 
 Its 2x2 products, inverses and condition numbers are entrywise closed forms
-over all receivers and frequencies, not numpy's per-matrix ``@``.  Every
+over blocks of bins, not numpy's per-matrix ``@``.  Every
 coherency ``M Js M^*`` in the package -- the incident term here, deterministic
 synthesis and the random-source estimates -- is :func:`_coherency`, so data
 without scatterers cancels to exactly zero.
@@ -20,12 +20,14 @@ without scatterers cancels to exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._parallel import run_bin_blocks
 from .dataset import ArrayDataSet
-from .emcore import embed, green_band, project, source_basis
+from .emcore import _band_step, _kernel_walk, _separation, embed, project, source_basis
 from .errors import NumericalError
 
 # Condition number of Gt above which the inversion switches to a truncated
@@ -69,13 +71,26 @@ def gtilde(x_r, x_s, y0, k) -> np.ndarray:
     ``x_r`` may carry leading batch axes.  The source-side basis is the
     deterministic one built from (x_s, y0).  For a uniform band ``k`` the
     result is (..., nfreq, 2, 2); synthesis and preprocessing both build their
-    Gt table here, so the incident terms ``Gt Js Gt^*`` agree bitwise.
+    Gt table here, so the incident terms ``Gt Js Gt^*`` agree bitwise.  It is
+    ``A U_par^T u_s + B a b^T``, ``a = U_par^T rhat``, ``b = u_s^T rhat``, by bin blocks.
     """
-    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    ks, _ = _band_step(np.atleast_1d(k))
     u_s = source_basis(x_s, y0)
-    out = np.empty(np.shape(x_r)[:-1] + (ks.size, 2, 2), dtype=complex)
-    for fi, g in enumerate(green_band(x_r, x_s, ks)):
-        out[..., fi, :, :] = project(g, u_s)
+    r, rhat = _separation(x_r, x_s)
+    # (a, b) as components 0-3 on axis 0: the walk's kernels are [conj A, conj B a_p b_q]
+    comps = np.moveaxis(np.concatenate([rhat[..., :2], rhat @ u_s], axis=-1), -1, 0)
+    pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    amp = 1.0 / (4.0 * np.pi * r)
+    out = np.empty(r.shape + (ks.size, 2, 2), dtype=complex)
+
+    def walk(bins):
+        kern = np.empty(r.shape + (5,), dtype=complex)
+        for fi in _kernel_walk(r, comps, ks[bins], amp, pairs, np.moveaxis(kern, -1, 0)):
+            g = kern[..., 1:].reshape(r.shape + (2, 2))
+            g += kern[..., :1, None] * u_s[:2]
+            np.conjugate(g, out=out[..., bins.start + fi, :, :])
+
+    run_bin_blocks(walk, r.size, ks.size)
     return out if np.ndim(k) else out[..., 0, :, :]
 
 
@@ -119,6 +134,17 @@ def _coherency(m: np.ndarray, js: np.ndarray) -> np.ndarray:
     return _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
 
 
+def _coherency_table(m: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """:func:`_coherency` of (..., nfreq, 2, 2) transfers and (nfreq, 2, 2) ``js`` by bin blocks."""
+    out = np.empty(m.shape, dtype=complex)
+
+    def block(bins):
+        out[..., bins, :, :] = _coherency(m[..., bins, :, :], js[bins])
+
+    run_bin_blocks(block, math.prod(m.shape[:-3]), m.shape[-3])
+    return out
+
+
 def _inv_2x2(a: np.ndarray) -> np.ndarray:
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     out = np.empty_like(a)
@@ -146,23 +172,22 @@ def _js_inverses(js: np.ndarray) -> np.ndarray:
 
 
 def _inversion_tables(ds: ArrayDataSet):
-    """(Js, Js^-1, Gt, cond(Gt), flagged, regularized Gt^-*) over receivers x band.
-
-    Gt is (n1, n2, nfreq, 2, 2).  Where cond(Gt) exceeds the limit (the
-    ``flagged`` (row, col, freq) indices) Gt^-* is a truncated pseudo-inverse.
-    """
+    """(Js, Js^-1, Gt) over the band; Gt is (n1, n2, nfreq, 2, 2)."""
     js = ds.source.coherency_table(ds.band.count)
     js_inv = _js_inverses(js)
     gt = gtilde(ds.geom.flat_positions(), ds.source.position, ds.source.reference_point,
                 ds.wavenumbers)
-    gt = gt.reshape(ds.geom.n1, ds.geom.n2, ds.band.count, 2, 2)
+    return js, js_inv, gt.reshape(ds.geom.n1, ds.geom.n2, ds.band.count, 2, 2)
+
+
+def _gt_inverse(gt: np.ndarray):
+    """cond(Gt) and Gt^-*, a truncated pseudo-inverse where cond(Gt) exceeds the limit."""
     gt_star = np.conj(np.swapaxes(gt, -1, -2))
     cond = _cond_2x2(gt)
-    flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
     inv_gt_star = _inv_2x2(gt_star)
-    for row, col, fi in flagged:
-        inv_gt_star[row, col, fi] = _truncated_pinv(gt_star[row, col, fi])
-    return js, js_inv, gt, cond, flagged, inv_gt_star
+    for idx in map(tuple, np.argwhere(~(cond <= GTILDE_COND_LIMIT))):
+        inv_gt_star[idx] = _truncated_pinv(gt_star[idx])
+    return cond, inv_gt_star
 
 
 def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
@@ -175,15 +200,22 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     if ds.kind != "coherency2x2":
         raise ValueError(f"preprocess expects coherency2x2 data, got {ds.kind!r}")
     u_s = ds.source.basis()
-    js, js_inv, gt, cond, flagged, inv_gt_star = _inversion_tables(ds)
-    incident = _coherency(gt, js)
-    core = _mul_2x2(_mul_2x2(ds.values - incident, inv_gt_star), js_inv)
-    del gt, incident, inv_gt_star  # the 3x3 lift is the memory peak; free the tables first
-    out = replace(ds, kind="preprocessed3x3", values=embed(core, u_s))
+    js, js_inv, gt = _inversion_tables(ds)
+    cond = np.empty(gt.shape[:-2])
+    values = np.empty(gt.shape[:-2] + (3, 3), dtype=complex)
+
+    def block(bins):
+        b = np.s_[:, :, bins]
+        cond[b], inv_gt_star = _gt_inverse(gt[b])
+        core = _mul_2x2(ds.values[b] - _coherency(gt[b], js[bins]), inv_gt_star)
+        values[b] = embed(_mul_2x2(core, js_inv[bins]), u_s)
+
+    run_bin_blocks(block, ds.geom.n1 * ds.geom.n2, ds.band.count)
+    flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
     report = PreprocessReport(
         cond=cond, regularized=[tuple(int(i) for i in idx) for idx in flagged]
     )
-    return out, report
+    return replace(ds, kind="preprocessed3x3", values=values), report
 
 
 def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:
@@ -199,7 +231,8 @@ def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:
     if pi.shape != expect:
         raise ValueError(f"response field shape {pi.shape}, expected {expect}")
     u_s = ds.source.basis()
-    js, js_inv, gt, _, _, inv_gt_star = _inversion_tables(ds)
+    js, js_inv, gt = _inversion_tables(ds)
+    _, inv_gt_star = _gt_inverse(gt)
     pit = project(pi, u_s)
     pit_star = np.conj(np.swapaxes(pit, -1, -2))
     core = _mul_2x2(_mul_2x2(gt + pit, js), pit_star)

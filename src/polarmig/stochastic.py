@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataset import ArrayDataSet
 from .forward import _transfer
-from .preprocess import _coherency
+from .preprocess import _coherency, _coherency_table
 from .scene import FrequencyBand, Scene
 
 TWO_PI = 2.0 * np.pi
@@ -205,9 +205,7 @@ def stochastic_coherency_dataset(
                   scene.source.basis(), include_second_born)
     js_table = spec.spectrum(omegas[picked])[:, None, None] * np.eye(2)
     source = replace(scene.source, coherency=js_table)
-    # contiguous, or the container write copies the strided product while it is alive
-    values = np.ascontiguousarray(_coherency(m, j_hat))
-    values = values.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
+    values = _coherency_table(m, j_hat).reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
     return ArrayDataSet("coherency2x2", values, scene.geom, source, band, scene.wave_speed)
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig import _parallel
+from polarmig._parallel import run_tasks
 
 LAMBDA0 = 0.125
 L = 100 * LAMBDA0
@@ -82,6 +84,61 @@ def projected_truth(alpha: np.ndarray, source: pm.SourceSpec) -> np.ndarray:
 def random_symmetric_tensor(rng, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     return scale * (a + a.T) / 2
+
+
+@pytest.fixture(autouse=True)
+def blas_count_unchanged():
+    """Fail a test after which the OpenBLAS thread count differs from before it."""
+    before = _parallel.blas_threads()
+    yield
+    assert _parallel.blas_threads() == before, "the OpenBLAS thread count was left changed"
+
+
+@pytest.fixture
+def blas_count():
+    """The OpenBLAS thread count before the test (None without one), restored after it."""
+    before = _parallel.blas_threads()
+    yield before
+    if before is not None:
+        _parallel.set_blas_threads(before)
+
+
+def check_bin_blocks(monkeypatch, stage, n_rec: int, n_bins: int, rtol: float = 1e-13):
+    """Check that ``stage()`` runs in bin blocks under the hold, with bits free of the threads.
+
+    The block rule is patched to blocks of 2 bins, at least 3 of them with a
+    partial last one.  The tuple of arrays ``stage()`` returns must be bitwise
+    equal at ``POLARMIG_THREADS`` unset, 1, 2 and 3 and at OpenBLAS 1 and 2
+    threads, and within ``rtol`` of the stage run as one block, relative to
+    each array's maximum; every block task must run with OpenBLAS held at one
+    thread.  Tests that call this restore the OpenBLAS count through ``blas_count``.
+    """
+    held = None if _parallel.blas_threads() is None else 1
+    seen = []
+
+    def spy(work, tasks):
+        seen.append((len(tasks), _parallel.blas_threads()))
+        return run_tasks(work, tasks)
+
+    monkeypatch.setattr(_parallel, "run_tasks", spy)
+    monkeypatch.setattr(_parallel, "_BLOCK_CELLS", 2 * n_rec)
+    sizes = [b.stop - b.start for b in _parallel.bin_blocks(n_rec, n_bins)]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+    runs = []
+    for threads, blas in ((None, 2), ("1", 2), ("2", 2), ("3", 2), (None, 1)):
+        if threads is None:
+            monkeypatch.delenv("POLARMIG_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("POLARMIG_THREADS", threads)
+        _parallel.set_blas_threads(blas)
+        runs.append(stage())
+    assert seen and all(n == len(sizes) and count == held for n, count in seen), seen
+    monkeypatch.setattr(_parallel, "_BLOCK_CELLS", n_rec * n_bins)
+    whole = stage()
+    for run in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(run, runs[0]))
+    for a, b in zip(runs[0], whole):
+        assert np.abs(a - b).max(initial=0.0) <= rtol * np.abs(b).max(initial=0.0)
 
 
 @pytest.fixture(scope="session")

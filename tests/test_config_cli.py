@@ -200,6 +200,14 @@ def test_cli_bad_thread_setting_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.splitlines() == [
         "invalid input: POLARMIG_THREADS must be an integer, got 'abc'"] * 2
     assert blas_threads() == before
+    # synthesis and preprocessing run their bin blocks on the task threads too
+    for argv in (["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "simulate")],
+                 ["preprocess", str(tmp_path / "run" / "coherency.pmds"),
+                  "--out", str(tmp_path / "preprocess")]):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: POLARMIG_THREADS must be an integer, got 'abc'"]
+        assert blas_threads() == before
 
 
 def test_cli_ill_conditioned_source_coherency_exits_3(tmp_path, capsys):
@@ -441,6 +449,13 @@ def _cube(side="1 lambda0") -> dict:
         # an infinite imaginary part is refused without a warning first
         (("scatterers", 0, "alpha", "im", 0, 0), 1e400,
          r"scatterers\[0\]: polarizability tensor has non-finite entries"),
+        # matrix entries are numbers as every number field reads them, named by their index
+        (("scatterers", 0, "alpha", "re", 0, 0), True,
+         r"scatterers\[0\]\.alpha\.re\[0\]\[0\]: expected a number, got True"),
+        (("source", "coherency"), {"re": [["1", 0], [0, 1]]},
+         r"source\.coherency\.re\[0\]\[0\]: expected a number, got '1'"),
+        (("scatterers", 0, "alpha", "im", 1, 2), None,
+         r"scatterers\[0\]\.alpha\.im\[1\]\[2\]: expected a number, got None"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):

@@ -16,6 +16,7 @@ from conftest import (
     LAMBDA0,
     band,
     bench_scene,
+    check_bin_blocks,
     random_symmetric_tensor,
     single_freq_band,
     three_dipole_scene,
@@ -255,6 +256,15 @@ def test_projected_transfer_direct_term_is_gtilde():
     scattered = forward._scattered(scene, ks, recs, u_s=src.basis())
     direct = pm.gtilde(recs, src.position, src.reference_point, ks)
     assert np.array_equal(forward._transfer(scene, ks, recs, src.basis()), scattered + direct)
+
+
+@pytest.mark.parametrize("second_born", [False, True])
+def test_coherency_synthesis_bits_do_not_depend_on_the_threads(monkeypatch, blas_count,
+                                                                second_born):
+    scene = three_dipole_scene(n=5)
+    check_bin_blocks(monkeypatch,
+                     lambda: (pm.coherency_synthesize(scene, band(5), second_born).values,),
+                     n_rec=25, n_bins=5)
 
 
 def test_scatterer_on_a_receiver_raises():

@@ -435,15 +435,6 @@ def test_direct_points_split_into_tasks_whatever_the_threads(monkeypatch):
     assert all(np.array_equal(out, outs[0]) for out in outs)
 
 
-@pytest.fixture
-def blas_count():
-    """The OpenBLAS thread count before the test (None without one), restored after it."""
-    before = blas_threads()
-    yield before
-    if before is not None:
-        set_blas_threads(before)
-
-
 def test_outputs_do_not_depend_on_blas_threads(blas_count):
     # at 17x17 receivers a 2-thread OpenBLAS rounds the direct engine's products
     # differently from a 1-thread one, so only the hold in migrate keeps these equal
