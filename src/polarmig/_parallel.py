@@ -130,6 +130,6 @@ def one_blas_thread():
 
 
 @one_blas_thread()
-def run_bin_blocks(work, n_rec: int, n_bins: int) -> None:
-    """``work(bins)`` for each slice of :func:`bin_blocks`, on the task threads, OpenBLAS held."""
-    run_tasks(work, bin_blocks(n_rec, n_bins))
+def run_bin_blocks(work, n_rec: int, n_bins: int) -> list:
+    """``work(bins)`` per slice of :func:`bin_blocks` in order, on the task threads, BLAS held."""
+    return run_tasks(work, bin_blocks(n_rec, n_bins))

@@ -50,7 +50,7 @@ def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(values.tobytes(order="C"))
+        fh.write(values)  # the C-contiguous buffer itself: no copy of the payload
 
 
 def _read_container(path) -> tuple[str, np.ndarray, dict]:

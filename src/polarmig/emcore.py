@@ -142,19 +142,32 @@ def _kernel_walk(r, rhat, ks, amp, pairs, out):
     ``1 / (4 pi r)``, or zero to drop a term.  ``rhat`` has its components, or
     projections of them, on axis 0, ``pairs`` lists the products (i, l) wanted,
     and the caller's ``out``, ``(1 + len(pairs),) + r.shape``, is overwritten
-    before the band index is yielded.  ``conj(g)`` steps by the band's mean spacing, which keeps its
-    drift near rounding; the band is checked by :func:`_band_step`.
+    before the band index is yielded.  With ``c = conj(g)`` and ``s = 1 / k``,
+    ``conj A = c - s^2 c / r^2 - i s c / r`` and ``conj B = 2 c - 3 conj A``, formed in
+    buffers; ``c``, ``c / r`` and ``c / r^2`` step by the phase of the band's mean
+    spacing, which keeps their drift near rounding.  The band is checked by
+    :func:`_band_step`.
     """
     ks, step = _band_step(ks)
-    orient = np.stack([rhat[i] * rhat[l] for i, l in pairs])
+    # complex once here, so the product below casts nothing per wavenumber
+    orient = np.stack([rhat[i] * rhat[l] for i, l in pairs]).astype(complex)
     del rhat  # a caller that drops its unit vectors frees them during the walk
     phase = np.exp(-1j * step * r) if step else 1.0
+    # c, c / r and c / r^2 before the first wavenumber's phase
+    walked = np.stack(np.broadcast_arrays(amp, amp / r, amp / r / r)).astype(complex)
+    c, c_r, c_r2 = walked[:, None]  # views with the stack's leading axis, also for scalar r
+    conj_a = out[:1]
+    conj_b = np.empty(conj_a.shape, dtype=complex)
     for fi, k in enumerate(ks):
-        conj_g = conj_g * phase if fi else amp * np.exp(-1j * k * r)
-        u = 1.0 / (k * r)
-        u2 = u * u
-        np.multiply(conj_g, (1.0 - u2) - 1j * u, out=out[:1])
-        np.multiply(conj_g * ((3.0 * u2 - 1.0) + 3j * u), orient, out=out[1:])
+        walked *= phase if fi else np.exp(-1j * k * r)
+        s = 1.0 / k
+        np.multiply(c_r2, -s * s, out=conj_a)
+        conj_a += np.multiply(c_r, -1j * s, out=conj_b)
+        conj_a += c
+        np.multiply(conj_a, -3.0, out=conj_b)
+        conj_b += c
+        conj_b += c
+        np.multiply(conj_b, orient, out=out[1:])
         yield fi
 
 

@@ -13,8 +13,9 @@ The receiver sums have two engines with the same result up to rounding.
 Imaging points that form lattice rows (evenly spaced along a receiver axis,
 at a step commensurate with the receiver pitch) get them from FFT
 correlations along that axis, since the Green function depends only on
-``x_r - y``; all other points use the direct pair sum over fixed receiver
-blocks, which synthesis runs too, with the scatterers as the summed set.  Both
+``x_r - y``, and rows that meet the same receiver offsets, as on a cross-range
+slice, share each kernel site; all other points use the direct pair sum over
+fixed receiver blocks, which synthesis runs too, with the scatterers summed.  Both
 contract scalar kernels of ``G = A I + B rhat rhat^T`` with the data components
 in one matmul per frequency, taking only the rows and columns of ``conj(G)``
 that the output and the data keep: preprocessed data ``U_par C u_s^H`` is
@@ -35,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import one_blas_thread, run_tasks
+from ._parallel import one_blas_thread, run_bin_blocks, run_tasks
 from .dataset import ArrayDataSet
 from .emcore import (CROSS_RANGE_BASIS, _distances, _green_walk, _kernel_table, _kernel_walk,
                      as_vec3, dyadic_green, project, projector)
@@ -51,9 +52,11 @@ _TASK_PAIRS = 120_000
 # Summed points per direct-sum block; bounds the (kernels, points, block) stack.
 _RECEIVER_BLOCK = 512
 
-# Lattice-row chunks are sized by kernel sites (rows x FFT length x receivers
-# across the rows), which bounds their FFT blocks the same way.
-_SITE_TARGET = 40_000
+# Lattice-row chunks are sized by kernel sites times the FFT length: each (row,
+# receiver column) site gathered into the matmul block counts once, and each
+# distinct site walked three times more, for its table entry and the walk's
+# state.  Rows that share no site thus get 40,000 gathered sites per chunk.
+_SITE_TARGET = 160_000
 
 # Row steps are matched to the receiver pitch over subdivisions up to this.
 _MAX_SUBDIVISION = 12
@@ -240,6 +243,31 @@ def _lattice_rows(pts, geom: ArrayGeom):
     return grouped, np.flatnonzero(~covered)
 
 
+def _row_sites(pts, rows, geom: ArrayGeom, other: int):
+    """Distinct kernel sites of lattice rows across receiver axis ``other``: ``(site, pick)``.
+
+    A row meets the receiver offsets of the first earlier row whose start agrees with
+    its own to the lattice tolerance after a shift of whole pitches across, its column
+    j that row's column j - shift.  ``site`` holds each distinct site's first (row,
+    column) as a flat index, ``pick[row, j]`` the site of each row's column.
+    """
+    start, atol = pts[rows[:, 0]], _lattice_atol(pts, geom)
+    n_rows, n_across = rows.shape[0], (geom.n1, geom.n2)[other]
+    first, shift, owners = np.arange(n_rows), np.zeros(n_rows), [0]
+    for w in range(1, n_rows):
+        gap = start[w] - start[owners]
+        n = np.round(gap[:, other] / geom.spacing[other])
+        gap[:, other] -= n * geom.spacing[other]
+        hit = np.flatnonzero(np.all(np.abs(gap) <= atol, axis=1))
+        if hit.size:
+            first[w], shift[w] = owners[hit[0]], n[hit[0]]
+        else:
+            owners.append(w)
+    keys = np.stack(np.broadcast_arrays(first[:, None], np.arange(n_across) - shift[:, None]))
+    _, site, pick = np.unique(keys.reshape(2, -1), axis=1, return_index=True, return_inverse=True)
+    return site, pick.reshape(n_rows, n_across)
+
+
 def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_out: int,
                   moments: bool, scale: float):
     """Per-frequency backpropagation sums and receiver spread moments for lattice rows.
@@ -248,12 +276,15 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
     array of point indices, each row sorted along ``layout.axis``; ``n_out``,
     ``moments`` and ``scale`` are as for :func:`_direct_sums`.  For row point p
     and receiver (i, j), with i along the row axis and j across it, the Green
-    function depends on the lag ``p stride - i sub`` and on j alone.  The
-    kernel is evaluated once per (j, lag) site, the sum over i is a circular
+    function depends on the lag ``p stride - i sub`` and on the row's offset to
+    receiver column j.  Rows whose x3 and along-row starts agree and whose
+    across starts differ by whole receiver pitches share their (offset, lag)
+    sites, so the kernels are walked and transformed once per distinct site,
+    then gathered into each row's (j, lag) block.  The sum over i is a circular
     convolution over an FFT length that holds every lag without wrap-around,
     and the sum over j is a matmul per spatial frequency.  Spread moments are
-    summed over j per site, then over each point's pair lags.  Points are in
-    the order of ``rows.ravel()``.
+    summed over each row's sites per lag, then over each point's pair lags.
+    Points are in the order of ``rows.ravel()``.
     """
     axis, sub, stride, length, nfft = layout
     other = 1 - axis
@@ -271,39 +302,45 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
     takes = ((gap >= 0) & (gap <= (n_along - 1) * sub) & (gap % sub == 0)).astype(float)
     realized = takes.any(axis=1)
 
-    # x_r - y per (row, j, lag) site, components on axis 0
-    start = pts[rows[:, 0]]
-    diff = [None, None, -start[:, 2, None, None]]
-    diff[axis] = ((grid[0, 0, axis] - start[:, axis])[:, None]
-                  - lag * (geom.spacing[axis] / sub))[:, None, :]
-    diff[other] = (grid[0, :, other] - start[:, other, None])[:, :, None]
+    site, pick = _row_sites(pts, rows, geom, other)
+    site_row, site_col = np.divmod(site, n_across)
+    start = pts[rows[site_row, 0]]
+    # x_r - y per (lag, site), components on axis 0
+    diff = [None, None, -start[:, 2]]
+    diff[axis] = grid[0, 0, axis] - start[:, axis] - lag[:, None] * (geom.spacing[axis] / sub)
+    diff[other] = grid[0, site_col, other] - start[:, other]
     diff = np.stack(np.broadcast_arrays(*diff))
     # lags no (point, receiver) pair takes, and FFT padding, get a zero kernel
-    diff[..., ~realized] = 1.0
+    diff[:, ~realized] = 1.0
     r, rhat = _distances(diff, scale, _RECEIVER_PAIR)
-    amp = np.where(realized, 1.0 / (4.0 * np.pi * r), 0.0)
+    amp = np.where(realized[:, None], 1.0 / (4.0 * np.pi * r), 0.0)
     spread = None
     if moments:
-        # (3, rows, lag, 2, 2) -> (3, rows, 2, 2, point) -> (3, rows x point, 2, 2)
-        spread = np.moveaxis(_spread_moments(amp, r, rhat[:2], 1), 2, -1) @ takes
-        spread = np.moveaxis(spread, -1, 2).reshape(3, n_rows * length, 2, 2)
+        # (3, lag, rows, 2, 2) over each row's sites -> (3, rows, 2, 2, point) -> (3, points, 2, 2)
+        spread = _spread_moments(amp[:, pick], r[:, pick], rhat[:2, :, pick], 2)
+        spread = np.moveaxis(np.moveaxis(spread, 1, -1) @ takes, -1, 2).reshape(3, -1, 2, 2)
 
     n_kern, n_data = 1 + len(pairs), n_in * n_col
     sums = np.empty((ks.size, n_rows * length, n_out, n_col), dtype=complex)
     lattice_data = np.zeros((nfft, n_across, n_data), dtype=complex)
-    kern = np.empty((n_rows, n_kern, n_across, nfft), dtype=complex)
-    # spatial frequency first, so the matmul below batches over it
-    kern_hat = np.empty((nfft, n_rows, n_kern, n_across), dtype=complex)
-    walk = _kernel_walk(r, rhat, ks, amp, pairs, kern.swapaxes(0, 1))
+    # the walk writes each lag's kernels, and the FFT over lags runs in place, so the table
+    # is spatial frequency first and the matmul below batches over it
+    table = np.empty((nfft, n_kern, site.size), dtype=complex)
+    # rows that share no site, as on range slices, read their blocks from the table itself
+    shared = site.size < pick.size
+    kern_hat = np.empty((nfft, n_kern, n_rows, n_across), dtype=complex) if shared else table
+    walk = _kernel_walk(r, rhat, ks, amp, pairs, table.swapaxes(0, 1))
     del diff, rhat  # the walk keeps only their orientation products
     for fi in walk:
-        np.fft.fft(kern, axis=-1, out=kern_hat.transpose(1, 2, 3, 0))
+        np.fft.fft(table, axis=0, out=table)
+        if shared:
+            np.take(table, pick, axis=2, out=kern_hat, mode="clip")
         lattice_data[: n_along * sub : sub] = lane[:, :, fi].reshape(n_along, n_across, -1)
         data_hat = np.fft.fft(lattice_data, axis=0)
-        # prods[x, (row, m), (l, q)] = sum_j kern_hat[x, row, m, j] D_hat[x, j, l, q]
-        prods = kern_hat.reshape(nfft, n_rows * n_kern, n_across) @ data_hat
+        # prods[x, (m, row), (l, q)] = sum_j kern_hat[x, m, row, j] D_hat[x, j, l, q]
+        prods = kern_hat.reshape(nfft, n_kern * n_rows, n_across) @ data_hat
         acc = np.zeros((nfft, n_rows, n_out, n_col), dtype=complex)
-        _fold(prods.reshape(nfft, n_rows, n_kern, n_in, n_col), index, acc)
+        _fold(prods.reshape(nfft, n_kern, n_rows, n_in, n_col).swapaxes(1, 2), index, acc)
         acc = np.fft.ifft(acc, axis=0)[: span + 1 : stride]
         sums[fi] = acc.swapaxes(0, 1).reshape(-1, n_out, n_col)
     return sums, spread
@@ -341,9 +378,10 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
     tasks = []
     rows, rest = _lattice_rows(pts, geom)
     for layout, group in rows.items():
-        sites = layout.fft_size * (geom.n2 if layout.axis == 0 else geom.n1)
+        site, pick = _row_sites(pts, group, geom, 1 - layout.axis)
         # at least one row per chunk, even when a row alone exceeds the target
-        n_chunks = min(group.shape[0], -(-group.shape[0] * sites // _SITE_TARGET))
+        cost = layout.fft_size * (pick.size + 3 * site.size)
+        n_chunks = min(group.shape[0], -(-cost // _SITE_TARGET))
         for chunk in np.array_split(group, n_chunks):
             tasks.append((chunk.ravel(), partial(_lattice_sums, geom, data, ks, pts, chunk,
                                                  layout, n_out, exact, scale)))
@@ -429,12 +467,23 @@ def _migrate_band(ds: ArrayDataSet, points, mode: str):
     u_s = ds.source.basis()
     data = ds.values
     if ds.kind == "preprocessed3x3":
-        if np.any(data[..., 2, :] != 0):
+        # rows of U_par C u_s^H are normal to the source direction n, to rounding;
+        # U_par^T values [u_s, n] holds the core and the row components along n
+        basis = np.column_stack([u_s, np.cross(u_s[:, 0], u_s[:, 1])])
+        core = np.empty(data.shape[:3] + (2, 2), dtype=complex)
+
+        def split(rows):  # one pass each over a block of receiver rows
+            block = data[rows]
+            both = project(block, basis)
+            core[rows] = both[..., :2]
+            return np.any(block[..., 2, :] != 0), abs(both[..., 2]).max(), abs(core[rows]).max()
+
+        # blocks of whole receiver rows, contiguous in the values, of bin-block size
+        third, off_span, peak = np.array(run_bin_blocks(split, ds.geom.n2 * ds.band.count,
+                                                       ds.geom.n1)).T
+        if np.any(third):
             raise ValueError(f"{ds.kind} data must have an exactly zero third row")
-        core = np.ascontiguousarray(project(data, u_s))
-        # rows of U_par C u_s^H are normal to the source direction, to rounding
-        normal = np.cross(u_s[:, 0], u_s[:, 1])
-        if np.abs(data[..., :2, :] @ normal).max() > 1e-12 * np.abs(core).max():
+        if np.max(off_span) > 1e-12 * np.max(peak):
             raise ValueError(f"{ds.kind} data rows must lie in the span of the source basis")
         data = core
     pts, squeeze = _as_points(points)

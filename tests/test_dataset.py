@@ -7,7 +7,7 @@ import pytest
 
 import polarmig as pm
 from polarmig.cli import main as cli_main
-from polarmig.dataset import MAGIC, _read_container
+from polarmig.dataset import MAGIC, _read_container, _write_container
 
 from conftest import band, bench_scene, three_dipole_scene
 
@@ -42,6 +42,23 @@ def test_roundtrip_bit_exact(tmp_path, rng):
     path2 = tmp_path / "data2.pmds"
     back.write(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("order", ["<c16", ">c16"])
+def test_container_payload_is_the_c_order_bytes(tmp_path, rng, order):
+    # a strided input, in either byte order, is written as MAGIC, the header
+    # length, the header and the C-order little-endian bytes of its values
+    full = rng.standard_normal((6, 5, 2, 2)) + 1j * rng.standard_normal((6, 5, 2, 2))
+    values = full.astype(order)[::2].swapaxes(0, 1)
+    assert not values.flags.c_contiguous
+    path = tmp_path / "strided.pmds"
+    _write_container(path, "image2x2", values, {"note": "strided"})
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    header = blob[len(MAGIC) + 8:len(MAGIC) + 8 + hlen]
+    assert json.loads(header) == {"kind": "image2x2", "dtype": "complex128",
+                                  "shape": [5, 3, 2, 2], "meta": {"note": "strided"}}
+    assert blob == MAGIC + hlen.to_bytes(8, "little") + header + values.astype("<c16").tobytes()
 
 
 def test_per_frequency_coherency_roundtrip(tmp_path, rng):

@@ -279,11 +279,28 @@ def test_green_band_matches_dyadic_green_across_128_bins():
 
 @pytest.mark.parametrize("n_out, n_in", [(3, 3), (2, 2), (3, 2)])
 def test_kernel_walk_matches_dyadic_green_across_128_bins(n_out, n_in):
-    # the kernels of the rows and columns kept, written in place, rebuild
-    # conj(G); dyadic_green rounds its phase k r by about eps kr, so the
-    # points sit 20 wavelengths above the array (kr <= 276)
-    recs = pm.ArrayGeom(side=20 * LAMBDA0, n1=31, n2=31).flat_positions()
-    pts = np.array([[0.0, 0.0, 20 * LAMBDA0], [3 * LAMBDA0, -7 * LAMBDA0, 18 * LAMBDA0]])
+    # dyadic_green rounds its phase k r by about eps kr, so the points sit 20
+    # wavelengths above the array (kr from about 100 to 276)
+    geom = pm.ArrayGeom(side=20 * LAMBDA0, n1=31, n2=31)
+    pts = [[0.0, 0.0, 20 * LAMBDA0], [3 * LAMBDA0, -7 * LAMBDA0, 18 * LAMBDA0]]
+    _check_kernel_walk(geom, pts, n_out, n_in)
+
+
+@pytest.mark.parametrize("n_out, n_in", [(3, 3), (2, 2), (3, 2)])
+def test_kernel_walk_matches_dyadic_green_in_the_near_field(n_out, n_in):
+    # points within a wavelength of 3x3 receivers, where the 1/(kr) and
+    # 1/(kr)^2 terms that the walk steps count: kr from 0.5 to 10
+    geom = pm.ArrayGeom(side=LAMBDA0 / 2, n1=3, n2=3)
+    pts = [[0.0, 0.0, 0.2 * LAMBDA0], [0.1 * LAMBDA0, -0.1 * LAMBDA0, 0.5 * LAMBDA0],
+           [0.3 * LAMBDA0, 0.2 * LAMBDA0, 0.25 * LAMBDA0]]
+    r, ks = _check_kernel_walk(geom, pts, n_out, n_in)
+    assert 0.5 <= ks[0] * r.min() < 1 and 5 < ks[-1] * r.max() <= 10
+
+
+def _check_kernel_walk(geom, pts, n_out, n_in):
+    """The kernels of the rows and columns kept, written in place, rebuild conj(G) to 1e-13."""
+    recs = geom.flat_positions()
+    pts = np.array(pts)
     ks = pm.FrequencyBand(center=OMEGA0, width=BANDWIDTH, count=128).wavenumbers(DEFAULT_WAVE_SPEED)
     diff = recs.T[:, None, :] - pts.T[:, :, None]
     r = np.linalg.norm(diff, axis=0)
@@ -297,6 +314,7 @@ def test_kernel_walk_matches_dyadic_green_across_128_bins(n_out, n_in):
         got[..., range(min(n_out, n_in)), range(min(n_out, n_in))] += out[0][..., None]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert seen == list(range(ks.size))
+    return r, ks
 
 
 def test_green_band_one_sample_empty_band_and_coincident_points():

@@ -372,11 +372,16 @@ def test_parallel_schedule_invariance_on_preprocessed_data(monkeypatch):
 
 def _check_schedule_invariance(scene, resp, monkeypatch):
     pts = pm.line_profile([0, 0, L], 0, 3 * LAMBDA0, LAMBDA0 / 2)
-    # a cross-range lattice slice split over several row chunks
+    # a cross-range lattice slice, whose rows share kernel sites, and a range
+    # slice, whose rows share none, each split over several row chunks
     slice_pts = pm.plane_grid(scene.window, 2, L, 1.25 * LAMBDA0)[0]
+    range_pts = pm.plane_grid(scene.window, 1, -5 * LAMBDA0, 1.25 * LAMBDA0)[0]
     monkeypatch.setattr(migrate, "_SITE_TARGET", 2_000)
-    _, rest = migrate._lattice_rows(slice_pts, scene.geom)
-    assert rest.size == 0
+    for grid in (slice_pts, range_pts):
+        rows, rest = migrate._lattice_rows(grid, scene.geom)
+        assert rest.size == 0
+        (layout, group), = rows.items()
+        assert group.shape[0] * layout.fft_size * scene.geom.n2 >= 3 * migrate._SITE_TARGET
     # off-lattice points split over at least three direct chunks
     off = _off_lattice_points(scene, 40)
     monkeypatch.setattr(migrate, "_TASK_PAIRS", 12 * 81)
@@ -387,6 +392,7 @@ def _check_schedule_invariance(scene, resp, monkeypatch):
     def run():
         return (pm.kirchhoff_band(resp, pts),
                 pm.recover_alpha_field(resp, slice_pts, mode="exact"),
+                pm.recover_alpha_field(resp, range_pts, mode="exact"),
                 pm.kirchhoff_band(resp, off),
                 pm.recover_alpha_field(resp, off, mode="exact"))
 
@@ -657,11 +663,22 @@ def lattice_scene_preprocessed():
     return scene, pm.preprocess(pm.coherency_synthesize(scene, band(3)))[0]
 
 
+def _staggered_rows(win, pitch):
+    """Rows along x1 at step pitch / 2, a pitch apart across; odd rows start half a step later."""
+    (lo1, hi1), (lo2, hi2) = win.bounds[:2]
+    x1 = lo1 + pitch / 2 * np.arange(int((hi1 - lo1) / (pitch / 2)) + 1)
+    x2 = lo2 + pitch * np.arange(int((hi2 - lo2) / pitch) + 1)
+    g1, g2 = np.meshgrid(x1, x2, indexing="ij")
+    g1 += (np.arange(x2.size) % 2) * pitch / 4
+    return np.stack([g1, g2, np.full_like(g1, L)], axis=-1).reshape(-1, 3)
+
+
 def _lattice_grids(scene):
     pitch = scene.geom.spacing[0]
     win = scene.window
     return {
         "cross-range slice": pm.plane_grid(win, 2, L, pitch / 2)[0],
+        "staggered cross-range rows": _staggered_rows(win, pitch),
         "range slice, normal_axis 1": pm.plane_grid(win, 1, -5 * LAMBDA0, pitch / 2)[0],
         "range slice, normal_axis 0": pm.plane_grid(win, 0, 3 * LAMBDA0, 1.5 * pitch)[0],
         "line along x1": pm.line_profile([0.3 * LAMBDA0, -LAMBDA0, L], 0, 12 * LAMBDA0, pitch / 4),
@@ -672,6 +689,7 @@ def _lattice_grids(scene):
 
 _GRIDS = [
     "cross-range slice",
+    "staggered cross-range rows",
     "range slice, normal_axis 1",
     "range slice, normal_axis 0",
     "line along x1",
@@ -724,6 +742,56 @@ def test_lattice_rows_larger_than_chunk_target(lattice_scene, monkeypatch):
     _direct_only(monkeypatch)
     for got, ref in zip(lattice, _all_modes(resp, pts)):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_rows_of_a_cross_range_chunk_walk_their_shared_sites_once(lattice_scene, monkeypatch):
+    # rows at one x3 and one along-row start, their across starts whole pitches
+    # apart, share their (across offset, lag) sites; at a step of half a pitch
+    # the even and the odd rows each form such a class, whose rows together
+    # meet n_across + (their span in pitches) receiver columns
+    scene, resp = lattice_scene
+    geom = scene.geom
+    pts = _lattice_grids(scene)["cross-range slice"]
+    (layout, group), = migrate._lattice_rows(pts, geom)[0].items()
+    n_across = (geom.n2, geom.n1)[layout.axis]
+    across = np.round(pts[group[:, 0], 1 - layout.axis] / (geom.spacing[1 - layout.axis] / 2))
+    sites = int(sum(n_across + np.ptp(across[across % 2 == parity]) // 2 for parity in (0, 1)))
+    assert sites < group.shape[0] * n_across
+    walked = []
+    kernel_walk = migrate._kernel_walk
+
+    def spy(r, *args):
+        walked.append(r.shape)
+        return kernel_walk(r, *args)
+
+    monkeypatch.setattr(migrate, "_kernel_walk", spy)
+    monkeypatch.setattr(migrate, "_SITE_TARGET", 10**9)
+    pm.recover_alpha_field(resp, pts, mode="exact")
+    assert walked == [(layout.fft_size, sites)]
+
+
+def test_reduced_preset_slices_keep_two_row_chunks_or_more(monkeypatch):
+    # 961-point slices at step 1 lambda0 over the reduced preset's 31x31
+    # receivers, as the pipeline-reduced benchmark workload uses them: each
+    # slice splits into at least two lattice chunks, so it fills two cores
+    raw = pm.preset("three-dipoles-reduced")
+    raw["band"]["count"] = 2
+    config = pm.parse_config(raw)
+    geom, window = config.scene.geom, config.scene.window
+    tasks = []
+
+    def spy(work, chunks):
+        tasks.append(len(chunks))
+        return run_tasks(work, chunks)
+
+    monkeypatch.setattr(migrate, "run_tasks", spy)
+    data = np.ones((geom.n1, geom.n2, 1, 2, 2), dtype=complex)
+    for normal_axis, offset in ((2, 100 * config.lambda0), (1, -5 * config.lambda0)):
+        pts = pm.plane_grid(window, normal_axis, offset, config.lambda0)[0]
+        assert pts.shape[0] == 961 and migrate._lattice_rows(pts, geom)[1].size == 0
+        migrate._migrate(geom, config.scene.source.position, data, np.array([K0]), np.ones(1),
+                         pts, config.scene.source.basis(), "exact")
+    assert len(tasks) == 2 and min(tasks) >= 2
 
 
 _OFF_LATTICE = np.array([[0, 0, L], [LAMBDA0, -0.5 * LAMBDA0, L + 0.7 * LAMBDA0]])
