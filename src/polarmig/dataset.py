@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -114,39 +115,54 @@ def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
     }
 
 
+def _number(value) -> float:
+    """A JSON number; a bool or string is refused, not coerced."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
+def _count(value) -> int:
+    """A JSON integer; a bool is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _dims(value) -> tuple:
-    """Nonnegative integer dimensions; a bool is refused, not read as 0 or 1."""
-    if any(isinstance(n, bool) for n in value):
-        raise TypeError(f"expected integer dimensions, got {value!r}")
-    dims = tuple(operator.index(n) for n in value)
+    """Nonnegative integer dimensions, each read by :func:`_count`."""
+    dims = tuple(_count(n) for n in value)
     if any(n < 0 for n in dims):
         raise ValueError(f"negative dimension in {value!r}")
     return dims
 
 
 def _numbers(value) -> np.ndarray:
+    """Nested JSON arrays as a float array, each entry read by :func:`_number`."""
     if not isinstance(value, list):
         raise TypeError(f"expected an array, got {value!r}")
-    return np.asarray(value, dtype=float)
+    # a ragged array keeps lists as entries, which _number refuses
+    entries = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in entries.flat], dtype=float).reshape(entries.shape)
 
 
-def _header_field(node: dict, path: str, convert=float):
+def _header_field(node: dict, path: str, convert=_number):
     """Header value at a dotted ``path`` below ``node``, passed through ``convert``.
 
-    A missing or ill-typed key raises DatasetFormatError naming the path.
+    A missing, ill-typed or out-of-range key raises DatasetFormatError naming the path.
     """
     try:
         for key in path.split("."):
             node = node[key]
         return convert(node)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    # an integer beyond the float range overflows in float()
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"header key {path!r} is missing or ill-typed: {exc}") from exc
 
 
 def _geometry_from_meta(meta: dict):
     get = partial(_header_field, meta)
-    count = operator.index
-    geom = ArrayGeom(side=get("array.side"), n1=get("array.n1", count), n2=get("array.n2", count))
+    geom = ArrayGeom(side=get("array.side"), n1=get("array.n1", _count), n2=get("array.n2", _count))
     coh = get("source.coherency_re", _numbers) + 1j * get("source.coherency_im", _numbers)
     source = SourceSpec(
         position=get("source.position", _numbers),
@@ -154,7 +170,7 @@ def _geometry_from_meta(meta: dict):
         coherency=coh,
     )
     fb = FrequencyBand(
-        center=get("band.center"), width=get("band.width"), count=get("band.count", count)
+        center=get("band.center"), width=get("band.width"), count=get("band.count", _count)
     )
     return geom, source, fb, get("wave_speed")
 

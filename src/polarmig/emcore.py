@@ -171,28 +171,6 @@ def _kernel_walk(r, rhat, ks, amp, pairs, out):
         yield fi
 
 
-def _green_walk(r, rhat, ks):
-    """``G`` per wavenumber from checked distances and unit vectors (components on axis 0)."""
-    pairs, index = _kernel_table(3, 3)
-    kern = np.empty(np.shape(r) + (1 + len(pairs),), dtype=complex)
-    for _ in _kernel_walk(r, rhat, ks, 1.0 / (4.0 * np.pi * r), pairs, np.moveaxis(kern, -1, 0)):
-        # the walk rewrites the whole stack each step, so it is conjugated back in place
-        np.conjugate(kern, out=kern)
-        g = np.take(kern, index, axis=-1)
-        g[..., range(3), range(3)] += kern[..., :1]
-        yield g
-
-
-def green_band(x, y, ks):
-    """Yield :func:`dyadic_green` ``G(x, y; k)`` to rounding for each wavenumber of a uniform band.
-
-    Geometry and coincidence are checked once, when iteration starts; then each
-    wavenumber costs one phase step and the ``1/(kr)`` polynomial.
-    """
-    r, rhat = _separation(x, y)
-    yield from _green_walk(r, np.moveaxis(rhat, -1, 0), ks)
-
-
 def projector(x, y):
     """Orthogonal projector onto the plane normal to x - y.
 

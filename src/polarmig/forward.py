@@ -1,9 +1,8 @@
 """Synthetic data generation: Born responses and coherency-matrix synthesis.
 
-Band first: the scatterer tails and the direct term come from
-:func:`~polarmig.emcore.green_band` over the whole uniform band, the receiver sum
-over the scatterers is migrate's direct engine, and the single-frequency
-functions are the one-sample case.
+Band first: the scatterer tails and the receiver sum over the scatterers are sums
+of migrate's direct engine over the whole uniform band, the direct term is
+:func:`~polarmig.preprocess.gtilde`, and single frequencies are the one-sample case.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 
 from ._parallel import run_bin_blocks
 from .dataset import ArrayDataSet
-from .emcore import _band_step, green_band, project
+from .emcore import _band_step, project
 from .errors import CoincidentPointsError
 from .migrate import _direct_sums
 from .preprocess import _coherency_table, gtilde
@@ -22,23 +21,28 @@ from .scene import FrequencyBand, Scene
 _PAIR_TARGET = 600_000
 
 
-def _tails(scene: Scene, ks, single: bool, double: bool) -> np.ndarray:
+def _tails(scene: Scene, ks, single: bool, double: bool, scale: float) -> np.ndarray:
     """Receiver-independent tails ``T_n`` per band sample, (nscat, nfreq, 3, 3).
 
     The sum of single scattering ``alpha_n G(y_n, x_s)`` and double scattering
-    ``sum_{m != n} alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)``, each if asked.
+    ``sum_{m != n} alpha_n G(y_n, y_m) alpha_m G(y_m, x_s)``, each if asked.  As ``G`` is
+    symmetric, both are conjugated engine sums at the scatterers, over the source with
+    identity data and over the others with ``conj(head)``, at coincidence ``scale``.
     """
     pos, alphas = scene.scatterer_positions(), scene.scatterer_tensors()
     n = pos.shape[0]
-    head = np.empty((n, ks.size, 3, 3), dtype=complex)
-    for fi, g in enumerate(green_band(pos, scene.source.position, ks)):
-        head[:, fi] = alphas @ g
+    if n == 0:  # the engine cannot reshape an empty point set
+        return np.zeros((0, ks.size, 3, 3), dtype=complex)
+    eye = np.broadcast_to(np.eye(3), (1, ks.size, 3, 3))
+    conj_g, _ = _direct_sums(scene.source.position[None], eye, ks, pos, 3, False, scale)
+    head = alphas[:, None] @ np.conj(conj_g.swapaxes(0, 1))
     # a copy: the double-scattering sums read ``head`` while ``tails`` grows
     tails = head.copy() if single else np.zeros_like(head)
     for i in range(n if double else 0):
         others = np.arange(n) != i
-        for fi, g in enumerate(green_band(pos[i], pos[others], ks)):
-            tails[i, fi] += alphas[i] @ np.einsum("mij,mjk->ik", g, head[others, fi])
+        sums, _ = _direct_sums(pos[others], np.conj(head[others]), ks, pos[i:i + 1], 3, False,
+                               scale)
+        tails[i] += alphas[i] @ np.conj(sums[:, 0])
     return tails
 
 
@@ -52,14 +56,14 @@ def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> n
     """
     ks, _ = _band_step(ks)
     pos = scene.scatterer_positions()
-    # the engine's coincidence scale: at least 1 and every receiver and scatterer norm
-    scale = np.linalg.norm(np.concatenate([recs, pos]), axis=1).max(initial=1.0)
+    # the engine's coincidence scale: at least 1 and every receiver, scatterer and source norm
+    scale = np.linalg.norm(np.vstack([recs, pos, scene.source.position]), axis=1).max(initial=1.0)
     chunk = max(1, _PAIR_TARGET // max(1, pos.shape[0]))
     n = 3 if u_s is None else 2  # as many output rows as columns
     out = np.empty((recs.shape[0], ks.size, n, n), dtype=complex)
 
     def block(bins):
-        tails = _tails(scene, ks[bins], single, double)
+        tails = _tails(scene, ks[bins], single, double, scale)
         data = np.conj(tails if u_s is None else tails @ u_s)
         for lo in range(0, recs.shape[0], chunk):
             sums, _ = _direct_sums(pos, data, ks[bins], recs[lo:lo + chunk], n, False, scale)

@@ -22,10 +22,10 @@ that the output and the data keep: preprocessed data ``U_par C u_s^H`` is
 migrated as its 2x2 core C, so recovery from it takes 4 kernels x 4 components
 and an image 6 x 4, against 6 x 9 and 7 x 9 for 3x3 data.  Everything about the
 kernels comes from :mod:`polarmig.emcore`: the kernel table, the band walk that
-writes the kernels in place into each engine's stack, the source leg's ``G``,
-and the one coincidence rule for imaging points against receivers and the
-source.  Each engine returns its sums for the whole band, and the band is
-contracted with the source leg, unwound and weighted at once.
+writes the kernels in place into each engine's stack, and the one coincidence
+rule for imaging points against receivers and the source; the source leg is the
+direct engine summed over the source.  Each engine returns its sums for the whole
+band, and the band is contracted with the source leg, unwound and weighted at once.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 
 from ._parallel import one_blas_thread, run_bin_blocks, run_tasks
 from .dataset import ArrayDataSet
-from .emcore import (CROSS_RANGE_BASIS, _distances, _green_walk, _kernel_table, _kernel_walk,
-                     as_vec3, dyadic_green, project, projector)
+from .emcore import (CROSS_RANGE_BASIS, _distances, _kernel_table, _kernel_walk, as_vec3,
+                     dyadic_green, project, projector)
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
@@ -126,15 +126,16 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 def _direct_sums(xs, data, ks, pts, n_out: int, moments: bool, scale: float):
     """Per-frequency sums of ``conj(G) data`` over a point set by direct pairs, and spread moments.
 
-    The summed set ``xs`` is the receivers in migration and the scatterers in
-    synthesis; ``data`` is (len(xs), nfreq, n_in, n_col) with rows in I_3 (n_in = 3)
-    or U_par (n_in = 2).  The sums are the first ``n_out`` rows of ``conj(G) data``
-    at ``pts``, (nfreq, points, n_out, n_col); ``scale`` is the coincidence scale of
-    :func:`~polarmig.emcore._distances`.  Each block of ``_RECEIVER_BLOCK`` summed
-    points computes its pair geometry, and spread moments if asked (else None is
-    returned for them), once, and folds one ``(kernels x points x block) @ (block x
-    n_in n_col)`` matmul per frequency into the sums; blocks are summed in order, so
-    memory is bounded by the block and the sums and rounding does not depend on threads.
+    The summed set ``xs`` is the receivers or the source in migration and the source or
+    the scatterers in synthesis; ``data`` is (len(xs), nfreq, n_in, n_col) with rows in
+    I_3 (n_in = 3) or U_par (n_in = 2).  The sums are the first ``n_out`` rows of
+    ``conj(G) data`` at ``pts``, (nfreq, points, n_out, n_col); ``scale`` is the
+    coincidence scale of :func:`~polarmig.emcore._distances`.  Each block of
+    ``_RECEIVER_BLOCK`` summed points computes its pair geometry, and spread moments
+    if asked (else None is returned for them), once, and folds one ``(kernels x points
+    x block) @ (block x n_in n_col)`` matmul per frequency into the sums; blocks are
+    summed in order, so memory is bounded by the block and the sums and rounding does
+    not depend on threads.
     """
     n_pts, nfreq = pts.shape[0], ks.size
     n_in, n_col = data.shape[-2:]
@@ -394,12 +395,11 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
         idx, sums = task
         per_freq, rec_moments = sums()
         r_s, rhat_s = _distances(x_s[:, None] - pts[idx].T, scale, _SOURCE_PAIR)
-        # the source leg over the band, in the bases of the data columns and of the output
-        src = np.conj(np.stack(list(_green_walk(r_s, rhat_s, ks))))
-        if data.shape[-2] == 2:
+        # the source leg, conj(G(x_s, y)) times I_3 or, for 2x2 output, u_s
+        leg = np.broadcast_to(np.eye(3) if n_out == 3 else u_s, (1, ks.size, 3, n_out))
+        src, _ = _direct_sums(x_s[None], leg, ks, pts[idx], 3, False, scale)
+        if data.shape[-2] == 2:  # rows in the basis of the core's columns
             src = np.conj(u_s).T @ src
-        if n_out == 2:
-            src = src @ u_s
         # einsum loops over the tiny matrices below; matmul would make a BLAS call per matrix
         ikm = cell * np.einsum("fpij,fpjk->fpik", per_freq, src)
         if exact:

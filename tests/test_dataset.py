@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig import cli
 from polarmig.cli import main as cli_main
 from polarmig.dataset import MAGIC, _read_container, _write_container
 
@@ -218,6 +219,13 @@ def test_malformed_dataset_header_exits_2(tmp_path, rng, capsys):
         (("dtype",), 5), (("shape",), "abc"), (("meta",), [1]),
         (("meta", "array", "n1"), 2.5), (("meta", "source", "position"), "x"),
         (("meta", "band", "center"), None), (("meta", "wave_speed"), [1.0]),
+        # booleans and numeric strings are refused, not read as numbers
+        (("meta", "array", "side"), True), (("meta", "array", "side"), "2.5"),
+        (("meta", "wave_speed"), True), (("meta", "array", "n1"), True),
+        (("meta", "source", "position"), [True, False, True]),
+        (("meta", "source", "coherency_re"), [[True, False], [False, True]]),
+        # an integer beyond the float range
+        (("meta", "wave_speed"), 10**400),
     ]
     cases = [(p, _DROP) for p in paths] + ill_typed
     for i, (path, value) in enumerate(cases):
@@ -297,25 +305,34 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     assert not (tmp_path / "glyphs" / "glyphs.svg").exists()
 
 
-def test_pinned_corruption_sweep_keeps_the_exit_contract(tmp_path):
-    # fixed byte values over every fifth header byte, then fixed cuts; each
-    # corrupted container goes through the preprocess stage in process
+def test_pinned_corruption_sweep_keeps_the_exit_contract(tmp_path, capsys, monkeypatch):
+    # fixed byte values over every header byte, then every cut up to 64 bytes
+    # past the header; each corrupted container goes through the preprocess
+    # stage in process.  A "0" over the "1" of coherency_re[0][0] leaves a
+    # singular source coherency, the numerical failure of exit 3
     scene = bench_scene([], n=3)
     path = tmp_path / "coherency.pmds"
     pm.coherency_synthesize(scene, band(3)).write(path)
     blob = path.read_bytes()
     payload = len(MAGIC) + 8 + int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
     variants = []
-    for offset in range(0, payload, 5):
-        for value in (0x00, 0x20, 0x22, 0x2C, 0x2D, 0x39, 0x5D, 0xFF):
+    for offset in range(payload):
+        for value in (0x00, 0x20, 0x22, 0x2C, 0x2D, 0x30, 0x39, 0x5D, 0xFF):
             if blob[offset] != value:
                 variants.append(blob[:offset] + bytes([value]) + blob[offset + 1:])
-    for cut in (0, 5, len(MAGIC), len(MAGIC) + 7, payload - 1, payload, payload + 1,
-                payload + 33, len(blob) - 1):
-        variants.append(blob[:cut])
+    variants += [blob[:cut] for cut in range(payload + 65)] + [blob[:-1]]
+    # one parser for every run: building it takes most of a run's time
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     codes = []
     for i, corrupt in enumerate(variants):
         path.write_bytes(corrupt)
-        codes.append(cli_main(["preprocess", str(path), "--out", str(tmp_path / f"out{i}")]))
-    assert set(codes) <= {0, 2, 3}
+        codes.append(cli_main(["preprocess", str(path), "--out", str(tmp_path / "out")]))
+        lines = capsys.readouterr().err.splitlines()
+        if codes[-1] == 0:
+            assert lines == [], i
+        else:
+            assert len(lines) == 1, (i, lines)
+            assert lines[0].startswith(("invalid input: ", "numerical failure: ")), (i, lines)
+    assert set(codes) <= {0, 2, 3} and 3 in codes
     assert codes.count(2) > len(variants) // 2

@@ -1,14 +1,16 @@
 """Math kernel tests: Green functions, projectors, bases, Stokes algebra."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig.emcore import (CROSS_RANGE_BASIS, _kernel_table, _kernel_walk, embed, green_band,
-                             project)
+from polarmig import forward
+from polarmig.emcore import CROSS_RANGE_BASIS, _kernel_table, _kernel_walk, embed, project
 from polarmig.scene import DEFAULT_WAVE_SPEED
 
-from conftest import BANDWIDTH, K0, L, LAMBDA0, OMEGA0, bench_source
+from conftest import BANDWIDTH, K0, L, LAMBDA0, OMEGA0, bench_scene, bench_source
 
 
 def test_scalar_green_reference_value():
@@ -263,18 +265,32 @@ def test_project_embed_match_explicit_products(rng, x_s):
 
 
 
+def _green_band(points, ks, x_s=None):
+    """The band Green function of synthesis, ``G(y, x_s; k)`` per band sample.
+
+    These are the single-scattering tails of unit scatterers at the points y:
+    migrate's direct engine summed over the source, under the coincidence scale
+    that synthesis gives it.  (npoints, nfreq, 3, 3).
+    """
+    scene = bench_scene([pm.Scatterer(p, np.eye(3)) for p in np.reshape(points, (-1, 3))], n=2)
+    if x_s is not None:
+        scene = dataclasses.replace(scene, source=pm.SourceSpec(x_s, [0.0, 0.0, 0.0]))
+    pos = scene.scatterer_positions()
+    scale = np.linalg.norm(np.vstack([pos, scene.source.position]), axis=1).max()
+    return forward._tails(scene, np.asarray(ks, dtype=float), True, False, scale)
+
+
 def test_green_band_matches_dyadic_green_across_128_bins():
-    # 61x61 receivers and 128 band samples up to kr = 587: the phase
-    # recurrence drifts from direct evaluation by rounding only
-    recs = pm.ArrayGeom(side=20 * LAMBDA0, n1=61, n2=61).flat_positions()
+    # 61x61 points at range L, where scatterers may sit, and 128 band samples, kr
+    # from 300 to 997: the phase recurrence drifts from direct evaluation by rounding only
+    pts = pm.ArrayGeom(side=20 * LAMBDA0, n1=61, n2=61).flat_positions() + [0.0, 0.0, L]
     x_s = bench_source().position
     ks = pm.FrequencyBand(center=OMEGA0, width=BANDWIDTH, count=128).wavenumbers(DEFAULT_WAVE_SPEED)
-    count = 0
-    for k, g in zip(ks, green_band(recs, x_s, ks)):
-        ref = pm.dyadic_green(recs, x_s, k)
-        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
-        count += 1
-    assert count == ks.size
+    heads = _green_band(pts, ks)
+    assert heads.shape == (pts.shape[0], ks.size, 3, 3)
+    for fi, k in enumerate(ks):
+        ref = pm.dyadic_green(pts, x_s, k)
+        assert np.abs(heads[:, fi] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n_out, n_in", [(3, 3), (2, 2), (3, 2)])
@@ -319,12 +335,12 @@ def _check_kernel_walk(geom, pts, n_out, n_in):
 
 def test_green_band_one_sample_empty_band_and_coincident_points():
     x, y = np.array([0.3, -0.2, L]), bench_source().position
-    (g,) = green_band(x, y, [K0])
+    (g,) = _green_band(x, [K0])[0]
     ref = pm.dyadic_green(x, y, K0)
     assert np.abs(g - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert list(green_band(x, y, np.array([]))) == []
+    assert _green_band(x, []).shape == (1, 0, 3, 3)
     with pytest.raises(pm.CoincidentPointsError):
-        next(green_band(np.stack([x, y]), y, [K0]))
+        _green_band(np.stack([x, x + [LAMBDA0, 0.0, 0.0]]), [K0], x_s=x)
 
 
 @pytest.mark.parametrize("ks, message", [
@@ -336,7 +352,7 @@ def test_green_band_one_sample_empty_band_and_coincident_points():
 ], ids=["zero", "negative", "nan", "inf", "gapped"])
 def test_green_band_rejects_bad_wavenumbers(ks, message):
     with pytest.raises(ValueError, match=message):
-        next(green_band([0.3, -0.2, L], bench_source().position, ks))
+        _green_band([0.3, -0.2, L], ks)
 
 
 def test_coordinates_beyond_the_limit_are_refused():

@@ -761,7 +761,8 @@ def test_rows_of_a_cross_range_chunk_walk_their_shared_sites_once(lattice_scene,
     kernel_walk = migrate._kernel_walk
 
     def spy(r, *args):
-        walked.append(r.shape)
+        if r.shape[-1] > 1:  # the source leg walks one summed point, the source
+            walked.append(r.shape)
         return kernel_walk(r, *args)
 
     monkeypatch.setattr(migrate, "_kernel_walk", spy)
@@ -837,7 +838,8 @@ def test_kernel_sets_follow_the_data_and_output_bases(lattice_scene, lattice_sce
     kernel_walk, spread_moments = migrate._kernel_walk, migrate._spread_moments
 
     def spy_walk(r, rhat, ks, amp, pairs, out):
-        stacks.append(out.shape[0])
+        if r.shape[-1] > 1:  # the source leg walks one summed point, the source
+            stacks.append(out.shape[0])
         return kernel_walk(r, rhat, ks, amp, pairs, out)
 
     def spy_moments(*args):

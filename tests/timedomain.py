@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from polarmig.emcore import green_band
+from polarmig.emcore import dyadic_green
 from polarmig.forward import _scattered
 from polarmig.stochastic import (
     TWO_PI,
@@ -56,11 +56,12 @@ def total_transfer(scene, ks, recs) -> np.ndarray:
     """3x3 total transfer ``G(x_r, x_s) + sum_n G(x_r, y_n) T_n`` over a uniform band.
 
     Returns (nrec, nfreq, 3, 3): the scattered part from the package's
-    :func:`~polarmig.forward._scattered`, the direct part from ``green_band``.
+    :func:`~polarmig.forward._scattered`, the direct part from :func:`dyadic_green` bin by
+    bin, so no engine path enters it.
     """
     out = _scattered(scene, ks, recs)
-    for fi, g in enumerate(green_band(recs, scene.source.position, ks)):
-        out[:, fi] += g
+    for fi, k in enumerate(ks):
+        out[:, fi] += dyadic_green(recs, scene.source.position, k)
     return out
 
 
