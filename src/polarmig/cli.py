@@ -10,6 +10,7 @@ failure.  Set POLARMIG_THREADS to override the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -133,6 +134,7 @@ def cmd_glyphs(args) -> None:
                 os.path.join(args.out, "glyphs.csv"))
 
 
+@functools.cache  # once per process: building it costs far more than one parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarmig",

@@ -39,7 +39,7 @@ TWO_PI = 2.0 * math.pi
 
 def _parse_length(value, where: str, lambda0: float) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _parse_number(value, where)
     if isinstance(value, str):
         parts = value.split()
         if len(parts) == 2 and parts[1] in ("lambda0", "lam0"):
@@ -61,7 +61,10 @@ def _parse_count(value, where: str) -> int:
 def _parse_number(value, where: str) -> float:
     """A JSON number; a bool or string is refused, not coerced."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: integer beyond the float range") from None
     raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 

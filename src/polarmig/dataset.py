@@ -10,6 +10,9 @@ Layout (language neutral, streamable, bit exact):
 Every kind holds complex ``d x d`` matrices, stored as float64 pairs (re, im
 interleaved), which is the native complex128 layout.  Array datasets are indexed
 ``(receiver_row, receiver_col, frequency, i, j)``.
+Preprocessed data that carries its 2x2 core C is stored as C alone, kind
+``preprocessed2x2`` (a container tag only), and read back as ``preprocessed3x3``
+data lifted by ``embed`` that keeps C.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from .emcore import embed
 from .errors import DatasetFormatError
 from .scene import ArrayGeom, FrequencyBand, SourceSpec
 
@@ -34,10 +38,12 @@ _DTYPE = np.dtype("<c16")
 
 #: kind tag -> trailing matrix size d
 KINDS = {"coherency2x2": 2, "response3x3": 3, "preprocessed3x3": 3, "image2x2": 2, "image3x3": 3}
+#: container kind of preprocessed data stored as its 2x2 core
+_CORE_KIND = "preprocessed2x2"
 
 
 def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
-    if kind not in KINDS:
+    if kind not in (*KINDS, _CORE_KIND):
         raise ValueError(f"unknown kind tag {kind!r}")
     values = np.ascontiguousarray(values, dtype=_DTYPE)
     header = {
@@ -76,7 +82,7 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
         if not isinstance(header, dict):
             raise DatasetFormatError("header is not a JSON object")
         kind = header.get("kind")
-        if kind not in KINDS:
+        if kind not in (*KINDS, _CORE_KIND):
             raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
         if header.get("dtype") != _DTYPE.name:
             raise DatasetFormatError(f"header key 'dtype' must be {_DTYPE.name!r} for {kind}")
@@ -180,7 +186,10 @@ class ArrayDataSet:
     """Per-receiver, per-frequency matrix field with its acquisition geometry.
 
     ``values`` has shape (n1, n2, nfreq, d, d) with d = 2 or 3 depending on
-    the kind tag.
+    the kind tag.  Preprocessed data may carry ``core``, the (n1, n2, nfreq, 2, 2)
+    C of ``values = U_par C u_s^H`` as preprocess formed it; it is what is written
+    and migrated, so such ``values`` are read-only.  It is not an ``__init__``
+    argument, so ``dataclasses.replace`` drops it.
     """
 
     kind: str
@@ -189,6 +198,7 @@ class ArrayDataSet:
     source: SourceSpec
     band: FrequencyBand
     wave_speed: float
+    core: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = KINDS.get(self.kind)
@@ -213,11 +223,9 @@ class ArrayDataSet:
         return self.band.wavenumbers(self.wave_speed)
 
     def write(self, path) -> None:
+        kind, values = (self.kind, self.values) if self.core is None else (_CORE_KIND, self.core)
         _write_container(
-            path,
-            self.kind,
-            self.values,
-            _geometry_meta(self.geom, self.source, self.band, self.wave_speed),
+            path, kind, values, _geometry_meta(self.geom, self.source, self.band, self.wave_speed)
         )
 
     @staticmethod
@@ -226,7 +234,15 @@ class ArrayDataSet:
         if kind in ("image2x2", "image3x3"):
             raise DatasetFormatError("file holds an image field, use ImageField.read")
         geom, source, band, wave_speed = _geometry_from_meta(meta)
-        return ArrayDataSet(kind, values, geom, source, band, wave_speed)
+        core = values if kind == _CORE_KIND else None
+        if core is not None:
+            if core.shape != (geom.n1, geom.n2, band.count, 2, 2):
+                raise DatasetFormatError(f"{kind} shape {core.shape} does not match the metadata")
+            kind, values = "preprocessed3x3", embed(core, source.basis())
+            values.flags.writeable = False  # as preprocess leaves it
+        ds = ArrayDataSet(kind, values, geom, source, band, wave_speed)
+        ds.core = core
+        return ds
 
 
 @dataclass

@@ -459,14 +459,18 @@ def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
 def _migrate_band(ds: ArrayDataSet, points, mode: str):
     """:func:`_migrate` over the band of ``ds`` with trapezoid weights, one point squeezed.
 
-    Preprocessed data ``U_par C u_s^H`` is migrated as its 2x2 core C; data not
-    of that form is refused rather than projected onto it.
+    Preprocessed data ``U_par C u_s^H`` is migrated as its 2x2 core C.  The core
+    that ``ds`` carries, from preprocess or its container, is taken as is.  Without
+    one, C is projected out of the values, and data not of that form is refused
+    rather than projected onto it.
     """
     if ds.kind == "coherency2x2":
         raise ValueError(f"{ds.kind} data cannot be migrated; run preprocess first")
     u_s = ds.source.basis()
     data = ds.values
-    if ds.kind == "preprocessed3x3":
+    if ds.core is not None:
+        data = ds.core
+    elif ds.kind == "preprocessed3x3":
         # rows of U_par C u_s^H are normal to the source direction n, to rounding;
         # U_par^T values [u_s, n] holds the core and the row components along n
         basis = np.column_stack([u_s, np.cross(u_s[:, 0], u_s[:, 1])])

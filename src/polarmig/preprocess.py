@@ -191,7 +191,7 @@ def _gt_inverse(gt: np.ndarray):
 
 
 def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
-    """Map a coherency dataset to an approximate 3x3 response dataset.
+    """Map a coherency dataset to ``U_par C u_s^H`` data that carries its 2x2 core C.
 
     Raises for a non-invertible source coherency; receivers where Gt is too
     ill conditioned are inverted through a truncated SVD and recorded in the
@@ -202,20 +202,25 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     u_s = ds.source.basis()
     js, js_inv, gt = _inversion_tables(ds)
     cond = np.empty(gt.shape[:-2])
+    core = np.empty(gt.shape, dtype=complex)
     values = np.empty(gt.shape[:-2] + (3, 3), dtype=complex)
 
     def block(bins):
         b = np.s_[:, :, bins]
         cond[b], inv_gt_star = _gt_inverse(gt[b])
-        core = _mul_2x2(ds.values[b] - _coherency(gt[b], js[bins]), inv_gt_star)
-        values[b] = embed(_mul_2x2(core, js_inv[bins]), u_s)
+        c = _mul_2x2(ds.values[b] - _coherency(gt[b], js[bins]), inv_gt_star)
+        core[b] = _mul_2x2(c, js_inv[bins])
+        values[b] = embed(core[b], u_s)
 
     run_bin_blocks(block, ds.geom.n1 * ds.geom.n2, ds.band.count)
     flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
     report = PreprocessReport(
         cond=cond, regularized=[tuple(int(i) for i in idx) for idx in flagged]
     )
-    return replace(ds, kind="preprocessed3x3", values=values), report
+    values.flags.writeable = False  # the core is what is written and migrated
+    pre = replace(ds, kind="preprocessed3x3", values=values)
+    pre.core = core  # the exact C, which project(values) gives back only to rounding
+    return pre, report
 
 
 def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:

@@ -456,6 +456,9 @@ def _cube(side="1 lambda0") -> dict:
          r"source\.coherency\.re\[0\]\[0\]: expected a number, got '1'"),
         (("scatterers", 0, "alpha", "im", 1, 2), None,
          r"scatterers\[0\]\.alpha\.im\[1\]\[2\]: expected a number, got None"),
+        # an integer that float() cannot hold
+        pytest.param(("wave_speed",), 10**400, "wave_speed: integer beyond the float range",
+                     id="wave_speed-10**400"),
     ],
 )
 def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, section):
@@ -484,7 +487,7 @@ def _leaves(node, path=()):
             yield path + (key,)
 
 
-_SWEEP_VALUES = [1e400, -1e400, float("nan"), None, "", [], {}, True, 10**30]
+_SWEEP_VALUES = [1e400, -1e400, float("nan"), None, "", [], {}, True, 10**30, 10**400]
 
 
 def test_pinned_config_sweep_keeps_the_exit_contract(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Container format tests: round trips and corruption handling."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig import cli
+from polarmig import _parallel, migrate
 from polarmig.cli import main as cli_main
 from polarmig.dataset import MAGIC, _read_container, _write_container
+from polarmig.emcore import project
 
 from conftest import band, bench_scene, three_dipole_scene
 
@@ -77,6 +79,55 @@ def test_per_frequency_coherency_roundtrip(tmp_path, rng):
     ds.write(path)
     back = pm.ArrayDataSet.read(path)
     assert np.array_equal(back.source.coherency, js)
+
+
+def test_preprocessed_core_round_trip_is_bitwise(tmp_path, monkeypatch, blas_count):
+    # preprocess lifts C to its values in bin blocks, the read lifts the whole payload
+    scene = three_dipole_scene(n=9)
+    ds = pm.coherency_synthesize(scene, band(9))
+    monkeypatch.setattr(_parallel, "_BLOCK_CELLS", 2 * 81)
+    for blas in (1, 2):
+        _parallel.set_blas_threads(blas)
+        pre, _ = pm.preprocess(ds)
+        path = tmp_path / f"pre{blas}.pmds"
+        pre.write(path)
+        kind, payload, _ = _read_container(path)
+        assert kind == "preprocessed2x2" and np.array_equal(payload, pre.core)
+        back = pm.ArrayDataSet.read(path)
+        assert back.kind == "preprocessed3x3"
+        assert np.array_equal(back.values, pre.values) and np.array_equal(back.core, pre.core)
+        # values that carry a core cannot be edited apart from it
+        for carried in (pre, back):
+            with pytest.raises(ValueError, match="read-only"):
+                carried.values[0, 0, 0] *= 2
+        back.write(tmp_path / "again.pmds")
+        assert (tmp_path / "again.pmds").read_bytes() == path.read_bytes()
+    # a payload of the right size in another shape is refused before it is lifted
+    _rewrite_header(path, tmp_path / "bad.pmds", lambda h: _set(h, ("shape",), [9, 9, 9, 4, 1]))
+    with pytest.raises(pm.DatasetFormatError, match="preprocessed2x2 shape .* does not match"):
+        pm.ArrayDataSet.read(tmp_path / "bad.pmds")
+
+
+def test_coreless_preprocessed_data_takes_the_checked_path(tmp_path, monkeypatch):
+    scene = three_dipole_scene(n=9)
+    pre, _ = pm.preprocess(pm.coherency_synthesize(scene, band(5)))
+    path = tmp_path / "bare.pmds"
+    dataclasses.replace(pre).write(path)  # replace drops the core
+    assert _read_container(path)[0] == "preprocessed3x3"
+    bare = pm.ArrayDataSet.read(path)
+    assert bare.core is None and np.array_equal(bare.values, pre.values)
+    projected = []
+    monkeypatch.setattr(migrate, "project", lambda m, u: projected.append(1) or project(m, u))
+    pts = scene.scatterer_positions()
+    for call in (pm.kirchhoff_band,
+                 lambda ds, p: pm.recover_alpha_field(ds, p, mode="exact"),
+                 lambda ds, p: pm.recover_alpha_field(ds, p, mode="fraunhofer")):
+        want = call(pre, pts)
+        assert not projected
+        got = call(bare, pts)
+        assert projected
+        projected.clear()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_corrupt_magic_names_offset(tmp_path, rng):
@@ -305,14 +356,13 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     assert not (tmp_path / "glyphs" / "glyphs.svg").exists()
 
 
-def test_pinned_corruption_sweep_keeps_the_exit_contract(tmp_path, capsys, monkeypatch):
-    # fixed byte values over every header byte, then every cut up to 64 bytes
-    # past the header; each corrupted container goes through the preprocess
-    # stage in process.  A "0" over the "1" of coherency_re[0][0] leaves a
-    # singular source coherency, the numerical failure of exit 3
-    scene = bench_scene([], n=3)
-    path = tmp_path / "coherency.pmds"
-    pm.coherency_synthesize(scene, band(3)).write(path)
+def _corruption_sweep(capsys, path, argv) -> list:
+    """Exit codes of ``cli.main(argv)`` on corrupted copies of the container at ``path``.
+
+    Fixed byte values go over every header byte, then the file is cut at every
+    length up to 64 bytes past the header; each copy replaces the file in turn.
+    Every run must exit 0 silently, or 2 or 3 with one message line.
+    """
     blob = path.read_bytes()
     payload = len(MAGIC) + 8 + int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
     variants = []
@@ -321,18 +371,46 @@ def test_pinned_corruption_sweep_keeps_the_exit_contract(tmp_path, capsys, monke
             if blob[offset] != value:
                 variants.append(blob[:offset] + bytes([value]) + blob[offset + 1:])
     variants += [blob[:cut] for cut in range(payload + 65)] + [blob[:-1]]
-    # one parser for every run: building it takes most of a run's time
-    parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
     codes = []
     for i, corrupt in enumerate(variants):
         path.write_bytes(corrupt)
-        codes.append(cli_main(["preprocess", str(path), "--out", str(tmp_path / "out")]))
+        codes.append(cli_main(argv))
         lines = capsys.readouterr().err.splitlines()
         if codes[-1] == 0:
             assert lines == [], i
         else:
             assert len(lines) == 1, (i, lines)
             assert lines[0].startswith(("invalid input: ", "numerical failure: ")), (i, lines)
-    assert set(codes) <= {0, 2, 3} and 3 in codes
-    assert codes.count(2) > len(variants) // 2
+    assert set(codes) <= {0, 2, 3}
+    return codes
+
+
+def test_pinned_corruption_sweep_keeps_the_exit_contract(tmp_path, capsys):
+    # each corrupted container goes through the preprocess stage in process.  A
+    # "0" over the "1" of coherency_re[0][0] leaves a singular source coherency,
+    # the numerical failure of exit 3
+    scene = bench_scene([], n=3)
+    path = tmp_path / "coherency.pmds"
+    pm.coherency_synthesize(scene, band(3)).write(path)
+    codes = _corruption_sweep(capsys, path, ["preprocess", str(path), "--out",
+                                             str(tmp_path / "out")])
+    assert 3 in codes and codes.count(2) > len(codes) // 2
+
+
+def test_pinned_corruption_sweep_of_a_core_container(tmp_path, capsys):
+    # the same sweep over a preprocessed container that stores its 2x2 core,
+    # through the image stage; the config has no scatterers, which are most of
+    # its parse time, and one slice of 9 points
+    raw = pm.preset("three-dipoles-reduced")
+    raw["array"].update(n1=3, n2=3)
+    raw["band"]["count"] = 3
+    raw["scatterers"] = []
+    raw["slices"] = [{"normal_axis": 2, "offset": "100 lambda0", "step": "15 lambda0"}]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    path = tmp_path / "preprocessed.pmds"
+    pm.preprocess(pm.simulate_stage(pm.parse_config(raw)))[0].write(path)
+    assert _read_container(path)[0] == "preprocessed2x2"
+    argv = ["image", str(path), "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    codes = _corruption_sweep(capsys, path, argv)
+    assert {0, 3} <= set(codes) and codes.count(2) > len(codes) // 2

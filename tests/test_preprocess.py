@@ -241,10 +241,10 @@ def test_preprocess_bits_do_not_depend_on_the_threads(monkeypatch, blas_count, s
 
     def stage():
         pre, report = pm.preprocess(ds)
-        return pre.values, report.cond, np.array(report.regularized, dtype=int)
+        return pre.values, pre.core, report.cond, np.array(report.regularized, dtype=int)
 
     check_bin_blocks(monkeypatch, stage, scene.geom.n1 * scene.geom.n2, 5, rtol)
-    regularized = stage()[2].tolist()
+    regularized = stage()[3].tolist()
     # (row, col, freq) in C order, whatever block each entry fell in
     assert bool(regularized) == flagged and regularized == sorted(regularized)
 
