@@ -10,9 +10,9 @@ Layout (language neutral, streamable, bit exact):
 Every kind holds complex ``d x d`` matrices, stored as float64 pairs (re, im
 interleaved), which is the native complex128 layout.  Array datasets are indexed
 ``(receiver_row, receiver_col, frequency, i, j)``.
-Preprocessed data that carries its 2x2 core C is stored as C alone, kind
-``preprocessed2x2`` (a container tag only), and read back as ``preprocessed3x3``
-data lifted by ``embed`` that keeps C.
+Preprocessed data ``U_par C u_s^H`` is stored as its 2x2 core C, kind
+``preprocessed2x2``, and read back as ``preprocessed3x3`` data lifted by ``embed``
+that keeps C; ``preprocessed3x3`` names data in memory only, its container is refused.
 """
 
 from __future__ import annotations
@@ -186,10 +186,10 @@ class ArrayDataSet:
     """Per-receiver, per-frequency matrix field with its acquisition geometry.
 
     ``values`` has shape (n1, n2, nfreq, d, d) with d = 2 or 3 depending on
-    the kind tag.  Preprocessed data may carry ``core``, the (n1, n2, nfreq, 2, 2)
-    C of ``values = U_par C u_s^H`` as preprocess formed it; it is what is written
-    and migrated, so such ``values`` are read-only.  It is not an ``__init__``
-    argument, so ``dataclasses.replace`` drops it.
+    the kind tag.  Preprocessed data carries ``core``, the (n1, n2, nfreq, 2, 2) C
+    of ``values = U_par C u_s^H`` as preprocess formed it; it is what is written and
+    migrated (:meth:`matrices`), so such ``values`` are read-only.  It is no ``__init__``
+    argument: a ``dataclasses.replace`` copy has none and cannot be written or migrated.
     """
 
     kind: str
@@ -222,17 +222,26 @@ class ArrayDataSet:
     def wavenumbers(self) -> np.ndarray:
         return self.band.wavenumbers(self.wave_speed)
 
+    def matrices(self) -> np.ndarray:
+        """What is written and migrated: the carried core of preprocessed data, else ``values``."""
+        if self.kind != "preprocessed3x3":
+            return self.values
+        if self.core is None:
+            raise ValueError(f"{self.kind} data has lost its 2x2 core; rerun preprocess")
+        return self.core
+
     def write(self, path) -> None:
-        kind, values = (self.kind, self.values) if self.core is None else (_CORE_KIND, self.core)
-        _write_container(
-            path, kind, values, _geometry_meta(self.geom, self.source, self.band, self.wave_speed)
-        )
+        kind = _CORE_KIND if self.kind == "preprocessed3x3" else self.kind
+        _write_container(path, kind, self.matrices(),
+                         _geometry_meta(self.geom, self.source, self.band, self.wave_speed))
 
     @staticmethod
     def read(path) -> "ArrayDataSet":
         kind, values, meta = _read_container(path)
         if kind in ("image2x2", "image3x3"):
             raise DatasetFormatError("file holds an image field, use ImageField.read")
+        if kind == "preprocessed3x3":
+            raise DatasetFormatError(f"a {kind} container holds no 2x2 core; rerun preprocess")
         geom, source, band, wave_speed = _geometry_from_meta(meta)
         core = values if kind == _CORE_KIND else None
         if core is not None:

@@ -36,10 +36,10 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import one_blas_thread, run_bin_blocks, run_tasks
+from ._parallel import one_blas_thread, run_tasks
 from .dataset import ArrayDataSet
 from .emcore import (CROSS_RANGE_BASIS, _distances, _kernel_table, _kernel_walk, as_vec3,
-                     dyadic_green, project, projector)
+                     dyadic_green, projector)
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
@@ -327,8 +327,8 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
     # the walk writes each lag's kernels, and the FFT over lags runs in place, so the table
     # is spatial frequency first and the matmul below batches over it
     table = np.empty((nfft, n_kern, site.size), dtype=complex)
-    # rows that share no site, as on range slices, read their blocks from the table itself
-    shared = site.size < pick.size
+    # a table already in row order, as on range slices, is each row's block itself
+    shared = not np.array_equal(site, np.arange(pick.size))
     kern_hat = np.empty((nfft, n_kern, n_rows, n_across), dtype=complex) if shared else table
     walk = _kernel_walk(r, rhat, ks, amp, pairs, table.swapaxes(0, 1))
     del diff, rhat  # the walk keeps only their orientation products
@@ -453,46 +453,17 @@ def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
     return _migrate_band(ds, points, "image")
 
 
-# the hold covers the core projection too: a 2-thread product there wakes an
-# OpenBLAS worker, which then spins on a core that the migrate tasks need
-@one_blas_thread()
 def _migrate_band(ds: ArrayDataSet, points, mode: str):
     """:func:`_migrate` over the band of ``ds`` with trapezoid weights, one point squeezed.
 
-    Preprocessed data ``U_par C u_s^H`` is migrated as its 2x2 core C.  The core
-    that ``ds`` carries, from preprocess or its container, is taken as is.  Without
-    one, C is projected out of the values, and data not of that form is refused
-    rather than projected onto it.
+    Preprocessed data ``U_par C u_s^H`` is migrated as the 2x2 core C that it
+    carries from preprocess or its container; without one it is refused.
     """
     if ds.kind == "coherency2x2":
         raise ValueError(f"{ds.kind} data cannot be migrated; run preprocess first")
-    u_s = ds.source.basis()
-    data = ds.values
-    if ds.core is not None:
-        data = ds.core
-    elif ds.kind == "preprocessed3x3":
-        # rows of U_par C u_s^H are normal to the source direction n, to rounding;
-        # U_par^T values [u_s, n] holds the core and the row components along n
-        basis = np.column_stack([u_s, np.cross(u_s[:, 0], u_s[:, 1])])
-        core = np.empty(data.shape[:3] + (2, 2), dtype=complex)
-
-        def split(rows):  # one pass each over a block of receiver rows
-            block = data[rows]
-            both = project(block, basis)
-            core[rows] = both[..., :2]
-            return np.any(block[..., 2, :] != 0), abs(both[..., 2]).max(), abs(core[rows]).max()
-
-        # blocks of whole receiver rows, contiguous in the values, of bin-block size
-        third, off_span, peak = np.array(run_bin_blocks(split, ds.geom.n2 * ds.band.count,
-                                                       ds.geom.n1)).T
-        if np.any(third):
-            raise ValueError(f"{ds.kind} data must have an exactly zero third row")
-        if np.max(off_span) > 1e-12 * np.max(peak):
-            raise ValueError(f"{ds.kind} data rows must lie in the span of the source basis")
-        data = core
     pts, squeeze = _as_points(points)
-    out = _migrate(ds.geom, ds.source.position, data, ds.wavenumbers,
-                   _trapezoid_weights(ds.omegas), pts, u_s, mode)
+    out = _migrate(ds.geom, ds.source.position, ds.matrices(), ds.wavenumbers,
+                   _trapezoid_weights(ds.omegas), pts, ds.source.basis(), mode)
     return out[0] if squeeze else out
 
 

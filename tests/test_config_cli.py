@@ -15,6 +15,7 @@ from polarmig._parallel import blas_threads
 from polarmig.cli import _config_from_args, build_parser
 from polarmig.cli import main as cli_main
 from polarmig.config import parse_config, preset
+from polarmig.dataset import _read_container, _write_container
 from polarmig.pipeline import run_pipeline, write_slice
 
 from conftest import LAMBDA0, band, bench_scene
@@ -262,6 +263,25 @@ def test_cli_stage_roundtrip(tmp_path):
         )
         == 2
     )
+
+
+def test_cli_refuses_a_preprocessed3x3_container(tmp_path, capsys):
+    # all 9 entries of preprocessed data, without its 2x2 core
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    sim, pre = tmp_path / "sim", tmp_path / "pre"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
+    core_path, nine = pre / "preprocessed.pmds", tmp_path / "nine.pmds"
+    _write_container(nine, "preprocessed3x3", pm.ArrayDataSet.read(core_path).values,
+                     _read_container(core_path)[2])
+    capsys.readouterr()
+    for stage in ("image", "recover"):
+        out = tmp_path / stage
+        assert cli_main([stage, str(nine), "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: a preprocessed3x3 container holds no 2x2 core; rerun preprocess"]
+        assert not out.exists()
 
 
 def test_cli_override_flags(tmp_path, capsys):

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig import _parallel, migrate
+from polarmig import _parallel
 from polarmig.cli import main as cli_main
 from polarmig.dataset import MAGIC, _read_container, _write_container
-from polarmig.emcore import project
 
 from conftest import band, bench_scene, three_dipole_scene
 
@@ -108,26 +107,26 @@ def test_preprocessed_core_round_trip_is_bitwise(tmp_path, monkeypatch, blas_cou
         pm.ArrayDataSet.read(tmp_path / "bad.pmds")
 
 
-def test_coreless_preprocessed_data_takes_the_checked_path(tmp_path, monkeypatch):
+def test_coreless_preprocessed_data_is_refused(tmp_path):
     scene = three_dipole_scene(n=9)
     pre, _ = pm.preprocess(pm.coherency_synthesize(scene, band(5)))
-    path = tmp_path / "bare.pmds"
-    dataclasses.replace(pre).write(path)  # replace drops the core
-    assert _read_container(path)[0] == "preprocessed3x3"
-    bare = pm.ArrayDataSet.read(path)
-    assert bare.core is None and np.array_equal(bare.values, pre.values)
-    projected = []
-    monkeypatch.setattr(migrate, "project", lambda m, u: projected.append(1) or project(m, u))
+    bare = dataclasses.replace(pre)  # replace drops the core
+    assert bare.core is None
     pts = scene.scatterer_positions()
-    for call in (pm.kirchhoff_band,
-                 lambda ds, p: pm.recover_alpha_field(ds, p, mode="exact"),
-                 lambda ds, p: pm.recover_alpha_field(ds, p, mode="fraunhofer")):
-        want = call(pre, pts)
-        assert not projected
-        got = call(bare, pts)
-        assert projected
-        projected.clear()
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for call in (lambda ds: ds.write(tmp_path / "bare.pmds"),
+                 lambda ds: pm.kirchhoff_band(ds, pts),
+                 lambda ds: pm.recover_alpha_field(ds, pts, mode="exact"),
+                 lambda ds: pm.recover_alpha_field(ds, pts, mode="fraunhofer")):
+        with pytest.raises(ValueError, match="preprocessed3x3 data has lost its 2x2 core; "
+                                             "rerun preprocess"):
+            call(bare)
+    assert not (tmp_path / "bare.pmds").exists()
+    # all 9 entries in a container of that kind, as data without a core was once written
+    pre.write(tmp_path / "pre.pmds")
+    path = tmp_path / "nine.pmds"
+    _write_container(path, "preprocessed3x3", pre.values, _read_container(tmp_path / "pre.pmds")[2])
+    with pytest.raises(pm.DatasetFormatError, match="holds no 2x2 core; rerun preprocess"):
+        pm.ArrayDataSet.read(path)
 
 
 def test_corrupt_magic_names_offset(tmp_path, rng):

@@ -12,7 +12,7 @@ import polarmig as pm
 from polarmig import _parallel, migrate
 from polarmig._parallel import (blas_threads, one_blas_thread, run_tasks, set_blas_threads,
                                 thread_count)
-from polarmig.emcore import CROSS_RANGE_BASIS, project
+from polarmig.emcore import CROSS_RANGE_BASIS, embed
 
 from conftest import (
     ALPHA_1,
@@ -500,22 +500,17 @@ def test_migrate_restores_the_blas_count(lattice_scene, blas_count, monkeypatch,
     assert seen == [None if blas_count is None else 1] * 3
 
 
-def test_core_projection_runs_under_the_hold(lattice_scene_preprocessed, blas_count,
-                                             monkeypatch):
+def test_migrate_takes_the_carried_core(lattice_scene_preprocessed, monkeypatch):
     _, pre = lattice_scene_preprocessed
-    seen = []
+    seen, migrate_ = [], migrate._migrate
 
-    def spy(m, u_s):
-        seen.append(blas_threads())
-        return project(m, u_s)
+    def spy(geom, x_s, data, *args):
+        seen.append(data)
+        return migrate_(geom, x_s, data, *args)
 
-    monkeypatch.setattr(migrate, "project", spy)
-    set_blas_threads(2)
-    # a carried core is migrated as is; without one, C is projected out of the values
-    pm.kirchhoff_band(pre, _OFF_LATTICE)
-    assert seen == []
-    pm.kirchhoff_band(dataclasses.replace(pre), _OFF_LATTICE)
-    assert seen == [None if blas_count is None else 1]
+    monkeypatch.setattr(migrate, "_migrate", spy)
+    _all_modes(pre, _OFF_LATTICE)
+    assert len(seen) == 3 and all(data is pre.core for data in seen)
 
 
 def test_overlapping_blas_holds_restore_the_count(blas_count):
@@ -687,6 +682,11 @@ def _lattice_grids(scene):
         "line along x1": pm.line_profile([0.3 * LAMBDA0, -LAMBDA0, L], 0, 12 * LAMBDA0, pitch / 4),
         "line along x2": pm.line_profile([LAMBDA0, 0, L + LAMBDA0], 1, 12 * LAMBDA0, pitch / 3),
         "volume grid": pm.volume_grid(win, 3 * pitch)[0],
+        # across starts 13 pitches apart on 13 receivers: the rows share no site, and the
+        # later row's sites sort ahead of the earlier row's
+        "rows an array apart": np.concatenate([
+            pm.line_profile([x1, 0, L + LAMBDA0], 1, 12 * LAMBDA0, pitch / 3)
+            for x1 in (-10 * LAMBDA0, -10 * LAMBDA0 + 13 * pitch)]),
     }
 
 
@@ -698,6 +698,7 @@ _GRIDS = [
     "line along x1",
     "line along x2",
     "volume grid",
+    "rows an array apart",
 ]
 
 
@@ -720,6 +721,81 @@ def _check_lattice_against_direct(scene, resp, grid, monkeypatch):
     _direct_only(monkeypatch)
     for got, ref in zip(lattice, _all_modes(resp, pts)):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def _sweep_case(seed):
+    """Random lattice rows, off-lattice points, and random 3x3 and core data on one array.
+
+    The array has 5 to 11 receivers per axis.  The rows run along one receiver
+    axis at ``stride`` pitches over ``sub`` (1 to 6), long enough for the FFT to
+    pay off.  Each row after the first copies an earlier one, moved across by 1
+    to n_across + 3 whole pitches, across by part of a pitch, along by whole
+    lattice steps and across by whole pitches, or in x3.
+    """
+    rng = np.random.default_rng(seed)
+    n = rng.integers(5, 12, 2)
+    geom = pm.ArrayGeom(side=20 * LAMBDA0, n1=int(n[0]), n2=int(n[1]))
+    axis = int(rng.integers(2))
+    other = 1 - axis
+    n_along, n_across, across = int(n[axis]), int(n[other]), geom.spacing[other]
+    sub = int(rng.integers(1, 7))
+    stride = int(rng.integers(1, (n_along - 1) // 3 + 1))
+    step = stride * geom.spacing[axis] / sub
+    length = int(rng.integers(8, 12))
+    # the shortest row from there that the margin rule of _lattice_rows keeps
+    while 2.3 * migrate._fft_size((n_along - 1) * sub + (length - 1) * stride + 1) > (
+            length * n_along):
+        length += 1
+    start = np.array([0.0, 0.0, L + rng.uniform(-2, 2) * LAMBDA0])
+    start[axis] = -(length - 1) * step / 2 + rng.uniform(-1, 1) * step
+    start[other] = (rng.uniform(-0.5, 0.5) - 3) * across
+    starts = [start]
+    for _ in range(rng.integers(1, 7)):
+        s = starts[rng.integers(len(starts))].copy()
+        move = rng.integers(4)
+        if move in (0, 2):
+            s[other] += rng.integers(1, n_across + 4) * across
+        if move == 1:
+            s[other] += rng.uniform(0.1, 0.9) * across
+        if move == 2:
+            s[axis] += rng.integers(1, 4) * step / stride
+        if move == 3:
+            s[2] += rng.uniform(0.2, 1.0) * LAMBDA0
+        starts.append(s)
+    rows = np.repeat(np.array(starts)[:, None], length, axis=1)
+    rows[..., axis] += step * np.arange(length)
+    off = np.column_stack([rng.uniform(-8, 8, (3, 2)), rng.uniform(-1, 1, 3)]) * LAMBDA0
+    off[:, 2] += L
+    source, fb = bench_source(), band(2)
+    shape = (geom.n1, geom.n2, fb.count)
+    values, core = (rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+                    for d in (3, 2))
+    resp = pm.ArrayDataSet("response3x3", values, geom, source, fb, 3e8)
+    pre = pm.ArrayDataSet("preprocessed3x3", embed(core, source.basis()), geom, source, fb, 3e8)
+    pre.core = core
+    return geom, np.concatenate([rows.reshape(-1, 3), off]), (resp, pre)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_lattice_rows_match_direct_sum(seed, monkeypatch):
+    geom, pts, datasets = _sweep_case(seed)
+    assert migrate._lattice_rows(pts, geom)[1].size < pts.shape[0]
+    lattice = [_all_modes(ds, pts) for ds in datasets]
+    _direct_only(monkeypatch)
+    for ds, modes in zip(datasets, lattice):
+        for got, ref in zip(modes, _all_modes(ds, pts)):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("seed", [2, 6, 9])
+def test_random_lattice_rows_are_bitwise_free_of_the_thread_count(seed, monkeypatch):
+    geom, pts, datasets = _sweep_case(seed)
+    monkeypatch.setattr(migrate, "_SITE_TARGET", 2_000)  # several row chunks
+    runs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("POLARMIG_THREADS", threads)
+        runs.append([out for ds in datasets for out in _all_modes(ds, pts)])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 @pytest.mark.parametrize("count, pitches, sites, on_lattice",
@@ -867,10 +943,11 @@ def test_kernel_sets_follow_the_data_and_output_bases(lattice_scene, lattice_sce
 def test_migrate_refuses_coherency_and_malformed_preprocessed_data(lattice_scene_preprocessed):
     scene, pre = lattice_scene_preprocessed
     coherency = pm.coherency_synthesize(scene, band(3))
+    # values edited apart from the core, in the third row or off the span of the
+    # source basis, come without it and are refused, not projected back onto it
     values = pre.values.copy()
     values[0, 0, 0, 2, 1] = 1e-30
     third_row = dataclasses.replace(pre, values=values)
-    # a row component along the source direction, which the 2x2 core cannot hold
     u_s = scene.source.basis()
     values = pre.values.copy()
     values[0, 0, 0, 1] += 1e-9 * np.abs(values).max() * np.cross(u_s[:, 0], u_s[:, 1])
@@ -880,10 +957,9 @@ def test_migrate_refuses_coherency_and_malformed_preprocessed_data(lattice_scene
                  lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="fraunhofer")):
         with pytest.raises(ValueError, match="coherency2x2.*run preprocess first"):
             call(coherency)
-        with pytest.raises(ValueError, match="preprocessed3x3.*third row"):
-            call(third_row)
-        with pytest.raises(ValueError, match="preprocessed3x3.*span of the source basis"):
-            call(off_plane)
+        for malformed in (third_row, off_plane):
+            with pytest.raises(ValueError, match="preprocessed3x3.*2x2 core; rerun preprocess"):
+                call(malformed)
 
 
 def test_lattice_single_frequency_matches_direct(lattice_scene, monkeypatch):
