@@ -10,9 +10,9 @@ Layout (language neutral, streamable, bit exact):
 Every kind holds complex ``d x d`` matrices, stored as float64 pairs (re, im
 interleaved), which is the native complex128 layout.  Array datasets are indexed
 ``(receiver_row, receiver_col, frequency, i, j)``.
-Preprocessed data ``U_par C u_s^H`` is stored as its 2x2 core C, kind
-``preprocessed2x2``, and read back as ``preprocessed3x3`` data lifted by ``embed``
-that keeps C; ``preprocessed3x3`` names data in memory only, its container is refused.
+Preprocessed data ``U_par C u_s^H`` holds its 2x2 core C alone, in memory and in
+its container of kind ``preprocessed2x2``; ``preprocessed3x3`` names the in-memory
+kind, and a container of that kind is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import numbers
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -36,14 +36,18 @@ MAGIC = b"POLARMIG1\n"
 #: payload dtype of every kind
 _DTYPE = np.dtype("<c16")
 
-#: kind tag -> trailing matrix size d
-KINDS = {"coherency2x2": 2, "response3x3": 3, "preprocessed3x3": 3, "image2x2": 2, "image3x3": 3}
-#: container kind of preprocessed data stored as its 2x2 core
+#: array-data kind -> size d of its stored d x d matrices (the 2x2 core of preprocessed data)
+ARRAY_KINDS = {"coherency2x2": 2, "response3x3": 3, "preprocessed3x3": 2}
+#: image-field kinds
+IMAGE_KINDS = ("image2x2", "image3x3")
+#: container kind of preprocessed data, which stores its 2x2 core
 _CORE_KIND = "preprocessed2x2"
+#: every container kind tag; a preprocessed3x3 container is known only to be refused
+_TAGS = (*ARRAY_KINDS, *IMAGE_KINDS, _CORE_KIND)
 
 
 def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
-    if kind not in (*KINDS, _CORE_KIND):
+    if kind not in _TAGS:
         raise ValueError(f"unknown kind tag {kind!r}")
     values = np.ascontiguousarray(values, dtype=_DTYPE)
     header = {
@@ -82,7 +86,7 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
         if not isinstance(header, dict):
             raise DatasetFormatError("header is not a JSON object")
         kind = header.get("kind")
-        if kind not in (*KINDS, _CORE_KIND):
+        if kind not in _TAGS:
             raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
         if header.get("dtype") != _DTYPE.name:
             raise DatasetFormatError(f"header key 'dtype' must be {_DTYPE.name!r} for {kind}")
@@ -185,34 +189,39 @@ def _geometry_from_meta(meta: dict):
 class ArrayDataSet:
     """Per-receiver, per-frequency matrix field with its acquisition geometry.
 
-    ``values`` has shape (n1, n2, nfreq, d, d) with d = 2 or 3 depending on
-    the kind tag.  Preprocessed data carries ``core``, the (n1, n2, nfreq, 2, 2) C
-    of ``values = U_par C u_s^H`` as preprocess formed it; it is what is written and
-    migrated (:meth:`matrices`), so such ``values`` are read-only.  It is no ``__init__``
-    argument: a ``dataclasses.replace`` copy has none and cannot be written or migrated.
+    ``matrices`` has shape (n1, n2, nfreq, d, d) with d from :data:`ARRAY_KINDS`;
+    it is the one stored array, and what is written and migrated.  Preprocessed
+    data stores the 2x2 core C of ``U_par C u_s^H``, so ``dataclasses.replace``
+    keeps C; its ``values`` are that 3x3 lift, formed afresh on each access.
     """
 
     kind: str
-    values: np.ndarray
+    matrices: np.ndarray
     geom: ArrayGeom
     source: SourceSpec
     band: FrequencyBand
     wave_speed: float
-    core: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d = KINDS.get(self.kind)
+        d = ARRAY_KINDS.get(self.kind)
         if d is None:
             raise ValueError(f"kind {self.kind!r} is not an array-data kind")
         expect = (self.geom.n1, self.geom.n2, self.band.count, d, d)
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.matrices, dtype=complex)
         if v.shape != expect:
-            raise ValueError(f"values shape {v.shape} does not match metadata {expect}")
+            raise ValueError(f"{self.kind} shape {v.shape} does not match metadata {expect}")
         if not np.isfinite(v).all():
             raise ValueError(f"{self.kind} values must be finite (NaN or inf found)")
         if not 0 < self.wave_speed < np.inf:
             raise ValueError("wave speed must be positive and finite")
-        self.values = v
+        self.matrices = v
+
+    @property
+    def values(self) -> np.ndarray:
+        """The (n1, n2, nfreq, d, d) field: ``matrices``, or the 3x3 lift of a preprocessed core."""
+        if self.kind != "preprocessed3x3":
+            return self.matrices
+        return embed(self.matrices, self.source.basis())
 
     @property
     def omegas(self) -> np.ndarray:
@@ -222,36 +231,24 @@ class ArrayDataSet:
     def wavenumbers(self) -> np.ndarray:
         return self.band.wavenumbers(self.wave_speed)
 
-    def matrices(self) -> np.ndarray:
-        """What is written and migrated: the carried core of preprocessed data, else ``values``."""
-        if self.kind != "preprocessed3x3":
-            return self.values
-        if self.core is None:
-            raise ValueError(f"{self.kind} data has lost its 2x2 core; rerun preprocess")
-        return self.core
-
     def write(self, path) -> None:
         kind = _CORE_KIND if self.kind == "preprocessed3x3" else self.kind
-        _write_container(path, kind, self.matrices(),
+        _write_container(path, kind, self.matrices,
                          _geometry_meta(self.geom, self.source, self.band, self.wave_speed))
 
     @staticmethod
     def read(path) -> "ArrayDataSet":
         kind, values, meta = _read_container(path)
-        if kind in ("image2x2", "image3x3"):
+        if kind in IMAGE_KINDS:
             raise DatasetFormatError("file holds an image field, use ImageField.read")
         if kind == "preprocessed3x3":
             raise DatasetFormatError(f"a {kind} container holds no 2x2 core; rerun preprocess")
         geom, source, band, wave_speed = _geometry_from_meta(meta)
-        core = values if kind == _CORE_KIND else None
-        if core is not None:
-            if core.shape != (geom.n1, geom.n2, band.count, 2, 2):
-                raise DatasetFormatError(f"{kind} shape {core.shape} does not match the metadata")
-            kind, values = "preprocessed3x3", embed(core, source.basis())
-            values.flags.writeable = False  # as preprocess leaves it
-        ds = ArrayDataSet(kind, values, geom, source, band, wave_speed)
-        ds.core = core
-        return ds
+        if kind == _CORE_KIND:
+            if values.shape != (geom.n1, geom.n2, band.count, 2, 2):
+                raise DatasetFormatError(f"{kind} shape {values.shape} does not match the metadata")
+            kind = "preprocessed3x3"
+        return ArrayDataSet(kind, values, geom, source, band, wave_speed)
 
 
 @dataclass
@@ -299,7 +296,7 @@ class ImageField:
     @staticmethod
     def read(path) -> "ImageField":
         kind, values, meta = _read_container(path)
-        if not kind.startswith("image"):
+        if kind not in IMAGE_KINDS:
             raise DatasetFormatError(f"file holds kind {kind!r}, not an image field")
         points = _header_field(meta, "points", _numbers)
         shape = _header_field(meta, "grid_shape", _dims)

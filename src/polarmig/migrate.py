@@ -456,13 +456,12 @@ def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
 def _migrate_band(ds: ArrayDataSet, points, mode: str):
     """:func:`_migrate` over the band of ``ds`` with trapezoid weights, one point squeezed.
 
-    Preprocessed data ``U_par C u_s^H`` is migrated as the 2x2 core C that it
-    carries from preprocess or its container; without one it is refused.
+    Preprocessed data ``U_par C u_s^H`` is migrated as the 2x2 core C it stores.
     """
     if ds.kind == "coherency2x2":
         raise ValueError(f"{ds.kind} data cannot be migrated; run preprocess first")
     pts, squeeze = _as_points(points)
-    out = _migrate(ds.geom, ds.source.position, ds.matrices(), ds.wavenumbers,
+    out = _migrate(ds.geom, ds.source.position, ds.matrices, ds.wavenumbers,
                    _trapezoid_weights(ds.omegas), pts, ds.source.basis(), mode)
     return out[0] if squeeze else out
 

@@ -71,27 +71,34 @@ def gtilde(x_r, x_s, y0, k) -> np.ndarray:
     ``x_r`` may carry leading batch axes.  The source-side basis is the
     deterministic one built from (x_s, y0).  For a uniform band ``k`` the
     result is (..., nfreq, 2, 2); synthesis and preprocessing both build their
-    Gt table here, so the incident terms ``Gt Js Gt^*`` agree bitwise.  It is
+    Gt here, so the incident terms ``Gt Js Gt^*`` agree bitwise.  It is
     ``A U_par^T u_s + B a b^T``, ``a = U_par^T rhat``, ``b = u_s^T rhat``, by bin blocks.
     """
     ks, _ = _band_step(np.atleast_1d(k))
+    shape, walk = _gtilde_walk(x_r, x_s, y0, ks)
+    out = np.empty(shape + (ks.size, 2, 2), dtype=complex)
+    run_bin_blocks(lambda bins: walk(bins, out[..., bins, :, :]), math.prod(shape), ks.size)
+    return out if np.ndim(k) else out[..., 0, :, :]
+
+
+def _gtilde_walk(x_r, x_s, y0, ks):
+    """Batch shape and ``walk(bins, out)``, writing :func:`gtilde` at ``ks[bins]`` into ``out``."""
     u_s = source_basis(x_s, y0)
     r, rhat = _separation(x_r, x_s)
     # (a, b) as components 0-3 on axis 0: the walk's kernels are [conj A, conj B a_p b_q]
     comps = np.moveaxis(np.concatenate([rhat[..., :2], rhat @ u_s], axis=-1), -1, 0)
     pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
     amp = 1.0 / (4.0 * np.pi * r)
-    out = np.empty(r.shape + (ks.size, 2, 2), dtype=complex)
 
-    def walk(bins):
+    def walk(bins, out):
         kern = np.empty(r.shape + (5,), dtype=complex)
         for fi in _kernel_walk(r, comps, ks[bins], amp, pairs, np.moveaxis(kern, -1, 0)):
             g = kern[..., 1:].reshape(r.shape + (2, 2))
             g += kern[..., :1, None] * u_s[:2]
-            np.conjugate(g, out=out[..., bins.start + fi, :, :])
+            np.conjugate(g, out=out[..., fi, :, :])
+        return out
 
-    run_bin_blocks(walk, r.size, ks.size)
-    return out if np.ndim(k) else out[..., 0, :, :]
+    return r.shape, walk
 
 
 def _cond_2x2(a: np.ndarray) -> np.ndarray:
@@ -171,27 +178,30 @@ def _js_inverses(js: np.ndarray) -> np.ndarray:
     return _inv_2x2(js)
 
 
-def _inversion_tables(ds: ArrayDataSet):
-    """(Js, Js^-1, Gt) over the band; Gt is (n1, n2, nfreq, 2, 2)."""
+def _gt_blocks(ds: ArrayDataSet, work) -> None:
+    """``work(b, gt, cond, inv_gt_star, js, js_inv)`` per bin block ``b``, Gt walked per block.
+
+    ``inv_gt_star`` is Gt^-*, a truncated pseudo-inverse where cond(Gt) exceeds the limit.
+    """
     js = ds.source.coherency_table(ds.band.count)
     js_inv = _js_inverses(js)
-    gt = gtilde(ds.geom.flat_positions(), ds.source.position, ds.source.reference_point,
-                ds.wavenumbers)
-    return js, js_inv, gt.reshape(ds.geom.n1, ds.geom.n2, ds.band.count, 2, 2)
+    shape, walk = _gtilde_walk(ds.geom.flat_positions(), ds.source.position,
+                               ds.source.reference_point, ds.wavenumbers)
 
+    def block(bins):
+        gt = walk(bins, np.empty(shape + (bins.stop - bins.start, 2, 2), dtype=complex))
+        gt = gt.reshape(ds.geom.n1, ds.geom.n2, -1, 2, 2)
+        cond = _cond_2x2(gt)
+        inv_gt_star = _inv_2x2(np.conj(np.swapaxes(gt, -1, -2)))
+        for idx in map(tuple, np.argwhere(~(cond <= GTILDE_COND_LIMIT))):
+            inv_gt_star[idx] = _truncated_pinv(np.conj(gt[idx].T))
+        work(np.s_[:, :, bins], gt, cond, inv_gt_star, js[bins], js_inv[bins])
 
-def _gt_inverse(gt: np.ndarray):
-    """cond(Gt) and Gt^-*, a truncated pseudo-inverse where cond(Gt) exceeds the limit."""
-    gt_star = np.conj(np.swapaxes(gt, -1, -2))
-    cond = _cond_2x2(gt)
-    inv_gt_star = _inv_2x2(gt_star)
-    for idx in map(tuple, np.argwhere(~(cond <= GTILDE_COND_LIMIT))):
-        inv_gt_star[idx] = _truncated_pinv(gt_star[idx])
-    return cond, inv_gt_star
+    run_bin_blocks(block, math.prod(shape), ds.band.count)
 
 
 def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
-    """Map a coherency dataset to ``U_par C u_s^H`` data that carries its 2x2 core C.
+    """Map a coherency dataset to preprocessed data ``U_par C u_s^H``, stored as its 2x2 core C.
 
     Raises for a non-invertible source coherency; receivers where Gt is too
     ill conditioned are inverted through a truncated SVD and recorded in the
@@ -199,28 +209,20 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     """
     if ds.kind != "coherency2x2":
         raise ValueError(f"preprocess expects coherency2x2 data, got {ds.kind!r}")
-    u_s = ds.source.basis()
-    js, js_inv, gt = _inversion_tables(ds)
-    cond = np.empty(gt.shape[:-2])
-    core = np.empty(gt.shape, dtype=complex)
-    values = np.empty(gt.shape[:-2] + (3, 3), dtype=complex)
+    cond = np.empty(ds.matrices.shape[:-2])
+    core = np.empty(ds.matrices.shape, dtype=complex)
 
-    def block(bins):
-        b = np.s_[:, :, bins]
-        cond[b], inv_gt_star = _gt_inverse(gt[b])
-        c = _mul_2x2(ds.values[b] - _coherency(gt[b], js[bins]), inv_gt_star)
-        core[b] = _mul_2x2(c, js_inv[bins])
-        values[b] = embed(core[b], u_s)
+    def block(b, gt, cond_gt, inv_gt_star, js, js_inv):
+        cond[b] = cond_gt
+        c = _mul_2x2(ds.matrices[b] - _coherency(gt, js), inv_gt_star)
+        core[b] = _mul_2x2(c, js_inv)
 
-    run_bin_blocks(block, ds.geom.n1 * ds.geom.n2, ds.band.count)
+    _gt_blocks(ds, block)
     flagged = np.argwhere(~(cond <= GTILDE_COND_LIMIT))
     report = PreprocessReport(
         cond=cond, regularized=[tuple(int(i) for i in idx) for idx in flagged]
     )
-    values.flags.writeable = False  # the core is what is written and migrated
-    pre = replace(ds, kind="preprocessed3x3", values=values)
-    pre.core = core  # the exact C, which project(values) gives back only to rounding
-    return pre, report
+    return replace(ds, kind="preprocessed3x3", matrices=core), report
 
 
 def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:
@@ -228,18 +230,20 @@ def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:
 
     ``q = U_par [ Gt Js Pit^* + Pit Js Pit^* ] Gt^{-*} Js^{-1} U_s^*`` where
     ``Pit`` is the projected response.  The first term is antilinear in the
-    response, the second sesquilinear.  Shares the regularized inversion rule
-    with :func:`preprocess`.
+    response, the second sesquilinear.  Shares the per-block Gt and the
+    regularized inversion rule with :func:`preprocess`.
     """
     pi = np.asarray(pi, dtype=complex)
     expect = (ds.geom.n1, ds.geom.n2, ds.band.count, 3, 3)
     if pi.shape != expect:
         raise ValueError(f"response field shape {pi.shape}, expected {expect}")
     u_s = ds.source.basis()
-    js, js_inv, gt = _inversion_tables(ds)
-    _, inv_gt_star = _gt_inverse(gt)
-    pit = project(pi, u_s)
-    pit_star = np.conj(np.swapaxes(pit, -1, -2))
-    core = _mul_2x2(_mul_2x2(gt + pit, js), pit_star)
-    core = _mul_2x2(_mul_2x2(core, inv_gt_star), js_inv)
-    return embed(core, u_s)
+    out = np.empty(expect, dtype=complex)
+
+    def block(b, gt, _, inv_gt_star, js, js_inv):
+        pit = project(pi[b], u_s)
+        core = _mul_2x2(_mul_2x2(gt + pit, js), np.conj(np.swapaxes(pit, -1, -2)))
+        out[b] = embed(_mul_2x2(_mul_2x2(core, inv_gt_star), js_inv), u_s)
+
+    _gt_blocks(ds, block)
+    return out

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig import dataset
 from polarmig._parallel import blas_threads
 from polarmig.cli import _config_from_args, build_parser
 from polarmig.cli import main as cli_main
@@ -557,6 +558,26 @@ def test_cli_chain_matches_run_pipeline(tmp_path, recover_mode):
     for name, where in staged.items():
         assert (where / name).read_bytes() == (ref / name).read_bytes(), name
     assert "projected_true_0" in (rec / "tensors.csv").read_text()
+
+
+def test_no_stage_lifts_preprocessed_data(tmp_path, monkeypatch):
+    # preprocessed data is written and migrated as its 2x2 core; only readers of values lift it
+    def refuse(*args):
+        raise AssertionError("preprocessed data lifted to 3x3")
+
+    monkeypatch.setattr(dataset, "embed", refuse)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    run_pipeline(parse_config(_tiny_config()), tmp_path / "pipeline")
+    sim, pre = tmp_path / "sim", tmp_path / "pre"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(sim)]) == 0
+    assert cli_main(["preprocess", str(sim / "coherency.pmds"), "--out", str(pre)]) == 0
+    for stage in ("image", "recover"):
+        argv = [stage, str(pre / "preprocessed.pmds"), "--config", str(cfg_path),
+                "--out", str(tmp_path / stage)]
+        assert cli_main(argv) == 0
+    with pytest.raises(AssertionError, match="lifted"):
+        pm.ArrayDataSet.read(pre / "preprocessed.pmds").values
 
 
 def test_cli_rejects_non_finite_delta_rel(tmp_path, capsys):

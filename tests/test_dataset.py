@@ -21,7 +21,7 @@ def _small_dataset(rng) -> pm.ArrayDataSet:
     values = values + np.conj(np.swapaxes(values, -1, -2))
     return pm.ArrayDataSet(
         kind="coherency2x2",
-        values=values,
+        matrices=values,
         geom=scene.geom,
         source=scene.source,
         band=fb,
@@ -81,7 +81,7 @@ def test_per_frequency_coherency_roundtrip(tmp_path, rng):
 
 
 def test_preprocessed_core_round_trip_is_bitwise(tmp_path, monkeypatch, blas_count):
-    # preprocess lifts C to its values in bin blocks, the read lifts the whole payload
+    # preprocess forms C in bin blocks, the read takes the whole payload; both lift it alike
     scene = three_dipole_scene(n=9)
     ds = pm.coherency_synthesize(scene, band(9))
     monkeypatch.setattr(_parallel, "_BLOCK_CELLS", 2 * 81)
@@ -91,42 +91,49 @@ def test_preprocessed_core_round_trip_is_bitwise(tmp_path, monkeypatch, blas_cou
         path = tmp_path / f"pre{blas}.pmds"
         pre.write(path)
         kind, payload, _ = _read_container(path)
-        assert kind == "preprocessed2x2" and np.array_equal(payload, pre.core)
+        assert kind == "preprocessed2x2" and np.array_equal(payload, pre.matrices)
         back = pm.ArrayDataSet.read(path)
         assert back.kind == "preprocessed3x3"
-        assert np.array_equal(back.values, pre.values) and np.array_equal(back.core, pre.core)
-        # values that carry a core cannot be edited apart from it
+        assert np.array_equal(back.values, pre.values)
+        assert np.array_equal(back.matrices, pre.matrices)
+        # values are lifted from the core afresh on each access, so no edit parts them from it
+        lifted = pre.values.copy()
         for carried in (pre, back):
-            with pytest.raises(ValueError, match="read-only"):
-                carried.values[0, 0, 0] *= 2
+            edited = carried.values
+            assert edited is not carried.values and edited.shape == (9, 9, 9, 3, 3)
+            edited[0, 0, 0] *= 2
+            assert np.array_equal(carried.values, lifted)
+            with pytest.raises(AttributeError):
+                carried.values = edited
         back.write(tmp_path / "again.pmds")
         assert (tmp_path / "again.pmds").read_bytes() == path.read_bytes()
-    # a payload of the right size in another shape is refused before it is lifted
+    # a payload of the right size in another shape is refused before it is stored
     _rewrite_header(path, tmp_path / "bad.pmds", lambda h: _set(h, ("shape",), [9, 9, 9, 4, 1]))
     with pytest.raises(pm.DatasetFormatError, match="preprocessed2x2 shape .* does not match"):
         pm.ArrayDataSet.read(tmp_path / "bad.pmds")
 
 
-def test_coreless_preprocessed_data_is_refused(tmp_path):
+def test_coreless_preprocessed_data_is_refused(tmp_path, capsys):
     scene = three_dipole_scene(n=9)
     pre, _ = pm.preprocess(pm.coherency_synthesize(scene, band(5)))
-    bare = dataclasses.replace(pre)  # replace drops the core
-    assert bare.core is None
+    # the core is the one stored array, so a replace copy keeps it: the same bytes, the same bits
+    copy = dataclasses.replace(pre)
+    assert copy.matrices is pre.matrices and np.array_equal(copy.values, pre.values)
+    pre.write(tmp_path / "pre.pmds")
+    copy.write(tmp_path / "copy.pmds")
+    assert (tmp_path / "copy.pmds").read_bytes() == (tmp_path / "pre.pmds").read_bytes()
     pts = scene.scatterer_positions()
-    for call in (lambda ds: ds.write(tmp_path / "bare.pmds"),
-                 lambda ds: pm.kirchhoff_band(ds, pts),
+    for call in (lambda ds: pm.kirchhoff_band(ds, pts),
                  lambda ds: pm.recover_alpha_field(ds, pts, mode="exact"),
                  lambda ds: pm.recover_alpha_field(ds, pts, mode="fraunhofer")):
-        with pytest.raises(ValueError, match="preprocessed3x3 data has lost its 2x2 core; "
-                                             "rerun preprocess"):
-            call(bare)
-    assert not (tmp_path / "bare.pmds").exists()
+        assert np.array_equal(call(copy), call(pre))
     # all 9 entries in a container of that kind, as data without a core was once written
-    pre.write(tmp_path / "pre.pmds")
     path = tmp_path / "nine.pmds"
     _write_container(path, "preprocessed3x3", pre.values, _read_container(tmp_path / "pre.pmds")[2])
     with pytest.raises(pm.DatasetFormatError, match="holds no 2x2 core; rerun preprocess"):
         pm.ArrayDataSet.read(path)
+    _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
+                        "a preprocessed3x3 container holds no 2x2 core; rerun preprocess")
 
 
 def test_corrupt_magic_names_offset(tmp_path, rng):
@@ -171,12 +178,21 @@ def test_values_shape_validation(rng):
     with pytest.raises(ValueError, match="shape"):
         pm.ArrayDataSet(
             kind="coherency2x2",
-            values=np.zeros((4, 4, 2, 2, 2), dtype=complex),
+            matrices=np.zeros((4, 4, 2, 2, 2), dtype=complex),
             geom=scene.geom,
             source=scene.source,
             band=band(3),
             wave_speed=scene.wave_speed,
         )
+
+
+@pytest.mark.parametrize("kind, d", [("image2x2", 2), ("image3x3", 3)])
+def test_array_data_refuses_the_image_kinds(tmp_path, kind, d):
+    # neither ArrayDataSet.read nor ImageField.read could read such data back
+    scene = three_dipole_scene(n=3)
+    with pytest.raises(ValueError, match=f"kind '{kind}' is not an array-data kind"):
+        pm.ArrayDataSet(kind, np.zeros((3, 3, 2, d, d)), scene.geom, scene.source, band(2),
+                        scene.wave_speed)
 
 
 def test_image_field_roundtrip(tmp_path, rng):

@@ -1,6 +1,5 @@
 """Imaging tests: migration kernels, point-spread functions, recovery, region."""
 
-import dataclasses
 import sys
 import threading
 from functools import partial
@@ -12,7 +11,7 @@ import polarmig as pm
 from polarmig import _parallel, migrate
 from polarmig._parallel import (blas_threads, one_blas_thread, run_tasks, set_blas_threads,
                                 thread_count)
-from polarmig.emcore import CROSS_RANGE_BASIS, embed
+from polarmig.emcore import CROSS_RANGE_BASIS
 
 from conftest import (
     ALPHA_1,
@@ -510,7 +509,7 @@ def test_migrate_takes_the_carried_core(lattice_scene_preprocessed, monkeypatch)
 
     monkeypatch.setattr(migrate, "_migrate", spy)
     _all_modes(pre, _OFF_LATTICE)
-    assert len(seen) == 3 and all(data is pre.core for data in seen)
+    assert len(seen) == 3 and all(data is pre.matrices for data in seen)
 
 
 def test_overlapping_blas_holds_restore_the_count(blas_count):
@@ -771,8 +770,7 @@ def _sweep_case(seed):
     values, core = (rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
                     for d in (3, 2))
     resp = pm.ArrayDataSet("response3x3", values, geom, source, fb, 3e8)
-    pre = pm.ArrayDataSet("preprocessed3x3", embed(core, source.basis()), geom, source, fb, 3e8)
-    pre.core = core
+    pre = pm.ArrayDataSet("preprocessed3x3", core, geom, source, fb, 3e8)
     return geom, np.concatenate([rows.reshape(-1, 3), off]), (resp, pre)
 
 
@@ -943,23 +941,31 @@ def test_kernel_sets_follow_the_data_and_output_bases(lattice_scene, lattice_sce
 def test_migrate_refuses_coherency_and_malformed_preprocessed_data(lattice_scene_preprocessed):
     scene, pre = lattice_scene_preprocessed
     coherency = pm.coherency_synthesize(scene, band(3))
-    # values edited apart from the core, in the third row or off the span of the
-    # source basis, come without it and are refused, not projected back onto it
-    values = pre.values.copy()
-    values[0, 0, 0, 2, 1] = 1e-30
-    third_row = dataclasses.replace(pre, values=values)
+    calls = (lambda ds: pm.kirchhoff_band(ds, _OFF_LATTICE),
+             lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="exact"),
+             lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="fraunhofer"))
+    before = [call(pre) for call in calls]
+    # values edited in the third row or off the span of the source basis are a fresh
+    # lift of the core, so the edit never reaches the data that is migrated
     u_s = scene.source.basis()
-    values = pre.values.copy()
-    values[0, 0, 0, 1] += 1e-9 * np.abs(values).max() * np.cross(u_s[:, 0], u_s[:, 1])
-    off_plane = dataclasses.replace(pre, values=values)
-    for call in (lambda ds: pm.kirchhoff_band(ds, _OFF_LATTICE),
-                 lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="exact"),
-                 lambda ds: pm.recover_alpha_field(ds, _OFF_LATTICE, mode="fraunhofer")):
+    third_row, off_plane = pre.values, pre.values
+    third_row[0, 0, 0, 2, 1] = 1e-30
+    off_plane[0, 0, 0, 1] += 1e-9 * np.abs(off_plane).max() * np.cross(u_s[:, 0], u_s[:, 1])
+    for call, ref in zip(calls, before):
         with pytest.raises(ValueError, match="coherency2x2.*run preprocess first"):
             call(coherency)
-        for malformed in (third_row, off_plane):
-            with pytest.raises(ValueError, match="preprocessed3x3.*2x2 core; rerun preprocess"):
-                call(malformed)
+        assert np.array_equal(call(pre), ref)
+    # a hand-built core of the wrong shape, such as the 3x3 values, or with a
+    # non-finite entry is refused when the dataset is built
+    args = (scene.geom, scene.source, pre.band, pre.wave_speed)
+    with pytest.raises(ValueError, match=r"preprocessed3x3 shape \(13, 13, 3, 3, 3\) "
+                                         r"does not match metadata \(13, 13, 3, 2, 2\)"):
+        pm.ArrayDataSet("preprocessed3x3", third_row, *args)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        core = pre.matrices.copy()
+        core[0, 0, 0, 1, 0] = bad
+        with pytest.raises(ValueError, match="preprocessed3x3 values must be finite"):
+            pm.ArrayDataSet("preprocessed3x3", core, *args)
 
 
 def test_lattice_single_frequency_matches_direct(lattice_scene, monkeypatch):

@@ -1,9 +1,13 @@
 """Preprocessing tests: the coherency-to-response map and its exact error."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import polarmig as pm
+from polarmig import _parallel
 from polarmig.emcore import CROSS_RANGE_BASIS
 from polarmig.forward import projected_response
 from polarmig.errors import NumericalError
@@ -22,6 +26,9 @@ from conftest import (
     single_freq_band,
     three_dipole_scene,
 )
+
+# the module, which the package's preprocess function shadows
+prep = importlib.import_module("polarmig.preprocess")
 
 
 def _embed_projected(scene, pi_values):
@@ -238,15 +245,58 @@ def _flagged_scene(n: int) -> pm.Scene:
 def test_preprocess_bits_do_not_depend_on_the_threads(monkeypatch, blas_count, scene, flagged,
                                                       rtol):
     ds = pm.coherency_synthesize(scene, band(5))
+    walked, gt_blocks = {}, prep._gt_blocks
+
+    def spy(data, work):
+        def record(b, gt, *rest):
+            walked[b[2].start] = gt
+            work(b, gt, *rest)
+
+        gt_blocks(data, record)
+
+    monkeypatch.setattr(prep, "_gt_blocks", spy)
 
     def stage():
+        walked.clear()
         pre, report = pm.preprocess(ds)
-        return pre.values, pre.core, report.cond, np.array(report.regularized, dtype=int)
+        # Gt walked block by block is gtilde's whole-band table, bit for bit
+        whole = pm.gtilde(scene.geom.flat_positions(), scene.source.position,
+                          scene.source.reference_point, ds.wavenumbers)
+        per_block = np.concatenate([walked[start] for start in sorted(walked)], axis=2)
+        assert np.array_equal(per_block, whole.reshape(per_block.shape))
+        return pre.values, pre.matrices, report.cond, np.array(report.regularized, dtype=int)
 
     check_bin_blocks(monkeypatch, stage, scene.geom.n1 * scene.geom.n2, 5, rtol)
     regularized = stage()[3].tolist()
     # (row, col, freq) in C order, whatever block each entry fell in
     assert bool(regularized) == flagged and regularized == sorted(regularized)
+
+
+def test_preprocess_peak_memory_is_its_arrays_and_two_bin_blocks(monkeypatch):
+    # 31x31 receivers over 128 bins run in 8 bin blocks, two at a time on two threads
+    monkeypatch.setenv("POLARMIG_THREADS", "2")
+    n, nbins = 31, 128
+    scene = three_dipole_scene(n=n)
+    shape = (n, n, nbins, 2, 2)
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ds = pm.ArrayDataSet("coherency2x2", psi, scene.geom, scene.source, band(nbins),
+                             scene.wave_speed)
+        tracemalloc.reset_peak()
+        pre, report = pm.preprocess(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = ds.matrices.nbytes  # the input; the core has its size
+    assert pre.matrices.nbytes == table and report.cond.nbytes == table // 8
+    widest = max(b.stop - b.start for b in _parallel.bin_blocks(n * n, nbins))
+    # a block holds at most six of its (n1, n2, bins, 2, 2) tables at once: Gt, its
+    # inverse, the three of one M Js M^* product, and one for the scratch planes and
+    # the walk's per-receiver buffers; no whole-band Gt and no 3x3 values
+    block = 6 * n * n * widest * 4 * 16
+    assert peak < 2 * table + report.cond.nbytes + 2 * block, (peak, table)
 
 
 def test_preprocess_singular_source_coherency_raises():
