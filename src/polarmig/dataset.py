@@ -270,8 +270,9 @@ class ImageField:
         self.values = np.asarray(self.values, dtype=complex)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError("points must be (npts, 3)")
-        if self.values.shape[0] != self.points.shape[0]:
-            raise ValueError("points/values length mismatch")
+        n = self.points.shape[0]
+        if self.values.shape not in ((n, 2, 2), (n, 3, 3)):
+            raise ValueError(f"values must be ({n}, d, d) with d 2 or 3, got {self.values.shape}")
         # negative entries are refused here as they are when a container is read
         if any(n < 0 for n in self.shape) or math.prod(self.shape) != self.points.shape[0]:
             raise ValueError("grid shape must be nonnegative and match the point count")
@@ -298,6 +299,8 @@ class ImageField:
         kind, values, meta = _read_container(path)
         if kind not in IMAGE_KINDS:
             raise DatasetFormatError(f"file holds kind {kind!r}, not an image field")
+        if values.shape[1:] != (int(kind[5]),) * 2:
+            raise DatasetFormatError(f"{kind} payload shape {values.shape} is not (npts, d, d)")
         points = _header_field(meta, "points", _numbers)
         shape = _header_field(meta, "grid_shape", _dims)
         del meta["points"], meta["grid_shape"]

@@ -16,6 +16,7 @@ the two trailing axes.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,32 +135,40 @@ def _band_step(ks):
     return ks, step
 
 
-def _kernel_walk(r, rhat, ks, amp, pairs, out):
-    """Write the kernels ``[conj A, conj B rhat_i rhat_l]`` into ``out`` for each wavenumber.
+_Walk = namedtuple("_Walk", "ks r orient phase base")
+
+
+def _walk_setup(r, rhat, ks, amp, pairs) -> _Walk:
+    """The frequency-free state of :func:`_kernel_walk` over the band ``ks``."""
+    ks, step = _band_step(ks)
+    # complex once here, so the product in the walk casts nothing per wavenumber
+    orient = np.stack([rhat[i] * rhat[l] for i, l in pairs]).astype(complex)
+    # the phase of the band's mean spacing, and c, c / r and c / r^2 before any phase
+    phase = np.exp(-1j * step * r) if step else 1.0
+    base = np.stack(np.broadcast_arrays(amp, amp / r, amp / r / r)).astype(complex)
+    return _Walk(ks, r, orient, phase, base)
+
+
+def _kernel_walk(walk: _Walk, out, bins, state):
+    """Write the kernels ``[conj A, conj B rhat_i rhat_l]`` into ``out`` for each of ``ks[bins]``.
 
     ``G = A I + B rhat rhat^T`` with ``A = g (1 + m)``, ``B = -g (1 + 3 m)``,
-    ``g = amp exp(i k r)`` and ``m = i u - u^2``, ``u = 1 / (k r)``; ``amp`` is
-    ``1 / (4 pi r)``, or zero to drop a term.  ``rhat`` has its components, or
-    projections of them, on axis 0, ``pairs`` lists the products (i, l) wanted,
-    and the caller's ``out``, ``(1 + len(pairs),) + r.shape``, is overwritten
-    before the band index is yielded.  With ``c = conj(g)`` and ``s = 1 / k``,
-    ``conj A = c - s^2 c / r^2 - i s c / r`` and ``conj B = 2 c - 3 conj A``, formed in
-    buffers; ``c``, ``c / r`` and ``c / r^2`` step by the phase of the band's mean
-    spacing, which keeps their drift near rounding.  The band is checked by
-    :func:`_band_step`.
+    ``g = amp exp(i k r)`` and ``m = i u - u^2``, ``u = 1 / (k r)``, for the set-up
+    ``walk = _walk_setup(r, rhat, ks, amp, pairs)``: ``amp`` is ``1 / (4 pi r)``, or zero
+    to drop a term, ``rhat`` has its components, or projections of them, on axis 0, and
+    ``pairs`` lists the products (i, l) wanted.  The caller's ``out``, ``(1 + len(pairs),)
+    + r.shape``, is overwritten before the block's bin index is yielded.  With ``c =
+    conj(g)`` and ``s = 1 / k``, ``conj A = c - s^2 c / r^2 - i s c / r`` and ``conj B =
+    2 c - 3 conj A``, formed in buffers; ``c``, ``c / r`` and ``c / r^2`` start at the
+    block's first wavenumber and step by the phase of the band's mean spacing, which
+    keeps their drift near rounding, in the caller's ``state``, ``walk.base`` if run once.
     """
-    ks, step = _band_step(ks)
-    # complex once here, so the product below casts nothing per wavenumber
-    orient = np.stack([rhat[i] * rhat[l] for i, l in pairs]).astype(complex)
-    del rhat  # a caller that drops its unit vectors frees them during the walk
-    phase = np.exp(-1j * step * r) if step else 1.0
-    # c, c / r and c / r^2 before the first wavenumber's phase
-    walked = np.stack(np.broadcast_arrays(amp, amp / r, amp / r / r)).astype(complex)
-    c, c_r, c_r2 = walked[:, None]  # views with the stack's leading axis, also for scalar r
+    c, c_r, c_r2 = state[:, None]  # views with the stack's leading axis, also for scalar r
     conj_a = out[:1]
     conj_b = np.empty(conj_a.shape, dtype=complex)
-    for fi, k in enumerate(ks):
-        walked *= phase if fi else np.exp(-1j * k * r)
+    for fi, k in enumerate(walk.ks[bins]):
+        np.multiply(state if fi else walk.base, walk.phase if fi else np.exp(-1j * k * walk.r),
+                    out=state)
         s = 1.0 / k
         np.multiply(c_r2, -s * s, out=conj_a)
         conj_a += np.multiply(c_r, -1j * s, out=conj_b)
@@ -167,7 +176,7 @@ def _kernel_walk(r, rhat, ks, amp, pairs, out):
         np.multiply(conj_a, -3.0, out=conj_b)
         conj_b += c
         conj_b += c
-        np.multiply(conj_b, orient, out=out[1:])
+        np.multiply(conj_b, walk.orient, out=out[1:])
         yield fi
 
 

@@ -1,20 +1,20 @@
 """Synthetic data generation: Born responses and coherency-matrix synthesis.
 
-Band first: the scatterer tails and the receiver sum over the scatterers are sums
-of migrate's direct engine over the whole uniform band, the direct term is
-:func:`~polarmig.preprocess.gtilde`, and single frequencies are the one-sample case.
+Band first: the tails and receiver sums over the scatterers are migrate's direct engine,
+set up once for the uniform band and walked in bin blocks, to which the direct term of
+:func:`~polarmig.preprocess.gtilde` is added; single frequencies are one-sample bands.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._parallel import run_bin_blocks
+from ._parallel import one_blas_thread, run_bin_blocks
 from .dataset import ArrayDataSet
 from .emcore import _band_step, project
 from .errors import CoincidentPointsError
-from .migrate import _direct_sums
-from .preprocess import _coherency_table, gtilde
+from .migrate import _direct_sums, _direct_walks
+from .preprocess import _coherency, _gtilde_walk, gtilde
 from .scene import FrequencyBand, Scene
 
 # Receivers per transfer chunk are sized so their pairs with the scatterers stay few.
@@ -46,13 +46,16 @@ def _tails(scene: Scene, ks, single: bool, double: bool, scale: float) -> np.nda
     return tails
 
 
-def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> np.ndarray:
+@one_blas_thread()
+def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None, work=None):
     """Scattered transfer ``sum_n G(x_r, y_n) T_n`` at ``recs``, (nrec, nfreq, 3, 3).
 
     ``G`` is symmetric, so this is ``conj(sum_n conj(G(y_n, x_r)) conj(T_n))``: migrate's
     direct engine summed over the scatterers, for bin blocks and receiver chunks of
-    ``_PAIR_TARGET`` pairs; both scattering orders of :func:`_tails` share it.  Given
-    the source basis ``u_s`` it is the projected ``U_par^T Pi u_s``, (nrec, nfreq, 2, 2).
+    ``_PAIR_TARGET`` pairs; both scattering orders of :func:`_tails` share it.  If the
+    receivers fit one chunk, the tails and the engine's walk set-ups are built once for the
+    band.  Given the source basis ``u_s`` it is the projected ``U_par^T Pi u_s``, (nrec,
+    nfreq, 2, 2).  Given ``work``, ``work(bins, block)`` is stored in place of each block.
     """
     ks, _ = _band_step(ks)
     pos = scene.scatterer_positions()
@@ -62,14 +65,23 @@ def _scattered(scene: Scene, ks, recs, single=True, double=False, u_s=None) -> n
     n = 3 if u_s is None else 2  # as many output rows as columns
     out = np.empty((recs.shape[0], ks.size, n, n), dtype=complex)
 
-    def block(bins):
-        tails = _tails(scene, ks[bins], single, double, scale)
-        data = np.conj(tails if u_s is None else tails @ u_s)
-        for lo in range(0, recs.shape[0], chunk):
-            sums, _ = _direct_sums(pos, data, ks[bins], recs[lo:lo + chunk], n, False, scale)
-            np.conjugate(sums.swapaxes(0, 1), out=out[lo:lo + chunk, bins])
-
     try:
+        whole = recs.shape[0] <= chunk  # then the tails and walk set-ups serve every block
+        tails = _tails(scene, ks, single, double, scale) if whole else None
+        walks = list(_direct_walks(pos, ks, recs, n, 3, False, scale)) if whole else None
+
+        def block(bins):
+            part = tails[:, bins] if whole else _tails(scene, ks[bins], single, double, scale)
+            data = np.conj(part if u_s is None else part @ u_s)
+            m = np.empty_like(out[:, bins]) if work else out[:, bins]  # work's own, contiguous
+            for lo in range(0, recs.shape[0], chunk):
+                sums = _direct_sums(pos, data, ks[bins], recs[lo:lo + chunk], n, False, scale,
+                                    walks, bins if whole else slice(None))[0]
+                np.conjugate(sums.swapaxes(0, 1), out=m[lo:lo + chunk])
+            sums = None  # freed before the work on the block
+            if work:
+                out[:, bins] = work(bins, m)
+
         run_bin_blocks(block, recs.shape[0], ks.size)
     except CoincidentPointsError as exc:
         raise CoincidentPointsError(
@@ -115,16 +127,21 @@ def projected_incident(scene: Scene, k: float) -> np.ndarray:
     return gt.reshape(scene.geom.n1, scene.geom.n2, 2, 2)
 
 
-def _transfer(scene: Scene, ks, recs, u_s, double: bool = False) -> np.ndarray:
-    """Projected total transfer ``Gtilde + Pitilde`` at ``recs`` per band sample.
+def _transfer(scene: Scene, ks, recs, u_s, double: bool = False, js=None) -> np.ndarray:
+    """Projected total transfer ``M = Gtilde + Pitilde`` at ``recs`` per band sample.
 
-    Returns (nrec, nfreq, 2, 2) for the source basis ``u_s``; the direct term is
-    :func:`~polarmig.preprocess.gtilde`, the table preprocessing inverts.
+    Returns (nrec, nfreq, 2, 2) for the source basis ``u_s``, or given source
+    coherencies ``js``, (nfreq, 2, 2), the coherency ``M js M^*``, in one bin-block pass
+    that adds :func:`~polarmig.preprocess.gtilde`'s walk, the table preprocessing inverts,
+    to each block of :func:`_scattered`.
     """
-    out = _scattered(scene, ks, recs, True, double, u_s)
-    src = scene.source
-    out += gtilde(recs, src.position, src.reference_point, ks)
-    return out
+    _, direct = _gtilde_walk(recs, scene.source.position, scene.source.reference_point, ks)
+
+    def block(bins, m):
+        m += direct(bins, np.empty_like(m))
+        return m if js is None else _coherency(m, js[bins])
+
+    return _scattered(scene, ks, recs, True, double, u_s, block)
 
 
 def response_synthesize(
@@ -145,8 +162,8 @@ def coherency_synthesize(
     the incident, two cross, and scattered terms.  Hermitian by construction
     and positive semidefinite for a physical source coherency.
     """
-    m = _transfer(scene, band.wavenumbers(scene.wave_speed), scene.geom.flat_positions(),
-                  scene.source.basis(), include_second_born)
-    m = m.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
-    values = _coherency_table(m, scene.source.coherency_table(band.count))
+    values = _transfer(scene, band.wavenumbers(scene.wave_speed), scene.geom.flat_positions(),
+                       scene.source.basis(), include_second_born,
+                       scene.source.coherency_table(band.count))
+    values = values.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
     return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)

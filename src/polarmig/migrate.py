@@ -15,7 +15,7 @@ at a step commensurate with the receiver pitch) get them from FFT
 correlations along that axis, since the Green function depends only on
 ``x_r - y``, and rows that meet the same receiver offsets, as on a cross-range
 slice, share each kernel site; all other points use the direct pair sum over
-fixed receiver blocks, which synthesis runs too, with the scatterers summed.  Both
+receiver blocks, which synthesis runs too, with the scatterers summed.  Both
 contract scalar kernels of ``G = A I + B rhat rhat^T`` with the data components
 in one matmul per frequency, taking only the rows and columns of ``conj(G)``
 that the output and the data keep: preprocessed data ``U_par C u_s^H`` is
@@ -38,8 +38,8 @@ import numpy as np
 
 from ._parallel import one_blas_thread, run_tasks
 from .dataset import ArrayDataSet
-from .emcore import (CROSS_RANGE_BASIS, _distances, _kernel_table, _kernel_walk, as_vec3,
-                     dyadic_green, projector)
+from .emcore import (CROSS_RANGE_BASIS, _distances, _kernel_table, _kernel_walk, _walk_setup,
+                     as_vec3, dyadic_green, projector)
 from .errors import DegenerateGeometryError, NumericalError
 from .preprocess import _cond_2x2, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
@@ -49,8 +49,10 @@ from .scene import ArrayGeom, ImagingWindow, SourceSpec
 # two cores.  The rule never reads the thread count, so neither do the tasks.
 _TASK_PAIRS = 120_000
 
-# Summed points per direct-sum block; bounds the (kernels, points, block) stack.
+# Summed points per direct-sum block, or for few points up to _BLOCK_PAIRS pairs;
+# bounds the (kernels, points, block) stack.
 _RECEIVER_BLOCK = 512
+_BLOCK_PAIRS = 16_384
 
 # Lattice-row chunks are sized by kernel sites times the FFT length: each (row,
 # receiver column) site gathered into the matmul block counts once, and each
@@ -123,7 +125,19 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _direct_sums(xs, data, ks, pts, n_out: int, moments: bool, scale: float):
+def _direct_walks(xs, ks, pts, n_out: int, n_in: int, moments: bool, scale: float):
+    """``(block, walk set-up over ks, spread moments or None)`` per :func:`_direct_sums` block."""
+    size = max(_RECEIVER_BLOCK, _BLOCK_PAIRS // max(1, pts.shape[0]))
+    for lo in range(0, xs.shape[0], size):
+        block = slice(lo, min(lo + size, xs.shape[0]))
+        r, rhat = _distances(xs[block].T[:, None, :] - pts.T[:, :, None], scale, _RECEIVER_PAIR)
+        amp = 1.0 / (4.0 * np.pi * r)
+        spread = _spread_moments(amp, r, rhat[:2], 1) if moments else None
+        yield block, _walk_setup(r, rhat, ks, amp, _kernel_table(n_out, n_in)[0]), spread
+
+
+def _direct_sums(xs, data, ks, pts, n_out: int, moments: bool, scale: float, walks=None,
+                 bins=slice(None)):
     """Per-frequency sums of ``conj(G) data`` over a point set by direct pairs, and spread moments.
 
     The summed set ``xs`` is the receivers or the source in migration and the source or
@@ -131,27 +145,24 @@ def _direct_sums(xs, data, ks, pts, n_out: int, moments: bool, scale: float):
     I_3 (n_in = 3) or U_par (n_in = 2).  The sums are the first ``n_out`` rows of
     ``conj(G) data`` at ``pts``, (nfreq, points, n_out, n_col); ``scale`` is the
     coincidence scale of :func:`~polarmig.emcore._distances`.  Each block of
-    ``_RECEIVER_BLOCK`` summed points computes its pair geometry, and spread moments
-    if asked (else None is returned for them), once, and folds one ``(kernels x points
-    x block) @ (block x n_in n_col)`` matmul per frequency into the sums; blocks are
-    summed in order, so memory is bounded by the block and the sums and rounding does
-    not depend on threads.
+    ``_RECEIVER_BLOCK`` summed points, or more for few points, computes its pair geometry,
+    walk set-up and spread moments if asked (else None is returned for them) once, and
+    folds one ``(kernels x points x block) @ (block x n_in n_col)`` matmul per frequency
+    into the sums; blocks are summed in order, so memory is bounded by the block and the
+    sums and rounding does not depend on threads.  Given ``walks``, the blocks of
+    :func:`_direct_walks` over a whole band, the sums, like ``data``, are of its ``bins``.
     """
-    n_pts, nfreq = pts.shape[0], ks.size
     n_in, n_col = data.shape[-2:]
-    pairs, index = _kernel_table(n_out, n_in)
-    sums = np.zeros((nfreq, n_pts, n_out, n_col), dtype=complex)
-    spread = np.zeros((3, n_pts, 2, 2)) if moments else None
-    for lo in range(0, xs.shape[0], _RECEIVER_BLOCK):
-        hi = min(lo + _RECEIVER_BLOCK, xs.shape[0])
-        r, rhat = _distances(xs[lo:hi].T[:, None, :] - pts.T[:, :, None], scale, _RECEIVER_PAIR)
-        amp = 1.0 / (4.0 * np.pi * r)
-        if moments:
-            spread += _spread_moments(amp, r, rhat[:2], 1)
-        kern = np.empty((1 + len(pairs), n_pts, hi - lo), dtype=complex)
-        for fi in _kernel_walk(r, rhat, ks, amp, pairs, kern):
-            prods = kern.reshape(-1, hi - lo) @ data[lo:hi, fi].reshape(-1, n_in * n_col)
-            _fold(prods.reshape(-1, n_pts, n_in, n_col).swapaxes(0, 1), index, sums[fi])
+    index = _kernel_table(n_out, n_in)[1]
+    sums = np.zeros((data.shape[1], pts.shape[0], n_out, n_col), dtype=complex)
+    spread = np.zeros((3, pts.shape[0], 2, 2)) if moments else None
+    for block, walk, moment in walks or _direct_walks(xs, ks, pts, n_out, n_in, moments, scale):
+        spread = spread + moment if moments else None
+        kern = np.empty((1 + len(walk.orient),) + walk.r.shape, dtype=complex)
+        for fi in _kernel_walk(walk, kern, bins, np.empty_like(walk.base) if walks else walk.base):
+            prods = kern.reshape(-1, kern.shape[2]) @ data[block, fi].reshape(-1, n_in * n_col)
+            _fold(prods.reshape(-1, pts.shape[0], n_in, n_col).swapaxes(0, 1), index, sums[fi])
+        del walk, kern  # freed before the next block's set-up
     return sums, spread
 
 
@@ -321,6 +332,8 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
         spread = _spread_moments(amp[:, pick], r[:, pick], rhat[:2, :, pick], 2)
         spread = np.moveaxis(np.moveaxis(spread, 1, -1) @ takes, -1, 2).reshape(3, -1, 2, 2)
 
+    walk = _walk_setup(r, rhat, ks, amp, pairs)
+    del diff, rhat  # before the tables below are held; the walk keeps the orientation products
     n_kern, n_data = 1 + len(pairs), n_in * n_col
     sums = np.empty((ks.size, n_rows * length, n_out, n_col), dtype=complex)
     lattice_data = np.zeros((nfft, n_across, n_data), dtype=complex)
@@ -330,9 +343,7 @@ def _lattice_sums(geom: ArrayGeom, data, ks, pts, rows, layout: _RowLayout, n_ou
     # a table already in row order, as on range slices, is each row's block itself
     shared = not np.array_equal(site, np.arange(pick.size))
     kern_hat = np.empty((nfft, n_kern, n_rows, n_across), dtype=complex) if shared else table
-    walk = _kernel_walk(r, rhat, ks, amp, pairs, table.swapaxes(0, 1))
-    del diff, rhat  # the walk keeps only their orientation products
-    for fi in walk:
+    for fi in _kernel_walk(walk, table.swapaxes(0, 1), slice(None), walk.base):
         np.fft.fft(table, axis=0, out=table)
         if shared:
             np.take(table, pick, axis=2, out=kern_hat, mode="clip")

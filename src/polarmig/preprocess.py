@@ -27,7 +27,8 @@ import numpy as np
 
 from ._parallel import run_bin_blocks
 from .dataset import ArrayDataSet
-from .emcore import _band_step, _kernel_walk, _separation, embed, project, source_basis
+from .emcore import (_band_step, _kernel_walk, _separation, _walk_setup, embed, project,
+                     source_basis)
 from .errors import NumericalError
 
 # Condition number of Gt above which the inversion switches to a truncated
@@ -82,20 +83,19 @@ def gtilde(x_r, x_s, y0, k) -> np.ndarray:
 
 
 def _gtilde_walk(x_r, x_s, y0, ks):
-    """Batch shape and ``walk(bins, out)``, writing :func:`gtilde` at ``ks[bins]`` into ``out``."""
+    """Batch shape and ``walk(bins, out)``, writing :func:`gtilde` at ``ks[bins]``; set up once."""
     u_s = source_basis(x_s, y0)
     r, rhat = _separation(x_r, x_s)
     # (a, b) as components 0-3 on axis 0: the walk's kernels are [conj A, conj B a_p b_q]
     comps = np.moveaxis(np.concatenate([rhat[..., :2], rhat @ u_s], axis=-1), -1, 0)
-    pairs = [(0, 2), (0, 3), (1, 2), (1, 3)]
-    amp = 1.0 / (4.0 * np.pi * r)
+    setup = _walk_setup(r, comps, ks, 1.0 / (4.0 * np.pi * r), [(0, 2), (0, 3), (1, 2), (1, 3)])
 
     def walk(bins, out):
-        kern = np.empty(r.shape + (5,), dtype=complex)
-        for fi in _kernel_walk(r, comps, ks[bins], amp, pairs, np.moveaxis(kern, -1, 0)):
-            g = kern[..., 1:].reshape(r.shape + (2, 2))
-            g += kern[..., :1, None] * u_s[:2]
-            np.conjugate(g, out=out[..., fi, :, :])
+        kern = np.empty((5,) + r.shape, dtype=complex)
+        g = kern[1:].reshape((2, 2) + r.shape)
+        for fi in _kernel_walk(setup, kern, bins, np.empty_like(setup.base)):
+            g += np.multiply.outer(u_s[:2], kern[0])  # conj A U_par^T u_s
+            np.conjugate(np.moveaxis(g, (0, 1), (-2, -1)), out=out[..., fi, :, :])
         return out
 
     return r.shape, walk
@@ -141,17 +141,6 @@ def _coherency(m: np.ndarray, js: np.ndarray) -> np.ndarray:
     return _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
 
 
-def _coherency_table(m: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """:func:`_coherency` of (..., nfreq, 2, 2) transfers and (nfreq, 2, 2) ``js`` by bin blocks."""
-    out = np.empty(m.shape, dtype=complex)
-
-    def block(bins):
-        out[..., bins, :, :] = _coherency(m[..., bins, :, :], js[bins])
-
-    run_bin_blocks(block, math.prod(m.shape[:-3]), m.shape[-3])
-    return out
-
-
 def _inv_2x2(a: np.ndarray) -> np.ndarray:
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     out = np.empty_like(a)
@@ -179,7 +168,7 @@ def _js_inverses(js: np.ndarray) -> np.ndarray:
 
 
 def _gt_blocks(ds: ArrayDataSet, work) -> None:
-    """``work(b, gt, cond, inv_gt_star, js, js_inv)`` per bin block ``b``, Gt walked per block.
+    """``work(b, gt, cond, inv_gt_star, js, js_inv)`` per bin block ``b`` of one Gt walk.
 
     ``inv_gt_star`` is Gt^-*, a truncated pseudo-inverse where cond(Gt) exceeds the limit.
     """

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataset import ArrayDataSet
 from .forward import _transfer
-from .preprocess import _coherency, _coherency_table
+from .preprocess import _coherency
 from .scene import FrequencyBand, Scene
 
 TWO_PI = 2.0 * np.pi
@@ -201,11 +201,11 @@ def stochastic_coherency_dataset(
         j_hat += zeta[:, :, None] * np.conj(zeta[:, None, :])
     j_hat *= TWO_PI / (2.0 * spec.half_duration * realizations)
 
-    m = _transfer(scene, omegas[picked] / scene.wave_speed, scene.geom.flat_positions(),
-                  scene.source.basis(), include_second_born)
+    values = _transfer(scene, omegas[picked] / scene.wave_speed, scene.geom.flat_positions(),
+                       scene.source.basis(), include_second_born, j_hat)
+    values = values.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
     js_table = spec.spectrum(omegas[picked])[:, None, None] * np.eye(2)
     source = replace(scene.source, coherency=js_table)
-    values = _coherency_table(m, j_hat).reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
     return ArrayDataSet("coherency2x2", values, scene.geom, source, band, scene.wave_speed)
 
 

@@ -212,6 +212,29 @@ def test_image_field_roundtrip(tmp_path, rng):
         pm.ImageField(points=pts, values=vals, shape=(-3, -4), meta={})
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 3), (4,), (4, 4, 4), (4, 1, 1)],
+                         ids=["2x3", "flat", "4x4", "1x1"])
+def test_image_field_refuses_values_that_are_not_2x2_or_3x3(rng, shape):
+    # a (4, 2, 3) field used to be written as an image3x3 container, and a (4,) one
+    # to fail only at write, with an unknown kind tag
+    with pytest.raises(ValueError, match=r"values must be \(4, d, d\) with d 2 or 3"):
+        pm.ImageField(rng.uniform(-1, 1, (4, 3)), np.ones(shape), (4,), {})
+
+
+@pytest.mark.parametrize("kind, shape", [("image3x3", (4, 2, 3)), ("image2x2", (4,)),
+                                         ("image3x3", (4, 2, 2)), ("image2x2", (4, 3, 3))],
+                         ids=["2x3", "flat", "2x2-as-3x3", "3x3-as-2x2"])
+def test_image_read_refuses_a_payload_its_kind_tag_misstates(tmp_path, rng, capsys, kind, shape):
+    path = tmp_path / "slice00_alpha.pmds"
+    meta = {"points": rng.uniform(-1, 1, (4, 3)).tolist(), "grid_shape": [4]}
+    _write_container(path, kind, np.ones(shape), meta)
+    with pytest.raises(pm.DatasetFormatError, match=f"{kind} payload shape"):
+        pm.ImageField.read(path)
+    _assert_cli_rejects(capsys, ["glyphs", str(path), "--out", str(tmp_path / "out")],
+                        f"{kind} payload shape")
+    assert not (tmp_path / "out").exists()
+
+
 def test_kind_cross_reads_rejected(tmp_path, rng):
     ds = _small_dataset(rng)
     dpath = tmp_path / "d.pmds"

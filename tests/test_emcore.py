@@ -7,7 +7,8 @@ import pytest
 
 import polarmig as pm
 from polarmig import forward
-from polarmig.emcore import CROSS_RANGE_BASIS, _kernel_table, _kernel_walk, embed, project
+from polarmig.emcore import (CROSS_RANGE_BASIS, _kernel_table, _kernel_walk, _walk_setup, embed,
+                             project)
 from polarmig.scene import DEFAULT_WAVE_SPEED
 
 from conftest import BANDWIDTH, K0, L, LAMBDA0, OMEGA0, bench_scene, bench_source
@@ -313,7 +314,18 @@ def test_kernel_walk_matches_dyadic_green_in_the_near_field(n_out, n_in):
     assert 0.5 <= ks[0] * r.min() < 1 and 5 < ks[-1] * r.max() <= 10
 
 
-def _check_kernel_walk(geom, pts, n_out, n_in):
+@pytest.mark.parametrize("n_out, n_in", [(3, 3), (2, 2), (3, 2)])
+def test_kernel_walk_from_one_set_up_in_uneven_blocks_matches_dyadic_green(n_out, n_in):
+    # one set-up for the 128 bins, walked in blocks of 1, 2 and 5 bins in turn: each
+    # block starts at its first wavenumber and steps by the whole band's spacing
+    geom = pm.ArrayGeom(side=20 * LAMBDA0, n1=31, n2=31)
+    pts = [[0.0, 0.0, 20 * LAMBDA0], [3 * LAMBDA0, -7 * LAMBDA0, 18 * LAMBDA0]]
+    starts = np.cumsum([0] + [1, 2, 5] * 16)
+    assert starts[-1] == 128
+    _check_kernel_walk(geom, pts, n_out, n_in, list(map(slice, starts[:-1], starts[1:])))
+
+
+def _check_kernel_walk(geom, pts, n_out, n_in, blocks=(slice(None),)):
     """The kernels of the rows and columns kept, written in place, rebuild conj(G) to 1e-13."""
     recs = geom.flat_positions()
     pts = np.array(pts)
@@ -322,13 +334,16 @@ def _check_kernel_walk(geom, pts, n_out, n_in):
     r = np.linalg.norm(diff, axis=0)
     pairs, index = _kernel_table(n_out, n_in)
     out = np.empty((1 + len(pairs),) + r.shape, dtype=complex)
+    walk = _walk_setup(r, diff / r, ks, 1.0 / (4 * np.pi * r), pairs)
     seen = []
-    for fi in _kernel_walk(r, diff / r, ks, 1.0 / (4 * np.pi * r), pairs, out):
-        seen.append(fi)
-        ref = np.conj(pm.dyadic_green(recs[None], pts[:, None], ks[fi]))[..., :n_out, :n_in]
-        got = np.moveaxis(out[index], (0, 1), (-2, -1))
-        got[..., range(min(n_out, n_in)), range(min(n_out, n_in))] += out[0][..., None]
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    for bins in blocks:
+        for fi in _kernel_walk(walk, out, bins, np.empty_like(walk.base)):
+            fi += bins.indices(ks.size)[0]
+            seen.append(fi)
+            ref = np.conj(pm.dyadic_green(recs[None], pts[:, None], ks[fi]))[..., :n_out, :n_in]
+            got = np.moveaxis(out[index], (0, 1), (-2, -1))
+            got[..., range(min(n_out, n_in)), range(min(n_out, n_in))] += out[0][..., None]
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
     assert seen == list(range(ks.size))
     return r, ks
 

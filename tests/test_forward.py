@@ -1,10 +1,13 @@
 """Forward model tests: Born responses, coherency synthesis, cube builder."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig import forward, migrate
+from polarmig import _parallel, forward, migrate
 from polarmig.emcore import CROSS_RANGE_BASIS
 from polarmig.forward import projected_incident, projected_response
 
@@ -14,6 +17,7 @@ from conftest import (
     K0,
     L,
     LAMBDA0,
+    OMEGA0,
     band,
     bench_scene,
     check_bin_blocks,
@@ -22,6 +26,8 @@ from conftest import (
     three_dipole_scene,
 )
 from timedomain import total_transfer
+
+prep = importlib.import_module("polarmig.preprocess")
 
 
 def test_born_zero_scatterers():
@@ -231,7 +237,8 @@ def test_transfer_matches_explicit_green_sums(monkeypatch):
     recs = scene.geom.flat_positions()
     ks = band(3).wavenumbers(scene.wave_speed)
     u_s = scene.source.basis()
-    monkeypatch.setattr(migrate, "_RECEIVER_BLOCK", 2)  # scatterer blocks of 2 and 1
+    monkeypatch.setattr(migrate, "_RECEIVER_BLOCK", 2)  # scatterer blocks of 2 and 1,
+    monkeypatch.setattr(migrate, "_BLOCK_PAIRS", 0)  # however few the receivers
     monkeypatch.setattr(forward, "_PAIR_TARGET", 3 * 9)  # receiver chunks of 9, 9 and 7
     x_s = scene.source.position
     ref = np.empty((recs.shape[0], ks.size, 3, 3), dtype=complex)
@@ -265,6 +272,76 @@ def test_coherency_synthesis_bits_do_not_depend_on_the_threads(monkeypatch, blas
     check_bin_blocks(monkeypatch,
                      lambda: (pm.coherency_synthesize(scene, band(5), second_born).values,),
                      n_rec=25, n_bins=5)
+
+
+@pytest.mark.parametrize("second_born", [False, True])
+def test_response_synthesis_bits_do_not_depend_on_the_threads(monkeypatch, blas_count,
+                                                              second_born):
+    scene = three_dipole_scene(n=5)
+    check_bin_blocks(monkeypatch,
+                     lambda: (pm.response_synthesize(scene, band(5), second_born).values,),
+                     n_rec=25, n_bins=5)
+
+
+def _random_source():
+    return pm.SourceProcessSpec(correlation_time=1e-9, center=OMEGA0, half_duration=266e-9,
+                                samples=8001, seed=1)
+
+
+@pytest.mark.parametrize("bins_per_block", [1, 2, 3])
+def test_each_stage_builds_its_walk_set_ups_once(monkeypatch, bins_per_block):
+    # the band walk's set-ups are built per stage, not per bin block: one for the scattered
+    # transfer over the scatterers, one for the tails' source leg and, with double
+    # scattering, one more per scatterer, and one for Gt
+    scene = three_dipole_scene(n=5)
+    monkeypatch.setattr(_parallel, "_BLOCK_CELLS", 25 * bins_per_block)
+    assert len(_parallel.bin_blocks(25, 7)) == -(-7 // bins_per_block)
+    built = []
+    for module in (migrate, prep):
+        def spy(*args, setup=module._walk_setup):
+            built.append(1)
+            return setup(*args)
+
+        monkeypatch.setattr(module, "_walk_setup", spy)
+    ds = pm.coherency_synthesize(scene, band(7))
+    stages = {
+        "response": (lambda: pm.response_synthesize(scene, band(7)), 2),
+        "response second Born": (lambda: pm.response_synthesize(scene, band(7), True), 5),
+        "coherency": (lambda: pm.coherency_synthesize(scene, band(7)), 3),
+        "coherency second Born": (lambda: pm.coherency_synthesize(scene, band(7), True), 6),
+        "random source": (lambda: pm.stochastic_coherency_dataset(scene, _random_source(), 7),
+                          3),
+        "preprocess": (lambda: pm.preprocess(ds), 1),
+    }
+    for name, (stage, count) in stages.items():
+        built.clear()
+        stage()
+        assert len(built) == count, (name, len(built))
+
+
+@pytest.mark.parametrize("stage", ["coherency", "random source"])
+def test_synthesis_peak_memory_is_its_table_and_two_bin_blocks(monkeypatch, stage):
+    # 31x31 receivers over 128 bins run in 8 bin blocks, two at a time on two threads
+    monkeypatch.setenv("POLARMIG_THREADS", "2")
+    n, nbins = 31, 128
+    scene = three_dipole_scene(n=n)
+    run = {"coherency": lambda: pm.coherency_synthesize(scene, band(nbins)),
+           "random source": lambda: pm.stochastic_coherency_dataset(scene, _random_source(),
+                                                                    nbins)}[stage]
+    tracemalloc.start()
+    try:
+        ds = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = ds.matrices.nbytes
+    assert table == n * n * nbins * 4 * 16
+    widest = max(b.stop - b.start for b in _parallel.bin_blocks(n * n, nbins))
+    # a block holds at most six of its (n1, n2, bins, 2, 2) tables at once: M, the three
+    # of one M Js M^* product, and two for the engine's sums, Gt and the walk's
+    # per-receiver buffers; no whole-band M or Gt
+    block = 6 * n * n * widest * 4 * 16
+    assert peak < table + 2 * block, (peak / table)
 
 
 def test_scatterer_on_a_receiver_raises():

@@ -835,14 +835,14 @@ def test_rows_of_a_cross_range_chunk_walk_their_shared_sites_once(lattice_scene,
     sites = int(sum(n_across + np.ptp(across[across % 2 == parity]) // 2 for parity in (0, 1)))
     assert sites < group.shape[0] * n_across
     walked = []
-    kernel_walk = migrate._kernel_walk
+    walk_setup = migrate._walk_setup
 
     def spy(r, *args):
         if r.shape[-1] > 1:  # the source leg walks one summed point, the source
             walked.append(r.shape)
-        return kernel_walk(r, *args)
+        return walk_setup(r, *args)
 
-    monkeypatch.setattr(migrate, "_kernel_walk", spy)
+    monkeypatch.setattr(migrate, "_walk_setup", spy)
     monkeypatch.setattr(migrate, "_SITE_TARGET", 10**9)
     pm.recover_alpha_field(resp, pts, mode="exact")
     assert walked == [(layout.fft_size, sites)]
@@ -912,18 +912,18 @@ def test_kernel_sets_follow_the_data_and_output_bases(lattice_scene, lattice_sce
     pre = lattice_scene_preprocessed[1]
     pts = _engine_points(scene, engine)
     stacks, moment_calls = [], []
-    kernel_walk, spread_moments = migrate._kernel_walk, migrate._spread_moments
+    walk_setup, spread_moments = migrate._walk_setup, migrate._spread_moments
 
-    def spy_walk(r, rhat, ks, amp, pairs, out):
+    def spy_walk(r, rhat, ks, amp, pairs):
         if r.shape[-1] > 1:  # the source leg walks one summed point, the source
-            stacks.append(out.shape[0])
-        return kernel_walk(r, rhat, ks, amp, pairs, out)
+            stacks.append(1 + len(pairs))
+        return walk_setup(r, rhat, ks, amp, pairs)
 
     def spy_moments(*args):
         moment_calls.append(1)
         return spread_moments(*args)
 
-    monkeypatch.setattr(migrate, "_kernel_walk", spy_walk)
+    monkeypatch.setattr(migrate, "_walk_setup", spy_walk)
     monkeypatch.setattr(migrate, "_spread_moments", spy_moments)
     for ds, kernels in [(resp, {"image": 7, "exact": 6, "fraunhofer": 6}),
                         (pre, {"image": 6, "exact": 4, "fraunhofer": 4})]:
