@@ -40,6 +40,7 @@ _BLOCK_CELLS = 16_384
 
 
 def thread_count() -> int:
+    """``POLARMIG_THREADS``, else up to 4 of the CPUs this process may run on."""
     raw = os.environ.get(ENV_THREADS, "")
     if raw:
         try:
@@ -49,7 +50,8 @@ def thread_count() -> int:
         if n < 1:
             raise ValueError(f"{ENV_THREADS} must be >= 1")
         return n
-    return min(4, os.cpu_count() or 1)
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return min(4, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def run_tasks(work, tasks) -> list:

@@ -7,12 +7,13 @@ Layout (language neutral, streamable, bit exact):
 * UTF-8 JSON header with keys ``kind``, ``dtype``, ``shape`` and ``meta``,
 * raw little-endian payload in C order.
 
-Every kind holds complex ``d x d`` matrices, stored as float64 pairs (re, im
-interleaved), which is the native complex128 layout.  Array datasets are indexed
-``(receiver_row, receiver_col, frequency, i, j)``.
-Preprocessed data ``U_par C u_s^H`` holds its 2x2 core C alone, in memory and in
-its container of kind ``preprocessed2x2``; ``preprocessed3x3`` names the in-memory
-kind, and a container of that kind is refused.
+Array datasets are indexed ``(receiver_row, receiver_col, frequency, i, j)``.  Every
+kind but coherency data holds complex ``d x d`` matrices as float64 (re, im) pairs, the
+complex128 layout; coherency data is Hermitian, and its ``hermitian2x2`` container holds
+(n1, n2, nfreq, 4) float64 ``[Psi11, Psi22, Re Psi12, Im Psi12]``, packed in chunks.  Preprocessed
+data ``U_par C u_s^H`` holds its 2x2 core C alone, in memory and in its ``preprocessed2x2``
+container.  A container tagged with the in-memory kind ``coherency2x2`` or
+``preprocessed3x3`` is refused.
 """
 
 from __future__ import annotations
@@ -27,33 +28,46 @@ from functools import partial
 
 import numpy as np
 
+from ._parallel import one_blas_thread
 from .emcore import embed
 from .errors import DatasetFormatError
 from .scene import ArrayGeom, FrequencyBand, SourceSpec
 
 MAGIC = b"POLARMIG1\n"
 
-#: payload dtype of every kind
-_DTYPE = np.dtype("<c16")
+#: payload dtypes: complex matrices, and the four reals of a hermitian2x2 matrix
+_DTYPE, _REAL = np.dtype("<c16"), np.dtype("<f8")
+_CHUNK = 16_384  # matrices per chunk of a packed payload: 512 KB packed
 
 #: array-data kind -> size d of its stored d x d matrices (the 2x2 core of preprocessed data)
 ARRAY_KINDS = {"coherency2x2": 2, "response3x3": 3, "preprocessed3x3": 2}
 #: image-field kinds
 IMAGE_KINDS = ("image2x2", "image3x3")
-#: container kind of preprocessed data, which stores its 2x2 core
-_CORE_KIND = "preprocessed2x2"
-#: every container kind tag; a preprocessed3x3 container is known only to be refused
-_TAGS = (*ARRAY_KINDS, *IMAGE_KINDS, _CORE_KIND)
+#: array-data kind -> its container tag, and why a container tagged with the kind is refused
+_STORED_AS = {"coherency2x2": ("hermitian2x2", "holds all four complex entries; rerun simulate"),
+              "preprocessed3x3": ("preprocessed2x2", "holds no 2x2 core; rerun preprocess")}
+_KIND_OF_TAG = {tag: kind for kind, (tag, _) in _STORED_AS.items()}
+#: every container kind tag
+_TAGS = (*ARRAY_KINDS, *IMAGE_KINDS, *_KIND_OF_TAG)
+
+#: [Psi11, Psi22, Re Psi12, Im Psi12], which fix a Hermitian 2x2 matrix, in its row of reals
+#: [Re11, Im11, Re12, Im12, Re21, Im21, Re22, Im22]
+_PACKED = [0, 6, 2, 3]
+# Unpacking is a product with a 0 / +-1 matrix: exact, as each output is one input, its
+# negative or zero (a zero reads back as +0), and faster than numpy's strided copies.
+_UNPACK = np.eye(8)[_PACKED]
+_UNPACK[[2, 3], [4, 5]] = 1.0, -1.0  # Psi21 = conj(Psi12)
 
 
 def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
     if kind not in _TAGS:
         raise ValueError(f"unknown kind tag {kind!r}")
+    hermitian = kind == "hermitian2x2"
     values = np.ascontiguousarray(values, dtype=_DTYPE)
     header = {
         "kind": kind,
-        "dtype": _DTYPE.name,
-        "shape": list(values.shape),
+        "dtype": (_REAL if hermitian else _DTYPE).name,
+        "shape": list(values.shape[:-2] + (4,) if hermitian else values.shape),
         "meta": meta,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -61,9 +75,24 @@ def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
         fh.write(MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        fh.write(values)  # the C-contiguous buffer itself: no copy of the payload
+        if not hermitian:
+            fh.write(values)  # the C-contiguous buffer itself: no copy of the payload
+            return
+        reals, rows = values.view(np.float64).reshape(-1, 8), values.reshape(-1, 4)
+        packed = np.empty((_CHUNK, 4))
+        for lo in range(0, len(reals), _CHUNK):
+            part, row = reals[lo:lo + _CHUNK], rows[lo:lo + _CHUNK]  # [Psi11, Psi12, Psi21, Psi22]
+            if part[:, 1::6].any() or not np.array_equal(row[:, 2], np.conj(row[:, 1])):
+                fh.close()
+                os.remove(path)  # no partial container is left behind
+                raise ValueError("coherency data must be exactly Hermitian")
+            out = packed[:len(part)]
+            np.take(part, _PACKED, axis=1, out=out, mode="clip")  # "raise" would buffer ``out``
+            out += 0.0  # a zero is stored as +0, as it reads back
+            fh.write(out)
 
 
+@one_blas_thread()  # OpenBLAS threads woken here would spin on and slow the next stage by 40 %
 def _read_container(path) -> tuple[str, np.ndarray, dict]:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -88,21 +117,33 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
         kind = header.get("kind")
         if kind not in _TAGS:
             raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
-        if header.get("dtype") != _DTYPE.name:
-            raise DatasetFormatError(f"header key 'dtype' must be {_DTYPE.name!r} for {kind}")
+        hermitian = kind == "hermitian2x2"
+        dtype = _REAL if hermitian else _DTYPE
+        if header.get("dtype") != dtype.name:
+            raise DatasetFormatError(f"header key 'dtype' must be {dtype.name!r} for {kind}")
         shape = _header_field(header, "shape", _dims)
+        if hermitian and shape[-1:] != (4,):
+            raise DatasetFormatError(f"header key 'shape' must end in 4 for {kind}, got {shape}")
         if not isinstance(header.get("meta"), dict):
             raise DatasetFormatError("header key 'meta' is missing or not an object")
         # Python ints: a numpy product of large entries wraps around
         count = math.prod(shape)
-        if size - off != count * _DTYPE.itemsize:
+        if size - off != count * dtype.itemsize:
             raise DatasetFormatError(
                 f"payload size mismatch at offset {off}: header key 'shape' declares "
-                f"{count * _DTYPE.itemsize} bytes, file holds {size - off}"
+                f"{count * dtype.itemsize} bytes, file holds {size - off}"
             )
         # checked against the file size first, so the payload is read once, in place
-        values = np.empty(count, dtype=_DTYPE)
-        fh.readinto(values.view(np.uint8))
+        if hermitian:
+            values, packed = np.empty((count // 4, 8)), np.empty((_CHUNK, 4), _REAL)
+            with np.errstate(invalid="ignore"):  # 0 * inf: non-finite data is refused later
+                for lo in range(0, count // 4, _CHUNK):
+                    part = packed[:fh.readinto(packed) // _REAL.itemsize // 4]
+                    np.matmul(part, _UNPACK, out=values[lo:lo + _CHUNK])
+            values, shape = values.view(_DTYPE), shape[:-1] + (2, 2)
+        else:
+            values = np.empty(count, dtype=_DTYPE)
+            fh.readinto(values.view(np.uint8))
     try:
         values = values.reshape(shape)
     except ValueError as exc:  # an empty payload whose other dimensions are too large
@@ -127,7 +168,8 @@ def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
 
 def _number(value) -> float:
     """A JSON number; a bool or string is refused, not coerced."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    # floats first: the ABC check would take half a millisecond on a 128-bin coherency table
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise TypeError(f"expected a number, got {value!r}")
 
@@ -232,8 +274,8 @@ class ArrayDataSet:
         return self.band.wavenumbers(self.wave_speed)
 
     def write(self, path) -> None:
-        kind = _CORE_KIND if self.kind == "preprocessed3x3" else self.kind
-        _write_container(path, kind, self.matrices,
+        """Write the container; coherency data that is not exactly Hermitian is refused."""
+        _write_container(path, _STORED_AS.get(self.kind, (self.kind,))[0], self.matrices,
                          _geometry_meta(self.geom, self.source, self.band, self.wave_speed))
 
     @staticmethod
@@ -241,13 +283,13 @@ class ArrayDataSet:
         kind, values, meta = _read_container(path)
         if kind in IMAGE_KINDS:
             raise DatasetFormatError("file holds an image field, use ImageField.read")
-        if kind == "preprocessed3x3":
-            raise DatasetFormatError(f"a {kind} container holds no 2x2 core; rerun preprocess")
+        if kind in _STORED_AS:
+            raise DatasetFormatError(f"a {kind} container {_STORED_AS[kind][1]}")
         geom, source, band, wave_speed = _geometry_from_meta(meta)
-        if kind == _CORE_KIND:
+        if kind in _KIND_OF_TAG:
             if values.shape != (geom.n1, geom.n2, band.count, 2, 2):
                 raise DatasetFormatError(f"{kind} shape {values.shape} does not match the metadata")
-            kind = "preprocessed3x3"
+            kind = _KIND_OF_TAG[kind]
         return ArrayDataSet(kind, values, geom, source, band, wave_speed)
 
 

@@ -13,9 +13,9 @@ approximation is involved.
 
 Its 2x2 products, inverses and condition numbers are entrywise closed forms
 over blocks of bins, not numpy's per-matrix ``@``.  Every
-coherency ``M Js M^*`` in the package -- the incident term here, deterministic
-synthesis and the random-source estimates -- is :func:`_coherency`, so data
-without scatterers cancels to exactly zero.
+coherency ``M Js M^*`` in the package -- the incident term here, synthesis, the
+random-source estimates and the ergodicity probe -- is the exactly Hermitian
+:func:`_coherency`, so data without scatterers cancels to exactly zero.
 """
 
 from __future__ import annotations
@@ -119,26 +119,31 @@ def _cond_2x2(a: np.ndarray) -> np.ndarray:
         return np.where(q > 0, (1.0 + root) / (2.0 * q), np.inf)
 
 
-def _mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mul_2x2(a: np.ndarray, b: np.ndarray, entries=((0, 0), (0, 1), (1, 0), (1, 1))) -> np.ndarray:
     """Batched 2x2 product ``a @ b`` as ``a_i0 b_0j + a_i1 b_1j``; batch axes broadcast.
 
     Entries are formed on contiguous planes, and the result is a (..., 2, 2)
-    view of them, so chained products read them contiguously.
+    view of them, so chained products read them contiguously.  Only the (i, j)
+    in ``entries`` are formed; the others are left unset.
     """
     shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
     a, b = np.moveaxis(a, (-2, -1), (0, 1)), np.moveaxis(b, (-2, -1), (0, 1))
     out = np.empty((2, 2) + shape, dtype=np.result_type(a, b))
     tmp = np.empty(shape, dtype=out.dtype)
-    for i in range(2):
-        for j in range(2):
-            np.multiply(a[i, 0], b[0, j], out=out[i, j])
-            out[i, j] += np.multiply(a[i, 1], b[1, j], out=tmp)
+    for i, j in entries:
+        np.multiply(a[i, 0], b[0, j], out=out[i, j])
+        out[i, j] += np.multiply(a[i, 1], b[1, j], out=tmp)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _coherency(m: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """Coherency ``M Js M^*`` of transfers ``m`` and source coherencies ``js``, batched."""
-    return _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
+    """Coherency ``M Js M^*`` of transfers ``m`` and source coherencies ``js``, batched, exactly
+    Hermitian: ``Psi12`` and the real diagonal have the bits of the full product, ``Psi21`` is
+    ``conj(Psi12)``."""
+    psi = _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)), ((0, 0), (1, 1), (0, 1)))
+    psi[..., 0, 0].imag = psi[..., 1, 1].imag = 0.0
+    np.conjugate(psi[..., 0, 1], out=psi[..., 1, 0])
+    return psi
 
 
 def _inv_2x2(a: np.ndarray) -> np.ndarray:

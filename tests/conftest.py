@@ -103,6 +103,16 @@ def blas_count():
         _parallel.set_blas_threads(before)
 
 
+def exactly_hermitian(psi: np.ndarray) -> np.ndarray:
+    """``psi``, checked bit for bit: ``Psi21 = conj(Psi12)`` and the diagonal is real."""
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    assert np.array_equal(bits(psi[..., 1, 0]), bits(np.conj(psi[..., 0, 1])))
+    assert not bits(psi[..., 0, 0].imag).any() and not bits(psi[..., 1, 1].imag).any()
+    return psi
+
+
 def check_bin_blocks(monkeypatch, stage, n_rec: int, n_bins: int, rtol: float = 1e-13):
     """Check that ``stage()`` runs in bin blocks under the hold, with bits free of the threads.
 

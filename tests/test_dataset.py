@@ -2,16 +2,18 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import polarmig as pm
-from polarmig import _parallel
+from polarmig import _parallel, dataset
 from polarmig.cli import main as cli_main
 from polarmig.dataset import MAGIC, _read_container, _write_container
+from polarmig.preprocess import _coherency
 
-from conftest import band, bench_scene, three_dipole_scene
+from conftest import band, bench_scene, exactly_hermitian, three_dipole_scene
 
 
 def _small_dataset(rng) -> pm.ArrayDataSet:
@@ -134,6 +136,92 @@ def test_coreless_preprocessed_data_is_refused(tmp_path, capsys):
         pm.ArrayDataSet.read(path)
     _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
                         "a preprocessed3x3 container holds no 2x2 core; rerun preprocess")
+
+
+def test_coherency_container_packs_four_reals_and_round_trips_bitwise(tmp_path, monkeypatch):
+    # 175 matrices in chunks of 16, the last one partial
+    monkeypatch.setattr(dataset, "_CHUNK", 16)
+    ds = pm.coherency_synthesize(three_dipole_scene(n=5), band(7))
+    psi = exactly_hermitian(ds.values)
+    path = tmp_path / "coherency.pmds"
+    ds.write(path)
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[len(MAGIC):len(MAGIC) + 8], "little")
+    header = json.loads(blob[len(MAGIC) + 8:len(MAGIC) + 8 + hlen])
+    assert (header["kind"], header["dtype"], header["shape"]) == ("hermitian2x2", "float64",
+                                                                  [5, 5, 7, 4])
+    payload = blob[len(MAGIC) + 8 + hlen:]
+    assert len(payload) == 32 * 5 * 5 * 7  # 32 bytes per receiver and bin
+    packed = np.stack([psi[..., 0, 0].real, psi[..., 1, 1].real,
+                       psi[..., 0, 1].real, psi[..., 0, 1].imag], axis=-1)
+    assert payload == packed.astype("<f8").tobytes()
+    back = pm.ArrayDataSet.read(path)
+    assert back.kind == "coherency2x2"
+    assert np.array_equal(back.values.view(np.uint64), psi.view(np.uint64))
+    back.write(tmp_path / "again.pmds")
+    assert (tmp_path / "again.pmds").read_bytes() == blob
+
+
+@pytest.mark.parametrize("entry, part", [((4, 4, 6, 1, 0), 0), ((0, 0, 0, 1, 0), 1),
+                                         ((2, 3, 4, 1, 1), 1), ((4, 4, 6, 0, 0), 1)],
+                         ids=["last-psi21-re", "first-psi21-im", "psi22-im", "last-psi11-im"])
+def test_write_refuses_coherency_data_that_is_not_exactly_hermitian(tmp_path, monkeypatch,
+                                                                      entry, part):
+    # one entry one ulp off, in the first chunk, the last or between: no file is left behind,
+    # also where one was written before
+    monkeypatch.setattr(dataset, "_CHUNK", 16)
+    ds = pm.coherency_synthesize(three_dipole_scene(n=5), band(7))
+    values = ds.values.copy()
+    reals = values.view(np.float64)  # (..., 2, 4): each row's entries as re, im in turn
+    at = entry[:-1] + (2 * entry[-1] + part,)
+    reals[at] = np.nextafter(reals[at], np.inf)
+    bad = dataclasses.replace(ds, matrices=values)
+    path = tmp_path / "coherency.pmds"
+    for existing in (False, True):
+        if existing:
+            ds.write(path)
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            bad.write(path)
+        assert not path.exists()
+
+
+def test_old_coherency_container_is_refused(tmp_path, capsys):
+    # all four complex entries in a coherency2x2 container, as coherency data was once written
+    ds = pm.coherency_synthesize(three_dipole_scene(n=5), band(3))
+    ds.write(tmp_path / "new.pmds")
+    path = tmp_path / "coherency.pmds"
+    _write_container(path, "coherency2x2", ds.values, _read_container(tmp_path / "new.pmds")[2])
+    with pytest.raises(pm.DatasetFormatError, match="rerun simulate"):
+        pm.ArrayDataSet.read(path)
+    _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
+                        "a coherency2x2 container holds all four complex entries; rerun simulate")
+    assert not (tmp_path / "out" / "preprocessed.pmds").exists()
+
+
+def test_coherency_container_peak_memory_is_the_data_its_read_back_and_one_chunk(tmp_path):
+    n, nbins = 31, 128
+    scene = three_dipole_scene(n=n)
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        m = rng.standard_normal((n, n, nbins, 2, 2)) + 1j * rng.standard_normal((n, n, nbins, 2, 2))
+        psi = np.ascontiguousarray(_coherency(m, np.eye(2)))  # as synthesis stores it
+        del m
+        ds = pm.ArrayDataSet("coherency2x2", psi, scene.geom, scene.source, band(nbins),
+                             scene.wave_speed)
+        tracemalloc.reset_peak()
+        ds.write(tmp_path / "coherency.pmds")
+        back = pm.ArrayDataSet.read(tmp_path / "coherency.pmds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, ds.values)
+    table = ds.matrices.nbytes
+    # one chunk: its packed reals and, while written, the Hermitian check's temporaries, or
+    # while read, its packed reals; less than 64 bytes a matrix
+    chunk = 64 * dataset._CHUNK
+    assert chunk < table // 3
+    assert peak < 2 * table + chunk, (peak, table)
 
 
 def test_corrupt_magic_names_offset(tmp_path, rng):
@@ -365,12 +453,17 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     good, poisoned = tmp_path / "good.pmds", tmp_path / "nan.pmds"
     ds.write(good)
     blob = good.read_bytes()
-    payload = values.astype("<c16").tobytes()
-    poisoned.write_bytes(blob[: len(blob) - len(payload)] + payload)
+    # the packed payload [Psi11, Psi22, Re Psi12, Im Psi12], poisoned in a Psi11 slot (nan),
+    # a Psi22 slot (inf) or an Im Psi12 slot (-inf)
+    bad_point = complex(bad).real + complex(bad).imag
+    count = 4 * 4 * 3 * 4
+    packed = np.frombuffer(blob, "<f8", count=count, offset=len(blob) - 8 * count)
+    packed = packed.reshape(4, 4, 3, 4).copy()
+    packed[1, 2, 0, 3 if np.imag(bad) else 0 if np.isnan(bad) else 1] = bad_point
+    poisoned.write_bytes(blob[: len(blob) - packed.nbytes] + packed.tobytes())
     argv = ["preprocess", str(poisoned), "--out", str(tmp_path / "out")]
     _assert_cli_rejects(capsys, argv, "finite")
     # the same value in the header's geometry, band, wave speed and coherency
-    bad_point = complex(bad).real + complex(bad).imag
     for path in (("array", "side"), ("band", "center"), ("band", "width"), ("wave_speed",)):
         _rewrite_header(good, poisoned, lambda h: _set(h["meta"], path, bad_point))
         _assert_cli_rejects(capsys, argv, "must be positive")

@@ -21,6 +21,7 @@ from conftest import (
     band,
     bench_scene,
     check_bin_blocks,
+    exactly_hermitian,
     random_symmetric_tensor,
     single_freq_band,
     three_dipole_scene,
@@ -268,10 +269,10 @@ def test_projected_transfer_direct_term_is_gtilde():
 @pytest.mark.parametrize("second_born", [False, True])
 def test_coherency_synthesis_bits_do_not_depend_on_the_threads(monkeypatch, blas_count,
                                                                 second_born):
+    # and exactly Hermitian at every thread setting and as one block
     scene = three_dipole_scene(n=5)
-    check_bin_blocks(monkeypatch,
-                     lambda: (pm.coherency_synthesize(scene, band(5), second_born).values,),
-                     n_rec=25, n_bins=5)
+    check_bin_blocks(monkeypatch, lambda: (exactly_hermitian(
+        pm.coherency_synthesize(scene, band(5), second_born).values),), n_rec=25, n_bins=5)
 
 
 @pytest.mark.parametrize("second_born", [False, True])

@@ -1,5 +1,6 @@
 """Imaging tests: migration kernels, point-spread functions, recovery, region."""
 
+import os
 import sys
 import threading
 from functools import partial
@@ -410,6 +411,18 @@ def test_thread_count_refuses_a_bad_setting(monkeypatch, value):
     monkeypatch.setenv("POLARMIG_THREADS", value)
     with pytest.raises(ValueError, match="POLARMIG_THREADS"):
         thread_count()
+
+
+def test_thread_count_is_at_most_the_cpus_the_process_may_run_on(monkeypatch):
+    # a process pinned to one CPU of many runs one task thread; POLARMIG_THREADS overrides
+    monkeypatch.delenv("POLARMIG_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert thread_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert thread_count() == 4
+    monkeypatch.setenv("POLARMIG_THREADS", "3")
+    assert thread_count() == 3
 
 
 def test_direct_points_split_into_tasks_whatever_the_threads(monkeypatch):

@@ -22,6 +22,7 @@ from conftest import (
     band,
     bench_scene,
     check_bin_blocks,
+    exactly_hermitian,
     random_symmetric_tensor,
     single_freq_band,
     three_dipole_scene,
@@ -83,9 +84,9 @@ def test_gtilde_scaling_with_wavenumber():
     assert abs(np.exp(1j * phase_shift) - np.exp(1j * expected)) < 0.1
 
 
-def test_preprocess_incident_only_is_zero():
+def test_preprocess_incident_only_is_zero(tmp_path):
     # synthesis M Js M^* and preprocessing Gt Js Gt^* run the same products,
-    # so a scene without scatterers cancels exactly
+    # so a scene without scatterers cancels exactly, also after a container round trip
     scene = bench_scene([], n=5)
     js = np.array([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
     scene = pm.Scene(
@@ -97,6 +98,8 @@ def test_preprocess_incident_only_is_zero():
     assert np.abs(ds.values).max() > 0
     assert np.all(pre.values == 0)
     assert report.regularized_count == 0
+    ds.write(tmp_path / "coherency.pmds")
+    assert np.all(pm.preprocess(pm.ArrayDataSet.read(tmp_path / "coherency.pmds"))[0].values == 0)
 
 
 def _with_condition(rng, c, count=200):
@@ -138,6 +141,21 @@ def test_mul_2x2_matches_matmul_on_broadcast_shapes(rng):
         got = _mul_2x2(x, y)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_coherency_is_hermitian_with_the_bits_of_the_whole_product():
+    # Psi12 and the real diagonal are the entries of the full product E M^*, E = M Js, bit for
+    # bit; Psi21 is conj(Psi12) and the diagonal's imaginary parts are +0, not rounding noise
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((3, 4, 5, 2, 2)) + 1j * rng.standard_normal((3, 4, 5, 2, 2))
+    a = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    js = a @ np.conj(np.swapaxes(a, -1, -2))
+    full = _mul_2x2(_mul_2x2(m, js), np.conj(np.swapaxes(m, -1, -2)))
+    psi = exactly_hermitian(prep._coherency(m, js))
+    assert np.array_equal(psi[..., 0, 1], full[..., 0, 1])
+    for i in range(2):
+        assert np.array_equal(psi[..., i, i].real, full[..., i, i].real)
+    assert np.abs(full[..., 1, 0] - psi[..., 1, 0]).max() > 0  # the full product is not Hermitian
 
 
 def test_preprocess_exact_identity():

@@ -13,7 +13,8 @@ from polarmig.stochastic import (
     synthesis_transform,
 )
 
-from conftest import ALPHA_1, K0, L, LAMBDA0, OMEGA0, bench_scene, check_bin_blocks
+from conftest import (ALPHA_1, K0, L, LAMBDA0, OMEGA0, bench_scene, check_bin_blocks,
+                      exactly_hermitian)
 from timedomain import (
     TimeSignal,
     empirical_coherency,
@@ -37,12 +38,13 @@ def _stats_scene(n=2):
     return bench_scene([pm.Scatterer([0, 0, L], ALPHA_1)], n=n)
 
 
-@pytest.mark.parametrize("realizations", [1, 2])
+@pytest.mark.parametrize("realizations", [1, 2, 3])
 def test_random_source_dataset_bits_do_not_depend_on_the_threads(monkeypatch, blas_count,
                                                                   realizations):
+    # and exactly Hermitian at every thread setting and as one block
     scene = _stats_scene(n=4)
-    check_bin_blocks(monkeypatch, lambda: (pm.stochastic_coherency_dataset(
-        scene, _spec(seed=3), band_count=5, realizations=realizations).values,),
+    check_bin_blocks(monkeypatch, lambda: (exactly_hermitian(pm.stochastic_coherency_dataset(
+        scene, _spec(seed=3), band_count=5, realizations=realizations).values),),
         n_rec=16, n_bins=5)
 
 
