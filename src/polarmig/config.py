@@ -6,19 +6,20 @@ the way they are usually quoted.
 
 One reader reads each field once and names it as ``section.key`` in any error.
 A present key must parse, null included; only an absent key takes its default.
+Numbers and lists are read as a container header's are, by the readers of :mod:`.dataset`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from .dataset import _count, _list, _number, _numbers
 from .errors import ConfigError
 from .glyphs import DEFAULT_THRESHOLD
 from .migrate import DEFAULT_DELTA_REL, region_check, region_slope
@@ -39,7 +40,7 @@ TWO_PI = 2.0 * math.pi
 
 def _parse_length(value, where: str, lambda0: float) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _parse_number(value, where)
+        return _number(value, where)
     if isinstance(value, str):
         parts = value.split()
         if len(parts) == 2 and parts[1] in ("lambda0", "lam0"):
@@ -47,65 +48,32 @@ def _parse_length(value, where: str, lambda0: float) -> float:
                 return float(parts[0]) * lambda0
             except ValueError:
                 pass
-    raise ConfigError(f"{where}: expected meters or '<number> lambda0', got {value!r}")
-
-
-def _parse_count(value, where: str) -> int:
-    """An integral number; a fraction, bool or string is refused, not truncated."""
-    if (isinstance(value, float) and value.is_integer()
-            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        return int(value)
-    raise ConfigError(f"{where}: expected an integer, got {value!r}")
-
-
-def _parse_number(value, where: str) -> float:
-    """A JSON number; a bool or string is refused, not coerced."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{where}: integer beyond the float range") from None
-    raise ConfigError(f"{where}: expected a number, got {value!r}")
+    raise ValueError(f"{where}: expected meters or '<number> lambda0', got {value!r}")
 
 
 def _parse_flag(value, where: str) -> bool:
     """A JSON boolean; a string such as "false" is refused, not read by truthiness."""
     if isinstance(value, bool):
         return value
-    raise ConfigError(f"{where}: expected true or false, got {value!r}")
-
-
-def _parse_list(value, where: str) -> list:
-    if isinstance(value, (list, tuple)):
-        return value
-    raise ConfigError(f"{where}: expected a list, got {value!r}")
+    raise TypeError(f"{where}: expected true or false, got {value!r}")
 
 
 def _parse_point(value, where: str, lambda0: float) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{where}: expected a 3-component point")
+        raise ValueError(f"{where}: expected a 3-component point")
     return np.array([_parse_length(v, f"{where}[{i}]", lambda0) for i, v in enumerate(value)])
-
-
-def _parse_entries(value, where: str):
-    """Nested lists of JSON numbers, each read by :func:`_parse_number` and named by its index."""
-    if isinstance(value, (list, tuple)):
-        return [_parse_entries(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    return _parse_number(value, where)
 
 
 def _parse_matrix(entry, where: str) -> np.ndarray:
     if not isinstance(entry, dict) or "re" not in entry:
-        raise ConfigError(f"{where}: expected re/im matrix entries")
-    re, im = (_parse_entries(entry.get(part, 0.0), f"{where}.{part}") for part in ("re", "im"))
+        raise ValueError(f"{where}: expected re/im matrix entries")
+    re = _numbers(entry["re"], f"{where}.re")
+    im = _numbers(entry["im"], f"{where}.im") if "im" in entry else 0.0
     try:
-        re, im = np.asarray(re), np.asarray(im)
-        # filled part by part: 1j * inf would warn and turn the real part into NaN
-        out = np.empty(np.broadcast_shapes(re.shape, im.shape), dtype=complex)
-        out.real, out.imag = re, im
-        return out
+        with np.errstate(invalid="ignore"):  # 1j * inf is NaN + inf j, refused as not finite
+            return re + 1j * im
     except ValueError as exc:
-        raise ConfigError(f"{where}: expected re/im matrix entries") from exc
+        raise ValueError(f"{where}: expected re/im matrix entries") from exc
 
 
 def _checked(parse, ok, rule: str):
@@ -113,7 +81,7 @@ def _checked(parse, ok, rule: str):
     def read(value, where: str):
         parsed = parse(value, where)
         if not ok(parsed):
-            raise ConfigError(f"{where}: {rule}")
+            raise ValueError(f"{where}: {rule}")
         return parsed
     return read
 
@@ -125,9 +93,9 @@ _REQUIRED = object()
 class _Fields:
     """One config object, read key by key; an error names the field as ``where.key``.
 
-    A present key must parse, null included.  Only an absent key takes its
-    default, and an absent key without one is refused as
-    ``where: missing field 'key'``.
+    A present key must parse, null included.  Only an absent key takes its default, and an
+    absent key without one is refused as ``where: missing field 'key'``.  A parser's TypeError
+    or ValueError, whose text starts with the field name, becomes a ConfigError with that text.
     """
 
     def __init__(self, obj, where: str):
@@ -137,7 +105,10 @@ class _Fields:
 
     def __call__(self, key: str, parse, default=_REQUIRED):
         if key in self.obj:
-            return parse(self.obj[key], f"{self.where}.{key}" if self.where else key)
+            try:
+                return parse(self.obj[key], f"{self.where}.{key}" if self.where else key)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc)) from exc
         if default is _REQUIRED:
             raise ConfigError(f"{self.where or 'configuration'}: missing field {key!r}")
         return default
@@ -197,20 +168,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("configuration root must be an object")
     root = _Fields(raw, "")
     # checked before lambda0 = 2 pi wave_speed / center scales every length
-    wave_speed = root("wave_speed", _checked(_parse_number, *_POSITIVE), DEFAULT_WAVE_SPEED)
+    wave_speed = root("wave_speed", _checked(_number, *_POSITIVE), DEFAULT_WAVE_SPEED)
     fields = root("band", _Fields)
     with _section("band"):
-        band = FrequencyBand(center=TWO_PI * fields("center_hz", _parse_number),
-                             width=TWO_PI * fields("width_hz", _parse_number, 0.0),
-                             count=fields("count", _parse_count))
+        band = FrequencyBand(center=TWO_PI * fields("center_hz", _number),
+                             width=TWO_PI * fields("width_hz", _number, 0.0),
+                             count=fields("count", _count))
     lambda0 = TWO_PI * wave_speed / band.center
     length = partial(_parse_length, lambda0=lambda0)
     point = partial(_parse_point, lambda0=lambda0)
 
     fields = root("array", _Fields)
     with _section("array"):
-        geom = ArrayGeom(side=fields("side", length), n1=fields("n1", _parse_count),
-                         n2=fields("n2", _parse_count))
+        geom = ArrayGeom(side=fields("side", length), n1=fields("n1", _count),
+                         n2=fields("n2", _count))
     fields = root("window", _Fields)
     with _section("window"):
         window = ImagingWindow(center=fields("center", point),
@@ -225,7 +196,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
 
     scatterers: list[Scatterer] = []
-    for i, entry in enumerate(root("scatterers", _parse_list, [])):
+    for i, entry in enumerate(root("scatterers", _list, [])):
         fields = _Fields(entry, f"scatterers[{i}]")
         cube = fields("cube", _Fields, None)
         with _section(fields.where):
@@ -241,43 +212,43 @@ def parse_config(raw: dict) -> ExperimentConfig:
                       wave_speed=wave_speed)
 
     slices = []
-    for i, entry in enumerate(root("slices", _parse_list, [])):
+    for i, entry in enumerate(root("slices", _list, [])):
         fields = _Fields(entry, f"slices[{i}]")
         slices.append(SliceSpec(
-            normal_axis=fields("normal_axis", _checked(_parse_count, lambda a: a in (0, 1, 2),
+            normal_axis=fields("normal_axis", _checked(_count, lambda a: a in (0, 1, 2),
                                                        "must be 0, 1 or 2")),
             offset=fields("offset", _checked(length, math.isfinite, "must be finite")),
             step=fields("step", _checked(length, *_POSITIVE)),
         ))
 
     pipe = root("pipeline", _Fields, _Fields({}, "pipeline"))
-    seed = root("seed", _parse_count, 0)
+    seed = root("seed", _count, 0)
     stoch = None
     fields = root("stochastic", _Fields, None)
     if fields is not None:
         with _section("stochastic"):
             stoch = StochasticSpec(
                 process=SourceProcessSpec(
-                    correlation_time=fields("correlation_time", _parse_number),
+                    correlation_time=fields("correlation_time", _number),
                     center=band.center,
-                    half_duration=fields("half_duration", _parse_number),
-                    samples=fields("samples", _parse_count),
+                    half_duration=fields("half_duration", _number),
+                    samples=fields("samples", _count),
                     seed=seed,
                 ),
-                band_count=fields("band_count", _parse_count, band.count),
+                band_count=fields("band_count", _count, band.count),
             )
 
     return ExperimentConfig(
         scene=scene, band=band, slices=slices, stochastic=stoch,
         second_born=pipe("second_born", _parse_flag, False),
-        gamma=pipe("gamma", _checked(_parse_count, lambda g: g in (1, 3), "must be 1 or 3"), 3),
-        delta_rel=pipe("delta_rel", _checked(_parse_number, lambda d: 0.0 <= d < math.inf,
+        gamma=pipe("gamma", _checked(_count, lambda g: g in (1, 3), "must be 1 or 3"), 3),
+        delta_rel=pipe("delta_rel", _checked(_number, lambda d: 0.0 <= d < math.inf,
                                              "must be nonnegative and finite"), DEFAULT_DELTA_REL),
         recover_mode=pipe("recover_mode", _checked(
             lambda v, _: v, lambda m: m in ("exact", "fraunhofer"),
             "must be 'exact' or 'fraunhofer'"), "exact"),
         glyph_threshold=pipe("glyph_threshold", _checked(
-            _parse_number, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]"), DEFAULT_THRESHOLD),
+            _number, lambda t: 0.0 <= t <= 1.0, "must lie in [0, 1]"), DEFAULT_THRESHOLD),
         emit_reference=pipe("emit_reference", _parse_flag, True),
     )
 
@@ -287,7 +258,7 @@ def read_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
         raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
 
 

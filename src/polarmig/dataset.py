@@ -13,7 +13,7 @@ complex128 layout; coherency data is Hermitian, and its ``hermitian2x2`` contain
 (n1, n2, nfreq, 4) float64 ``[Psi11, Psi22, Re Psi12, Im Psi12]``, packed in chunks.  Preprocessed
 data ``U_par C u_s^H`` holds its 2x2 core C alone, in memory and in its ``preprocessed2x2``
 container.  A container tagged with the in-memory kind ``coherency2x2`` or
-``preprocessed3x3`` is refused.
+``preprocessed3x3`` is refused before its payload is read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -109,7 +108,7 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
             raise DatasetFormatError(f"truncated header at offset {off}: need {hlen} bytes")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # nested too deep
             raise DatasetFormatError(f"unparseable header at offset {off}: {exc}") from exc
         off += hlen
         if not isinstance(header, dict):
@@ -117,6 +116,8 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
         kind = header.get("kind")
         if kind not in _TAGS:
             raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
+        if kind in _STORED_AS:  # refused before its payload, which may be large or cut short
+            raise DatasetFormatError(f"a {kind} container {_STORED_AS[kind][1]}")
         hermitian = kind == "hermitian2x2"
         dtype = _REAL if hermitian else _DTYPE
         if header.get("dtype") != dtype.name:
@@ -166,56 +167,79 @@ def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
     }
 
 
-def _number(value) -> float:
-    """A JSON number; a bool or string is refused, not coerced."""
-    # floats first: the ABC check would take half a millisecond on a 128-bin coherency table
-    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise TypeError(f"expected a number, got {value!r}")
+def _number(value, where: str) -> float:
+    """A JSON number as a float; a bool, a string or an integer beyond the float range is refused.
+
+    These readers read each value from outside, in a config or a container header, and raise
+    TypeError or ValueError with a message that starts with ``where``, the field name.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{where}: integer beyond the float range") from None
+    raise TypeError(f"{where}: expected a number, got {value!r}")
 
 
-def _count(value) -> int:
-    """A JSON integer; a bool is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return operator.index(value)
+def _count(value, where: str) -> int:
+    """An integral JSON number, 3 or 3.0; a fraction, bool or string is refused, not truncated."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise TypeError(f"{where}: expected an integer, got {value!r}")
 
 
-def _dims(value) -> tuple:
-    """Nonnegative integer dimensions, each read by :func:`_count`."""
-    dims = tuple(_count(n) for n in value)
+def _list(value, where: str):
+    if isinstance(value, (list, tuple)):
+        return value
+    raise TypeError(f"{where}: expected a list, got {value!r}")
+
+
+def _dims(value, where: str) -> tuple:
+    """Nonnegative integer dimensions, each read by :func:`_count` and named by its index."""
+    dims = tuple(_count(n, f"{where}[{i}]") for i, n in enumerate(_list(value, where)))
     if any(n < 0 for n in dims):
-        raise ValueError(f"negative dimension in {value!r}")
+        raise ValueError(f"{where}: negative dimension in {value!r}")
     return dims
 
 
-def _numbers(value) -> np.ndarray:
-    """Nested JSON arrays as a float array, each entry read by :func:`_number`."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected an array, got {value!r}")
-    # a ragged array keeps lists as entries, which _number refuses
-    entries = np.asarray(value, dtype=object)
-    return np.array([_number(v) for v in entries.flat], dtype=float).reshape(entries.shape)
+def _numbers(value, where: str) -> np.ndarray:
+    """Nested JSON arrays as a float array, each entry read by :func:`_number`.
 
-
-def _header_field(node: dict, path: str, convert=_number):
-    """Header value at a dotted ``path`` below ``node``, passed through ``convert``.
-
-    A missing, ill-typed or out-of-range key raises DatasetFormatError naming the path.
+    An error names the first bad entry, as ``where[1][0]``.  Names are built only after a failure
+    and floats skip the ABC check: either would slow a 128-bin coherency table several fold.
     """
     try:
-        for key in path.split("."):
-            node = node[key]
-        return convert(node)
-    # an integer beyond the float range overflows in float()
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise DatasetFormatError(f"header key {path!r} is missing or ill-typed: {exc}") from exc
+        entries = np.asarray(_list(value, where), dtype=object)  # ragged: lists as entries
+        flat = [v if type(v) is float else _number(v, where) for v in entries.flat]
+        return np.array(flat, dtype=float).reshape(entries.shape)
+    except (TypeError, ValueError, RuntimeError):  # RuntimeError: beyond numpy's dimension limit
+        for i, v in enumerate(_list(value, where)):
+            (_numbers if isinstance(v, (list, tuple)) else _number)(v, f"{where}[{i}]")
+    raise ValueError(f"{where}: expected a rectangular array of numbers")
+
+
+def _header_field(node: dict, path: str, read=_number):
+    """Header value at a dotted ``path`` below ``node``, read by one of the readers above.
+
+    A missing or refused value raises DatasetFormatError; a refused one keeps the reader's
+    text: ``header key 'source.coherency_re'[1][0]: expected a number, got True``.
+    """
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise DatasetFormatError(f"header key {path!r} is missing")
+        node = node[key]
+    try:
+        return read(node, repr(path))
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"header key {exc}") from exc
 
 
 def _geometry_from_meta(meta: dict):
     get = partial(_header_field, meta)
     geom = ArrayGeom(side=get("array.side"), n1=get("array.n1", _count), n2=get("array.n2", _count))
-    coh = get("source.coherency_re", _numbers) + 1j * get("source.coherency_im", _numbers)
+    with np.errstate(invalid="ignore"):  # 1j * inf is NaN + inf j, refused as not finite
+        coh = get("source.coherency_re", _numbers) + 1j * get("source.coherency_im", _numbers)
     source = SourceSpec(
         position=get("source.position", _numbers),
         reference_point=get("source.reference_point", _numbers),
@@ -252,7 +276,8 @@ class ArrayDataSet:
         v = np.asarray(self.matrices, dtype=complex)
         if v.shape != expect:
             raise ValueError(f"{self.kind} shape {v.shape} does not match metadata {expect}")
-        if not np.isfinite(v).all():
+        # two reductions per receiver row, in cache for the second; no boolean table. NaN fails both
+        if not all(r.max() < np.inf and r.min() > -np.inf for r in v[..., None].view(float)):
             raise ValueError(f"{self.kind} values must be finite (NaN or inf found)")
         if not 0 < self.wave_speed < np.inf:
             raise ValueError("wave speed must be positive and finite")
@@ -283,8 +308,6 @@ class ArrayDataSet:
         kind, values, meta = _read_container(path)
         if kind in IMAGE_KINDS:
             raise DatasetFormatError("file holds an image field, use ImageField.read")
-        if kind in _STORED_AS:
-            raise DatasetFormatError(f"a {kind} container {_STORED_AS[kind][1]}")
         geom, source, band, wave_speed = _geometry_from_meta(meta)
         if kind in _KIND_OF_TAG:
             if values.shape != (geom.n1, geom.n2, band.count, 2, 2):

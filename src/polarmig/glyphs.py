@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ImageField
+from .dataset import ImageField, _count, _header_field
 
 # fraction of the field's peak norm above which a local maximum gets a glyph
 DEFAULT_THRESHOLD = 0.5
@@ -97,7 +97,7 @@ def _field_peaks(norms: np.ndarray, shape, threshold: float) -> list[int]:
 
 def _in_plane(field: ImageField) -> np.ndarray:
     """The points' coordinates on the slice's two in-plane axes (normal x3 if unset)."""
-    normal = field.meta.get("normal_axis", 2)
+    normal = _header_field({"normal_axis": 2, **field.meta}, "normal_axis", _count)
     if normal not in (0, 1, 2):
         raise ValueError(f"normal_axis must be 0, 1 or 2, got {normal!r}")
     return field.points[:, [axis for axis in range(3) if axis != normal]]

@@ -186,7 +186,8 @@ def _gt_blocks(ds: ArrayDataSet, work) -> None:
         gt = walk(bins, np.empty(shape + (bins.stop - bins.start, 2, 2), dtype=complex))
         gt = gt.reshape(ds.geom.n1, ds.geom.n2, -1, 2, 2)
         cond = _cond_2x2(gt)
-        inv_gt_star = _inv_2x2(np.conj(np.swapaxes(gt, -1, -2)))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a singular Gt, replaced below
+            inv_gt_star = _inv_2x2(np.conj(np.swapaxes(gt, -1, -2)))
         for idx in map(tuple, np.argwhere(~(cond <= GTILDE_COND_LIMIT))):
             inv_gt_star[idx] = _truncated_pinv(np.conj(gt[idx].T))
         work(np.s_[:, :, bins], gt, cond, inv_gt_star, js[bins], js_inv[bins])

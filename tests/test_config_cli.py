@@ -1,6 +1,7 @@
 """Configuration parsing, regime report, pipeline orchestration and CLI tests."""
 
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -534,6 +535,94 @@ def test_pinned_config_sweep_keeps_the_exit_contract(tmp_path, capsys):
         else:
             assert len(lines) == 1, (case, lines)
             assert lines[0].startswith(("invalid input: ", "numerical failure: ")), case
+
+
+def _with_meta(src, dst, path, value) -> None:
+    """Copy the container at ``src`` to ``dst`` with the header meta entry at ``path`` replaced."""
+    kind, values, meta = _read_container(src)
+    node = meta
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    _write_container(dst, kind, values, meta)
+
+
+@pytest.mark.parametrize("config_path, header_path, value", [
+    (("band", "count"), ("band", "count"), True),
+    (("wave_speed",), ("wave_speed",), True),
+    (("band", "center_hz"), ("band", "center"), "2.5"),
+    (("band", "count"), ("band", "count"), 2.5),
+    (("array", "n1"), ("array", "n1"), 2.5),
+    (("wave_speed",), ("wave_speed",), 10**400),
+    (("source", "coherency", "re", 1, 0), ("source", "coherency_re", 1, 0), True),
+    (("source", "coherency", "im", 0, 1), ("source", "coherency_im", 0, 1), 10**400),
+    # nested deeper than numpy's dimension limit
+    (("source", "coherency", "re"), ("source", "coherency_re"), functools.reduce(
+        lambda v, _: [v], range(40), 1.0)),
+], ids=["count-true", "wave_speed-true", "center-string", "count-2.5", "n1-2.5",
+        "wave_speed-10**400", "coherency-re-entry-true", "coherency-im-entry-10**400",
+        "coherency-re-40-deep"])
+def test_config_and_header_refuse_a_value_alike(tmp_path, config_path, header_path, value):
+    # the same reader reads both: the same reason after the field name, and a bad entry
+    # of a nested array is named by its index in both
+    cfg = _with(config_path, value, source=dict(_tiny_config()["source"],
+                                                coherency={"re": [[1, 0], [0, 1]],
+                                                           "im": [[0, 0], [0, 0]]}))
+    with pytest.raises(pm.ConfigError) as config_error:
+        parse_config(cfg)
+    good, bad = tmp_path / "good.pmds", tmp_path / "bad.pmds"
+    pm.coherency_synthesize(bench_scene([], n=3), band(3)).write(good)
+    _with_meta(good, bad, header_path, value)
+    with pytest.raises(pm.DatasetFormatError) as header_error:
+        pm.ArrayDataSet.read(bad)
+    config_name, config_reason = str(config_error.value).split(": ", 1)
+    header_name, header_reason = str(header_error.value).split(": ", 1)
+    assert config_reason == header_reason
+    index = "".join(f"[{i}]" for i in config_path if isinstance(i, int))
+    assert config_name.endswith(index) and header_name.endswith(index)
+
+
+def test_config_and_header_take_an_integral_float_as_a_count(tmp_path):
+    assert parse_config(_with(("band", "count"), 9.0)).band.count == 9
+    good, bad = tmp_path / "good.pmds", tmp_path / "bad.pmds"
+    pm.coherency_synthesize(bench_scene([], n=3), band(3)).write(good)
+    _with_meta(good, bad, ("band", "count"), 3.0)
+    assert pm.ArrayDataSet.read(bad).band.count == 3
+
+
+def test_pinned_header_sweep_keeps_the_exit_contract(tmp_path, capsys):
+    # each leaf of a coherency container's header meta, replaced in turn by each pinned
+    # value of the config sweep, goes through `polarmig preprocess` in process
+    good, bad = tmp_path / "good.pmds", tmp_path / "bad.pmds"
+    pm.coherency_synthesize(bench_scene([], n=3), band(3)).write(good)
+    leaves = list(_leaves(_read_container(good)[2]))
+    assert len(leaves) == 21
+    argv = ["preprocess", str(bad), "--out", str(tmp_path / "out")]
+    for path in leaves:
+        for value in _SWEEP_VALUES:
+            _with_meta(good, bad, path, value)
+            code = cli_main(argv)
+            lines = capsys.readouterr().err.splitlines()
+            assert code in (0, 2, 3), (path, value)
+            if code == 0:
+                assert lines == [], (path, value)
+            else:
+                assert len(lines) == 1, (path, value, lines)
+                assert lines[0].startswith(("invalid input: ", "numerical failure: ")), lines
+
+
+def test_json_nested_too_deep_for_the_decoder_exits_2(tmp_path, capsys):
+    # the decoder's RecursionError, in a config or in a container header, is bad input
+    deep = b"[" * 100_000 + b"]" * 100_000
+    cfg, container = tmp_path / "deep.json", tmp_path / "deep.pmds"
+    cfg.write_bytes(deep)
+    container.write_bytes(dataset.MAGIC + len(deep).to_bytes(8, "little") + deep)
+    for argv, reason in ((["report", "--config", str(cfg)], "cannot read configuration"),
+                         (["preprocess", str(container), "--out", str(tmp_path / "out")],
+                          "unparseable header at offset 18")):
+        assert cli_main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"invalid input: {reason}"), lines
 
 
 @pytest.mark.parametrize("recover_mode", ["exact", "fraunhofer"])

@@ -198,6 +198,23 @@ def test_old_coherency_container_is_refused(tmp_path, capsys):
     assert not (tmp_path / "out" / "preprocessed.pmds").exists()
 
 
+@pytest.mark.parametrize("tag, hint", [("coherency2x2", "rerun simulate"),
+                                        ("preprocessed3x3", "rerun preprocess")])
+def test_truncated_retired_container_gets_the_rerun_hint(tmp_path, capsys, tag, hint):
+    # a retired tag is refused before the payload is read, so a payload cut short
+    # gets the hint, not a size mismatch, and from either reader
+    ds = pm.coherency_synthesize(three_dipole_scene(n=5), band(3))
+    ds.write(tmp_path / "new.pmds")
+    values = ds.values if tag == "coherency2x2" else np.zeros((5, 5, 3, 3, 3), complex)
+    path = tmp_path / "old.pmds"
+    _write_container(path, tag, values, _read_container(tmp_path / "new.pmds")[2])
+    path.write_bytes(path.read_bytes()[:-100])
+    for read in (pm.ArrayDataSet.read, pm.ImageField.read):
+        with pytest.raises(pm.DatasetFormatError, match=f"a {tag} container .*; {hint}$"):
+            read(path)
+    _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")], hint)
+
+
 def test_coherency_container_peak_memory_is_the_data_its_read_back_and_one_chunk(tmp_path):
     n, nbins = 31, 128
     scene = three_dipole_scene(n=n)

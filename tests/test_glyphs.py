@@ -117,6 +117,18 @@ def test_range_slice_glyphs_keep_the_range_axis(tmp_path):
         glyphs_for_field(field, 0.5)
 
 
+@pytest.mark.parametrize("axis", [True, 1.5, "2"])
+def test_normal_axis_is_read_as_a_count(axis):
+    # read as every header number is: a bool is not axis 1, and 2.0 is axis 2
+    field, peak_pt = _field_with_peaks()
+    field.meta["normal_axis"] = axis
+    with pytest.raises(pm.DatasetFormatError,
+                       match=f"header key 'normal_axis': expected an integer, got {axis!r}"):
+        glyphs_for_field(field, 0.5)
+    field.meta["normal_axis"] = 2.0
+    assert np.allclose(glyphs_for_field(field, 0.5)[0].center, peak_pt[:2])
+
+
 def test_emit_glyphs_empty_field_rejected(tmp_path):
     pts = np.zeros((4, 3))
     pts[:, 0] = np.arange(4)
