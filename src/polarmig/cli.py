@@ -93,17 +93,18 @@ def _check_acquisition(ds: ArrayDataSet, cfg: ExperimentConfig) -> None:
                               f"{got.tolist()} against {want.tolist()}")
 
 
-def _read_3x3(path, stage: str, cfg: ExperimentConfig) -> ArrayDataSet:
+def _read_migratable(path, stage: str, cfg: ExperimentConfig) -> ArrayDataSet:
     ds = ArrayDataSet.read(path)
-    if ds.kind == "coherency2x2":
-        raise ConfigError(f"{stage} consumes 3x3 data; run preprocess first")
+    if ds.kind == "hermitian2x2":
+        raise ConfigError(f"{stage} takes response or preprocessed data, not coherency data; "
+                          "run preprocess first")
     _check_acquisition(ds, cfg)
     return ds
 
 
 def cmd_image(args) -> None:
     cfg = _config_from_args(args)
-    ds = _read_3x3(args.dataset, "imaging", cfg)
+    ds = _read_migratable(args.dataset, "imaging", cfg)
     os.makedirs(args.out, exist_ok=True)
     for si in range(len(cfg.slices)):
         write_slice(ds, cfg, si, args.out, recover=False)
@@ -111,7 +112,7 @@ def cmd_image(args) -> None:
 
 def cmd_recover(args) -> None:
     cfg = _config_from_args(args)
-    ds = _read_3x3(args.dataset, "recovery", cfg)
+    ds = _read_migratable(args.dataset, "recovery", cfg)
     os.makedirs(args.out, exist_ok=True)
     for si in range(len(cfg.slices)):
         write_slice(ds, cfg, si, args.out)

@@ -7,13 +7,14 @@ Layout (language neutral, streamable, bit exact):
 * UTF-8 JSON header with keys ``kind``, ``dtype``, ``shape`` and ``meta``,
 * raw little-endian payload in C order.
 
-Array datasets are indexed ``(receiver_row, receiver_col, frequency, i, j)``.  Every
-kind but coherency data holds complex ``d x d`` matrices as float64 (re, im) pairs, the
-complex128 layout; coherency data is Hermitian, and its ``hermitian2x2`` container holds
-(n1, n2, nfreq, 4) float64 ``[Psi11, Psi22, Re Psi12, Im Psi12]``, packed in chunks.  Preprocessed
-data ``U_par C u_s^H`` holds its 2x2 core C alone, in memory and in its ``preprocessed2x2``
-container.  A container tagged with the in-memory kind ``coherency2x2`` or
-``preprocessed3x3`` is refused before its payload is read.
+Array datasets are indexed ``(receiver_row, receiver_col, frequency, i, j)``.  Each kind is
+named by its container tag, in memory and on disk: ``hermitian2x2`` coherency data,
+``response3x3`` responses and ``preprocessed2x2`` preprocessed data, which holds the 2x2 core
+C of ``U_par C u_s^H``.  Every kind but ``hermitian2x2`` holds complex ``d x d`` matrices as
+float64 (re, im) pairs, the complex128 layout; coherency data is Hermitian, and its container
+holds (n1, n2, nfreq, 4) float64 ``[Psi11, Psi22, Re Psi12, Im Psi12]``, packed in chunks.  A
+container with a retired tag, ``coherency2x2`` or ``preprocessed3x3``, is refused before its
+payload is read.
 """
 
 from __future__ import annotations
@@ -39,15 +40,12 @@ _DTYPE, _REAL = np.dtype("<c16"), np.dtype("<f8")
 _CHUNK = 16_384  # matrices per chunk of a packed payload: 512 KB packed
 
 #: array-data kind -> size d of its stored d x d matrices (the 2x2 core of preprocessed data)
-ARRAY_KINDS = {"coherency2x2": 2, "response3x3": 3, "preprocessed3x3": 2}
+ARRAY_KINDS = {"hermitian2x2": 2, "response3x3": 3, "preprocessed2x2": 2}
 #: image-field kinds
 IMAGE_KINDS = ("image2x2", "image3x3")
-#: array-data kind -> its container tag, and why a container tagged with the kind is refused
-_STORED_AS = {"coherency2x2": ("hermitian2x2", "holds all four complex entries; rerun simulate"),
-              "preprocessed3x3": ("preprocessed2x2", "holds no 2x2 core; rerun preprocess")}
-_KIND_OF_TAG = {tag: kind for kind, (tag, _) in _STORED_AS.items()}
-#: every container kind tag
-_TAGS = (*ARRAY_KINDS, *IMAGE_KINDS, *_KIND_OF_TAG)
+#: retired container tag -> why a container with it is refused
+_RETIRED = {"coherency2x2": "holds all four complex entries; rerun simulate",
+            "preprocessed3x3": "holds no 2x2 core; rerun preprocess"}
 
 #: [Psi11, Psi22, Re Psi12, Im Psi12], which fix a Hermitian 2x2 matrix, in its row of reals
 #: [Re11, Im11, Re12, Im12, Re21, Im21, Re22, Im22]
@@ -59,8 +57,6 @@ _UNPACK[[2, 3], [4, 5]] = 1.0, -1.0  # Psi21 = conj(Psi12)
 
 
 def _write_container(path, kind: str, values: np.ndarray, meta: dict) -> None:
-    if kind not in _TAGS:
-        raise ValueError(f"unknown kind tag {kind!r}")
     hermitian = kind == "hermitian2x2"
     values = np.ascontiguousarray(values, dtype=_DTYPE)
     header = {
@@ -114,10 +110,10 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
         if not isinstance(header, dict):
             raise DatasetFormatError("header is not a JSON object")
         kind = header.get("kind")
-        if kind not in _TAGS:
+        if kind not in [*ARRAY_KINDS, *IMAGE_KINDS, *_RETIRED]:  # a list: kind may be unhashable
             raise DatasetFormatError(f"header key 'kind' holds unknown kind tag {kind!r}")
-        if kind in _STORED_AS:  # refused before its payload, which may be large or cut short
-            raise DatasetFormatError(f"a {kind} container {_STORED_AS[kind][1]}")
+        if kind in _RETIRED:  # refused before its payload, which may be large or cut short
+            raise DatasetFormatError(f"a {kind} container {_RETIRED[kind]}")
         hermitian = kind == "hermitian2x2"
         dtype = _REAL if hermitian else _DTYPE
         if header.get("dtype") != dtype.name:
@@ -255,6 +251,7 @@ def _geometry_from_meta(meta: dict):
 class ArrayDataSet:
     """Per-receiver, per-frequency matrix field with its acquisition geometry.
 
+    ``kind`` is a key of :data:`ARRAY_KINDS`, the container tag it is written under.
     ``matrices`` has shape (n1, n2, nfreq, d, d) with d from :data:`ARRAY_KINDS`;
     it is the one stored array, and what is written and migrated.  Preprocessed
     data stores the 2x2 core C of ``U_par C u_s^H``, so ``dataclasses.replace``
@@ -286,7 +283,7 @@ class ArrayDataSet:
     @property
     def values(self) -> np.ndarray:
         """The (n1, n2, nfreq, d, d) field: ``matrices``, or the 3x3 lift of a preprocessed core."""
-        if self.kind != "preprocessed3x3":
+        if self.kind != "preprocessed2x2":
             return self.matrices
         return embed(self.matrices, self.source.basis())
 
@@ -300,7 +297,7 @@ class ArrayDataSet:
 
     def write(self, path) -> None:
         """Write the container; coherency data that is not exactly Hermitian is refused."""
-        _write_container(path, _STORED_AS.get(self.kind, (self.kind,))[0], self.matrices,
+        _write_container(path, self.kind, self.matrices,
                          _geometry_meta(self.geom, self.source, self.band, self.wave_speed))
 
     @staticmethod
@@ -308,12 +305,10 @@ class ArrayDataSet:
         kind, values, meta = _read_container(path)
         if kind in IMAGE_KINDS:
             raise DatasetFormatError("file holds an image field, use ImageField.read")
-        geom, source, band, wave_speed = _geometry_from_meta(meta)
-        if kind in _KIND_OF_TAG:
-            if values.shape != (geom.n1, geom.n2, band.count, 2, 2):
-                raise DatasetFormatError(f"{kind} shape {values.shape} does not match the metadata")
-            kind = _KIND_OF_TAG[kind]
-        return ArrayDataSet(kind, values, geom, source, band, wave_speed)
+        try:  # a payload that disagrees with its header, or a header value out of range
+            return ArrayDataSet(kind, values, *_geometry_from_meta(meta))
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from exc
 
 
 @dataclass

@@ -166,4 +166,4 @@ def coherency_synthesize(
                        scene.source.basis(), include_second_born,
                        scene.source.coherency_table(band.count))
     values = values.reshape(scene.geom.n1, scene.geom.n2, band.count, 2, 2)
-    return ArrayDataSet("coherency2x2", values, scene.geom, scene.source, band, scene.wave_speed)
+    return ArrayDataSet("hermitian2x2", values, scene.geom, scene.source, band, scene.wave_speed)

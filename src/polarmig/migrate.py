@@ -40,8 +40,8 @@ from ._parallel import one_blas_thread, run_tasks
 from .dataset import ArrayDataSet
 from .emcore import (CROSS_RANGE_BASIS, _distances, _kernel_table, _kernel_walk, _walk_setup,
                      as_vec3, dyadic_green, projector)
-from .errors import DegenerateGeometryError, NumericalError
-from .preprocess import _cond_2x2, _inv_2x2
+from .errors import DegenerateGeometryError
+from .preprocess import _guard_cond, _inv_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
 
 # Direct points per migrate task are sized so their pairs with the receivers
@@ -70,9 +70,6 @@ _SOURCE_PAIR = "an imaging point and the source"
 # Row points must sit on their lattice to this many ulps of the largest
 # coordinate, so lattice offsets equal the direct ones to rounding.
 _LATTICE_ULPS = 64
-
-# 2x2 point-spread factors above this condition number refuse to invert.
-RECOVER_COND_LIMIT = 1e8
 
 # Default phase-correction floor, relative to the field maximum of |a11|.
 DEFAULT_DELTA_REL = 1e-6
@@ -459,7 +456,7 @@ def _trapezoid_weights(omegas: np.ndarray) -> np.ndarray:
 def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
     """Multi-frequency Kirchhoff image: trapezoid integral over the band.
 
-    Takes 3x3 response or preprocessed data; coherency data raises ValueError.
+    Takes ``response3x3`` or ``preprocessed2x2`` data; ``hermitian2x2`` data raises ValueError.
     """
     return _migrate_band(ds, points, "image")
 
@@ -467,9 +464,10 @@ def kirchhoff_band(ds: ArrayDataSet, points) -> np.ndarray:
 def _migrate_band(ds: ArrayDataSet, points, mode: str):
     """:func:`_migrate` over the band of ``ds`` with trapezoid weights, one point squeezed.
 
-    Preprocessed data ``U_par C u_s^H`` is migrated as the 2x2 core C it stores.
+    Takes ``response3x3`` or ``preprocessed2x2`` data and refuses ``hermitian2x2`` coherency
+    data; preprocessed data ``U_par C u_s^H`` is migrated as the 2x2 core C it stores.
     """
-    if ds.kind == "coherency2x2":
+    if ds.kind == "hermitian2x2":
         raise ValueError(f"{ds.kind} data cannot be migrated; run preprocess first")
     pts, squeeze = _as_points(points)
     out = _migrate(ds.geom, ds.source.position, ds.matrices, ds.wavenumbers,
@@ -535,15 +533,6 @@ def cross_range_null_offset(k: float, geom: ArrayGeom, ref_range: float) -> floa
 # ---------------------------------------------------------------------------
 # Tensor recovery
 # ---------------------------------------------------------------------------
-
-
-def _guard_cond(m2: np.ndarray, label: str) -> None:
-    cond = _cond_2x2(m2)
-    worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > RECOVER_COND_LIMIT:
-        raise NumericalError(
-            f"{label} is numerically singular (condition number {worst:.3e})"
-        )
 
 
 def recover_alpha_single(

@@ -36,7 +36,9 @@ from .errors import NumericalError
 # below this; degenerate ones must not crash the pipeline.
 GTILDE_COND_LIMIT = 1e8
 GTILDE_SV_CUTOFF = 1e-8
+# Source coherencies and 2x2 point-spread factors above these condition numbers refuse to invert.
 JS_COND_LIMIT = 1e12
+RECOVER_COND_LIMIT = 1e8
 
 
 @dataclass
@@ -119,6 +121,16 @@ def _cond_2x2(a: np.ndarray) -> np.ndarray:
         return np.where(q > 0, (1.0 + root) / (2.0 * q), np.inf)
 
 
+def _guard_cond(m2: np.ndarray, label: str, limit: float = RECOVER_COND_LIMIT) -> None:
+    """NumericalError if a matrix of ``m2`` is singular or conditioned worse than ``limit``."""
+    cond = _cond_2x2(m2)
+    worst = float(np.max(cond))
+    if not np.isfinite(worst) or worst > limit:
+        raise NumericalError(
+            f"{label} is numerically singular (condition number {worst:.3e})"
+        )
+
+
 def _mul_2x2(a: np.ndarray, b: np.ndarray, entries=((0, 0), (0, 1), (1, 0), (1, 1))) -> np.ndarray:
     """Batched 2x2 product ``a @ b`` as ``a_i0 b_0j + a_i1 b_1j``; batch axes broadcast.
 
@@ -163,22 +175,14 @@ def _truncated_pinv(a: np.ndarray) -> np.ndarray:
     return (vh.conj().T * inv_s) @ u.conj().T
 
 
-def _js_inverses(js: np.ndarray) -> np.ndarray:
-    cond = _cond_2x2(js)
-    if np.any(~np.isfinite(cond)) or np.any(cond > JS_COND_LIMIT):
-        raise NumericalError(
-            "source coherency matrix is singular or too ill conditioned to invert"
-        )
-    return _inv_2x2(js)
-
-
 def _gt_blocks(ds: ArrayDataSet, work) -> None:
     """``work(b, gt, cond, inv_gt_star, js, js_inv)`` per bin block ``b`` of one Gt walk.
 
     ``inv_gt_star`` is Gt^-*, a truncated pseudo-inverse where cond(Gt) exceeds the limit.
     """
     js = ds.source.coherency_table(ds.band.count)
-    js_inv = _js_inverses(js)
+    _guard_cond(js, "source coherency matrix", JS_COND_LIMIT)
+    js_inv = _inv_2x2(js)
     shape, walk = _gtilde_walk(ds.geom.flat_positions(), ds.source.position,
                                ds.source.reference_point, ds.wavenumbers)
 
@@ -196,14 +200,15 @@ def _gt_blocks(ds: ArrayDataSet, work) -> None:
 
 
 def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
-    """Map a coherency dataset to preprocessed data ``U_par C u_s^H``, stored as its 2x2 core C.
+    """Map ``hermitian2x2`` coherency data to ``preprocessed2x2`` data ``U_par C u_s^H``,
+    stored as its 2x2 core C.
 
     Raises for a non-invertible source coherency; receivers where Gt is too
     ill conditioned are inverted through a truncated SVD and recorded in the
     report rather than failing the run.
     """
-    if ds.kind != "coherency2x2":
-        raise ValueError(f"preprocess expects coherency2x2 data, got {ds.kind!r}")
+    if ds.kind != "hermitian2x2":
+        raise ValueError(f"preprocess expects hermitian2x2 data, got {ds.kind!r}")
     cond = np.empty(ds.matrices.shape[:-2])
     core = np.empty(ds.matrices.shape, dtype=complex)
 
@@ -217,7 +222,7 @@ def preprocess(ds: ArrayDataSet) -> tuple[ArrayDataSet, PreprocessReport]:
     report = PreprocessReport(
         cond=cond, regularized=[tuple(int(i) for i in idx) for idx in flagged]
     )
-    return replace(ds, kind="preprocessed3x3", matrices=core), report
+    return replace(ds, kind="preprocessed2x2", matrices=core), report
 
 
 def expected_error(pi: np.ndarray, ds: ArrayDataSet) -> np.ndarray:

@@ -229,11 +229,12 @@ class Scene:
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
         if not 0 < self.wave_speed < np.inf:
             raise ValueError("wave speed must be positive and finite")
-        for s in self.scatterers:
-            if not bool(self.window.contains(s.position)):
-                raise ConfigError(
-                    f"scatterer at {s.position} lies outside the imaging window"
-                )
+        positions = self.scatterer_positions()
+        outside = np.flatnonzero(~self.window.contains(positions))
+        if outside.size:
+            raise ConfigError(
+                f"scatterer at {positions[outside[0]]} lies outside the imaging window"
+            )
 
     def wavenumber(self, omega: float) -> float:
         return omega / self.wave_speed

@@ -206,7 +206,7 @@ def stochastic_coherency_dataset(
     values = values.reshape(scene.geom.n1, scene.geom.n2, picked.size, 2, 2)
     js_table = spec.spectrum(omegas[picked])[:, None, None] * np.eye(2)
     source = replace(scene.source, coherency=js_table)
-    return ArrayDataSet("coherency2x2", values, scene.geom, source, band, scene.wave_speed)
+    return ArrayDataSet("hermitian2x2", values, scene.geom, source, band, scene.wave_speed)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -95,6 +96,14 @@ def test_scatterer_outside_window_rejected():
     cfg = _tiny_config()
     cfg["scatterers"][0]["position"] = ["40 lambda0", 0, "100 lambda0"]
     with pytest.raises(pm.ConfigError, match="outside"):
+        parse_config(cfg)
+    # of many scatterers, a later one lies outside: the message names it, not the first
+    alpha = cfg["scatterers"][0]["alpha"]
+    cfg["scatterers"] = [{"position": [f"{(i - 20) / 2} lambda0", 0, "100 lambda0"],
+                          "alpha": alpha} for i in range(40)]
+    cfg["scatterers"][29]["position"][1] = "40 lambda0"
+    at = np.array([4.5, 40.0, 100.0]) * LAMBDA0
+    with pytest.raises(pm.ConfigError, match=re.escape(f"scatterer at {at} lies outside")):
         parse_config(cfg)
 
 
@@ -310,7 +319,7 @@ def test_cli_stochastic_subcommand(tmp_path):
     out = tmp_path / "stoc"
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     ds = pm.ArrayDataSet.read(out / "coherency.pmds")
-    assert ds.kind == "coherency2x2"
+    assert ds.kind == "hermitian2x2"
     assert ds.band.count == 8
     with pytest.raises(SystemExit) as exc:
         cli_main(["stochastic", "--config", str(cfg_path), "--out", str(out)])

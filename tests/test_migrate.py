@@ -783,7 +783,7 @@ def _sweep_case(seed):
     values, core = (rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
                     for d in (3, 2))
     resp = pm.ArrayDataSet("response3x3", values, geom, source, fb, 3e8)
-    pre = pm.ArrayDataSet("preprocessed3x3", core, geom, source, fb, 3e8)
+    pre = pm.ArrayDataSet("preprocessed2x2", core, geom, source, fb, 3e8)
     return geom, np.concatenate([rows.reshape(-1, 3), off]), (resp, pre)
 
 
@@ -965,20 +965,20 @@ def test_migrate_refuses_coherency_and_malformed_preprocessed_data(lattice_scene
     third_row[0, 0, 0, 2, 1] = 1e-30
     off_plane[0, 0, 0, 1] += 1e-9 * np.abs(off_plane).max() * np.cross(u_s[:, 0], u_s[:, 1])
     for call, ref in zip(calls, before):
-        with pytest.raises(ValueError, match="coherency2x2.*run preprocess first"):
+        with pytest.raises(ValueError, match="hermitian2x2.*run preprocess first"):
             call(coherency)
         assert np.array_equal(call(pre), ref)
     # a hand-built core of the wrong shape, such as the 3x3 values, or with a
     # non-finite entry is refused when the dataset is built
     args = (scene.geom, scene.source, pre.band, pre.wave_speed)
-    with pytest.raises(ValueError, match=r"preprocessed3x3 shape \(13, 13, 3, 3, 3\) "
+    with pytest.raises(ValueError, match=r"preprocessed2x2 shape \(13, 13, 3, 3, 3\) "
                                          r"does not match metadata \(13, 13, 3, 2, 2\)"):
-        pm.ArrayDataSet("preprocessed3x3", third_row, *args)
+        pm.ArrayDataSet("preprocessed2x2", third_row, *args)
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         core = pre.matrices.copy()
         core[0, 0, 0, 1, 0] = bad
-        with pytest.raises(ValueError, match="preprocessed3x3 values must be finite"):
-            pm.ArrayDataSet("preprocessed3x3", core, *args)
+        with pytest.raises(ValueError, match="preprocessed2x2 values must be finite"):
+            pm.ArrayDataSet("preprocessed2x2", core, *args)
 
 
 def test_lattice_single_frequency_matches_direct(lattice_scene, monkeypatch):

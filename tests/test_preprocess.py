@@ -300,7 +300,7 @@ def test_preprocess_peak_memory_is_its_arrays_and_two_bin_blocks(monkeypatch):
     tracemalloc.start()
     try:
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ds = pm.ArrayDataSet("coherency2x2", psi, scene.geom, scene.source, band(nbins),
+        ds = pm.ArrayDataSet("hermitian2x2", psi, scene.geom, scene.source, band(nbins),
                              scene.wave_speed)
         tracemalloc.reset_peak()
         pre, report = pm.preprocess(ds)
@@ -331,7 +331,7 @@ def test_preprocess_singular_source_coherency_raises():
 def test_preprocess_wrong_kind_rejected():
     scene = three_dipole_scene(n=3)
     resp = pm.response_synthesize(scene, single_freq_band())
-    with pytest.raises(ValueError, match="coherency2x2"):
+    with pytest.raises(ValueError, match="hermitian2x2"):
         pm.preprocess(resp)
 
 

@@ -272,10 +272,10 @@ def test_stochastic_dataset_feeds_preprocess():
     scene = _stats_scene(n=3)
     spec = _spec(seed=2)
     ds = pm.stochastic_coherency_dataset(scene, spec, band_count=8)
-    assert ds.kind == "coherency2x2"
+    assert ds.kind == "hermitian2x2"
     assert ds.source.coherency.shape == (8, 2, 2)
     pre, report = pm.preprocess(ds)
-    assert pre.kind == "preprocessed3x3"
+    assert pre.kind == "preprocessed2x2"
     assert np.all(np.isfinite(pre.values))
     # estimates are Hermitian rank-one by construction
     herm = np.abs(ds.values - np.conj(np.swapaxes(ds.values, -1, -2))).max()
