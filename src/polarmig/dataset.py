@@ -364,4 +364,7 @@ class ImageField:
         points = _header_field(meta, "points", _numbers)
         shape = _header_field(meta, "grid_shape", _dims)
         del meta["points"], meta["grid_shape"]
-        return ImageField(points=points, values=values, shape=shape, meta=meta)
+        try:  # non-finite values, or a grid shape or points that disagree with the payload
+            return ImageField(points=points, values=values, shape=shape, meta=meta)
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from exc

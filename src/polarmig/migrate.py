@@ -17,15 +17,17 @@ correlations along that axis, since the Green function depends only on
 slice, share each kernel site; all other points use the direct pair sum over
 receiver blocks, which synthesis runs too, with the scatterers summed.  Both
 contract scalar kernels of ``G = A I + B rhat rhat^T`` with the data components
-in one matmul per frequency, taking only the rows and columns of ``conj(G)``
-that the output and the data keep: preprocessed data ``U_par C u_s^H`` is
-migrated as its 2x2 core C, so recovery from it takes 4 kernels x 4 components
-and an image 6 x 4, against 6 x 9 and 7 x 9 for 3x3 data.  Everything about the
-kernels comes from :mod:`polarmig.emcore`: the kernel table, the band walk that
-writes the kernels in place into each engine's stack, and the one coincidence
-rule for imaging points against receivers and the source; the source leg is the
-direct engine summed over the source.  Each engine returns its sums for the whole
-band, and the band is contracted with the source leg, unwound and weighted at once.
+in one matmul per frequency and fold its kernel products into the sums; the direct
+engine, given at most ``n_in n_col`` summed points (the scatterers or the source),
+folds the data instead.  Both take only the rows and columns of ``conj(G)`` that the
+output and the data keep: preprocessed data ``U_par C u_s^H`` is migrated as its 2x2
+core C, so recovery from it takes 4 kernels x 4 components and an image 6 x 4, against
+6 x 9 and 7 x 9 for 3x3 data.  Everything about the kernels comes from
+:mod:`polarmig.emcore`: the kernel table, the band walk that writes the kernels in place
+into each engine's stack, and the one coincidence rule for imaging points against
+receivers and the source; the source leg is the direct engine summed over the source.
+Each engine returns its sums for the whole band, and the band is contracted with the
+source leg, unwound and weighted at once.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .dataset import ArrayDataSet
 from .emcore import (CROSS_RANGE_BASIS, _distances, _kernel_table, _kernel_walk, _walk_setup,
                      as_vec3, dyadic_green, projector)
 from .errors import DegenerateGeometryError
-from .preprocess import _guard_cond, _inv_2x2
+from .preprocess import _guard_cond, _inv_2x2, _mul_2x2
 from .scene import ArrayGeom, ImagingWindow, SourceSpec
 
 # Direct points per migrate task are sized so their pairs with the receivers
@@ -144,21 +146,41 @@ def _direct_sums(xs, data, ks, pts, n_out: int, moments: bool, scale: float, wal
     coincidence scale of :func:`~polarmig.emcore._distances`.  Each block of
     ``_RECEIVER_BLOCK`` summed points, or more for few points, computes its pair geometry,
     walk set-up and spread moments if asked (else None is returned for them) once, and
-    folds one ``(kernels x points x block) @ (block x n_in n_col)`` matmul per frequency
-    into the sums; blocks are summed in order, so memory is bounded by the block and the
-    sums and rounding does not depend on threads.  Given ``walks``, the blocks of
-    :func:`_direct_walks` over a whole band, the sums, like ``data``, are of its ``bins``.
+    one matmul per frequency.  A block of more summed points than the ``n_in n_col`` data
+    components of one folds the products of ``(kernels x points x block) @ (block x n_in
+    n_col)`` into the sums; a block of at most that many, as the scatterers or the source,
+    spreads its data over the kernels and adds ``(points x kernels x block) @ (kernels x
+    block x n_out n_col)``, whose point-major kernels are no larger than the products.
+    Blocks are summed in order, so memory is bounded by the block and the sums and rounding
+    does not depend on threads.  Given ``walks``, the blocks of :func:`_direct_walks` over
+    a whole band, the sums, like ``data``, are of its ``bins``.
     """
     n_in, n_col = data.shape[-2:]
     index = _kernel_table(n_out, n_in)[1]
-    sums = np.zeros((data.shape[1], pts.shape[0], n_out, n_col), dtype=complex)
-    spread = np.zeros((3, pts.shape[0], 2, 2)) if moments else None
+    # (kernel, output row, data row) of each nonzero of the spread data: conj A, then index
+    diag, (o, l) = np.arange(min(n_out, n_in)), np.divmod(np.arange(n_out * n_in), n_in)
+    ms, os, ls = np.concatenate([[0 * diag, diag, diag], [index.ravel(), o, l]], axis=1)
+    n_pts = pts.shape[0]
+    sums = np.zeros((data.shape[1], n_pts, n_out, n_col), dtype=complex)
+    spread = np.zeros((3, n_pts, 2, 2)) if moments else None
     for block, walk, moment in walks or _direct_walks(xs, ks, pts, n_out, n_in, moments, scale):
         spread = spread + moment if moments else None
-        kern = np.empty((1 + len(walk.orient),) + walk.r.shape, dtype=complex)
-        for fi in _kernel_walk(walk, kern, bins, np.empty_like(walk.base) if walks else walk.base):
-            prods = kern.reshape(-1, kern.shape[2]) @ data[block, fi].reshape(-1, n_in * n_col)
-            _fold(prods.reshape(-1, pts.shape[0], n_in, n_col).swapaxes(0, 1), index, sums[fi])
+        n_kern, nb = 1 + len(walk.orient), walk.r.shape[1]
+        kern = np.empty((n_kern,) + walk.r.shape, dtype=complex)
+        state = np.empty_like(walk.base) if walks else walk.base
+        if nb <= n_in * n_col:  # few summed points: fold the data, not the products
+            left = np.empty((n_pts, n_kern, nb), dtype=complex)  # no larger than the products
+            lifted = np.zeros((n_kern, nb, n_out, n_col), dtype=complex)
+            for fi in _kernel_walk(walk, kern, bins, state):
+                np.copyto(left.swapaxes(0, 1), kern)
+                lifted[ms, :, os] = data[block, fi][:, ls].swapaxes(0, 1)
+                sums[fi] += np.reshape(left.reshape(n_pts, -1) @ lifted.reshape(n_kern * nb, -1),
+                                       sums.shape[1:])
+            del left, lifted
+        else:
+            for fi in _kernel_walk(walk, kern, bins, state):
+                prods = kern.reshape(-1, nb) @ data[block, fi].reshape(-1, n_in * n_col)
+                _fold(prods.reshape(-1, n_pts, n_in, n_col).swapaxes(0, 1), index, sums[fi])
         del walk, kern  # freed before the next block's set-up
     return sums, spread
 
@@ -407,9 +429,11 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
         leg = np.broadcast_to(np.eye(3) if n_out == 3 else u_s, (1, ks.size, 3, n_out))
         src, _ = _direct_sums(x_s[None], leg, ks, pts[idx], 3, False, scale)
         if data.shape[-2] == 2:  # rows in the basis of the core's columns
-            src = np.conj(u_s).T @ src
-        # einsum loops over the tiny matrices below; matmul would make a BLAS call per matrix
-        ikm = cell * np.einsum("fpij,fpjk->fpik", per_freq, src)
+            src = np.moveaxis(np.tensordot(np.conj(u_s).T, src, (1, 2)), 0, 2)
+        # matmul would make a BLAS call per tiny matrix: 2x2 products go entry by entry on
+        # whole planes, and the image's 3x3 one through einsum's loop
+        mul = _mul_2x2 if n_out == 2 else partial(np.einsum, "fpij,fpjk->fpik")
+        ikm = cell * mul(per_freq, src)
         if exact:
             # one source pair per point; u_s^T conj(G) G u_s needs only v = u_s^T rhat_s
             powers = ks[:, None] ** np.array([0.0, -2.0, -4.0])
@@ -419,7 +443,7 @@ def _migrate(geom: ArrayGeom, x_s, data, ks, weights, pts, u_s=None, mode: str =
             b2 = np.tensordot(powers, src_moments, 1)
             _guard_cond(a2, "receiver point-spread factor")
             _guard_cond(b2, "source point-spread factor")
-            ikm = np.einsum("fpij,fpjk,fpkl->fpil", _inv_2x2(a2), ikm, _inv_2x2(b2))
+            ikm = _mul_2x2(_mul_2x2(_inv_2x2(a2), ikm), _inv_2x2(b2))
         out[idx] = np.einsum("f,f...->...", weights, ikm)
 
     run_tasks(accumulate, tasks)

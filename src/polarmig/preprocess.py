@@ -132,19 +132,22 @@ def _guard_cond(m2: np.ndarray, label: str, limit: float = RECOVER_COND_LIMIT) -
 
 
 def _mul_2x2(a: np.ndarray, b: np.ndarray, entries=((0, 0), (0, 1), (1, 0), (1, 1))) -> np.ndarray:
-    """Batched 2x2 product ``a @ b`` as ``a_i0 b_0j + a_i1 b_1j``; batch axes broadcast.
+    """Batched ``a @ b`` of (..., 2, m) by (..., m, 2) as ``a_i0 b_0j + ...``; batch axes broadcast.
 
     Entries are formed on contiguous planes, and the result is a (..., 2, 2)
     view of them, so chained products read them contiguously.  Only the (i, j)
     in ``entries`` are formed; the others are left unset.
     """
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
+    if a.shape[-2] != 2 or b.shape[-1] != 2 or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"cannot form a 2x2 product of {a.shape[-2:]} and {b.shape[-2:]}")
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     a, b = np.moveaxis(a, (-2, -1), (0, 1)), np.moveaxis(b, (-2, -1), (0, 1))
     out = np.empty((2, 2) + shape, dtype=np.result_type(a, b))
     tmp = np.empty(shape, dtype=out.dtype)
     for i, j in entries:
         np.multiply(a[i, 0], b[0, j], out=out[i, j])
-        out[i, j] += np.multiply(a[i, 1], b[1, j], out=tmp)
+        for m in range(1, b.shape[0]):
+            out[i, j] += np.multiply(a[i, m], b[m, j], out=tmp)
     return np.moveaxis(out, (0, 1), (-2, -1))
 
 

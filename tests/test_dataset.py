@@ -390,6 +390,26 @@ def test_image_read_refuses_a_payload_its_kind_tag_misstates(tmp_path, rng, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case, message", [
+    ("nan", "image field values must be finite"),
+    ("grid_shape", "grid shape must be nonnegative and match the point count"),
+])
+def test_image_read_reports_a_field_the_constructor_refuses_as_a_format_error(
+        tmp_path, rng, capsys, case, message):
+    # the constructor's ValueError is re-raised as DatasetFormatError, as ArrayDataSet.read does
+    good, bad = tmp_path / "good.pmds", tmp_path / "slice00_alpha.pmds"
+    pm.ImageField(rng.uniform(-1, 1, (2, 3)), np.ones((2, 2, 2)), (2,), {}).write(good)
+    if case == "nan":  # the last imaginary part of the payload
+        bad.write_bytes(good.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+    else:
+        _rewrite_header(good, bad, lambda h: _set(h, ("meta", "grid_shape"), [3]))
+    with pytest.raises(pm.DatasetFormatError, match=message) as info:
+        pm.ImageField.read(bad)
+    assert str(info.value) == message + (" (NaN or inf found)" if case == "nan" else "")
+    _assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "out")], message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_kind_cross_reads_rejected(tmp_path, rng):
     ds = _small_dataset(rng)
     dpath = tmp_path / "d.pmds"

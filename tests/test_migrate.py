@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -640,6 +641,84 @@ def _check_direct_against_oracle(scene, resp, block, monkeypatch):
     for i, y in enumerate(pts):
         for mode, ref in _oracle_band(resp, y).items():
             assert np.abs(got[mode][i] - ref).max() <= 1e-10 * np.abs(ref).max(), (mode, i)
+
+
+def _fold_spy(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return fold(*args)
+    fold = migrate._fold
+    monkeypatch.setattr(migrate, "_fold", spy)
+    return calls
+
+
+@pytest.mark.parametrize("moments", [False, True])
+@pytest.mark.parametrize("n_out, n_in", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_direct_sums_agree_on_either_side_of_the_contraction_rule(n_out, n_in, moments,
+                                                                  monkeypatch):
+    # n_in n_col summed points sit on the rule (the data are folded), one more above it (the
+    # products are); both against explicit dyadic_green sums.  The points are a few
+    # wavelengths apart, so k r, and the rounding of its phase, stays small.
+    calls = _fold_spy(monkeypatch)
+    rng = np.random.default_rng(11)
+    ks = K0 * np.array([0.9, 1.0, 1.1])
+    pts = LAMBDA0 * (rng.uniform(-2, 2, (2 * n_out, 3)) + [0, 0, 5])
+    for n_sum, folded in ((2 * n_in, False), (2 * n_in + 1, True)):
+        xs = LAMBDA0 * rng.uniform(-2, 2, (n_sum, 3))
+        shape = (n_sum, ks.size, n_in, 2)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        scale = np.linalg.norm(np.concatenate([xs, pts]), axis=1).max()
+        calls.clear()
+        sums, spread = migrate._direct_sums(xs, data, ks, pts, n_out, moments, scale)
+        assert bool(calls) == folded
+        for fi, k in enumerate(ks):
+            conj_g = np.conj(pm.dyadic_green(xs[:, None], pts[None], k))  # (n_sum, points, 3, 3)
+            ref = np.einsum("npol,nlq->poq", conj_g[..., :n_out, :n_in], data[:, fi])
+            assert np.abs(sums[fi] - ref).max() <= 1e-13 * np.abs(ref).max()
+            if moments:
+                ref = np.einsum("npji,npjl->pil", conj_g.conj(), conj_g)[:, :2, :2]
+                assert np.abs(_at(spread, k) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert (spread is None) != moments
+
+
+@pytest.mark.parametrize("n_sum", [6, 7, 30, 100])
+def test_direct_sums_hold_one_kernel_stack_whichever_side_they_fold(n_sum):
+    # synthesis shapes (2 output rows, 3 x 2 data components, so 6 kernels) at 31x31
+    # receivers.  The walk's stack, its state, buffers and first-bin temporaries take two
+    # stacks; folding the data adds a point-major copy of the stack, which the rule keeps
+    # no larger than the products that folding the products makes.
+    rng = np.random.default_rng(5)
+    n_pts, n_out, n_in, n_col = 961, 2, 3, 2
+    ks = K0 * np.array([0.9, 1.0, 1.1])
+    pts = LAMBDA0 * np.c_[rng.uniform(-10, 10, (n_pts, 2)), np.zeros(n_pts)]
+    xs = LAMBDA0 * (rng.uniform(-3, 3, (n_sum, 3)) + [0, 0, 15])
+    shape = (n_sum, ks.size, n_in, n_col)
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    scale = np.linalg.norm(np.concatenate([xs, pts]), axis=1).max()
+    walks = list(migrate._direct_walks(xs, ks, pts, n_out, n_in, False, scale))
+    stack = 6 * n_pts * n_sum * 16
+    products = 6 * n_pts * n_in * n_col * 16
+    tracemalloc.start()
+    try:
+        sums = migrate._direct_sums(xs, data, ks, pts, n_out, False, scale, walks)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 + len(walks[0][1].orient) == 6
+    assert peak - sums.nbytes <= 2 * stack + 2 * products, (peak - sums.nbytes) / stack
+
+
+def test_synthesis_folds_no_products_and_off_lattice_recovery_does(monkeypatch):
+    calls = _fold_spy(monkeypatch)
+    scene = three_dipole_scene(n=31)
+    coh = pm.coherency_synthesize(scene, band(3))
+    assert not calls
+    pts = _off_lattice_points(scene, 64)
+    assert migrate._lattice_rows(pts, scene.geom)[1].size == 64
+    pm.recover_alpha_field(pm.preprocess(coh)[0], pts, mode="exact")
+    assert calls
 
 
 # ---------------------------------------------------------------------------

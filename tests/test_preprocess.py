@@ -136,11 +136,15 @@ def test_mul_2x2_matches_matmul_on_broadcast_shapes(rng):
 
     a, js = cplx(3, 4, 5, 2, 2), cplx(5, 2, 2)
     ah = np.swapaxes(a.conj(), -1, -2)  # a strided, conj-transposed operand
-    for x, y in [(a, js), (a, ah), (ah, a), (js, a)]:
+    wide, tall = cplx(3, 4, 5, 2, 3), cplx(5, 3, 2)  # an inner size of 3, as 3x3 data recover
+    for x, y in [(a, js), (a, ah), (ah, a), (js, a), (wide, tall)]:
         ref = x @ y
         got = _mul_2x2(x, y)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    for x, y in [(wide, js), (a, tall), (tall, wide)]:  # inner sizes differ, or not a 2x2 result
+        with pytest.raises(ValueError, match="cannot form a 2x2 product"):
+            _mul_2x2(x, y)
 
 
 def test_coherency_is_hermitian_with_the_bits_of_the_whole_product():
