@@ -148,6 +148,18 @@ def _read_container(path) -> tuple[str, np.ndarray, dict]:
     return kind, values, header["meta"]
 
 
+def table_text(header, rows) -> str:
+    """CSV text of every table the package writes: the ``header`` names, then one line per row.
+
+    Lines end in LF, the last one too.  String fields, the leading labels, are written as given
+    and every other field as ``repr(float(v))``, which reads back to the same float.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([v if isinstance(v, str) else repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
 def _geometry_meta(geom: ArrayGeom, source: SourceSpec, band: FrequencyBand,
                    wave_speed: float) -> dict:
     return {

@@ -11,10 +11,11 @@ CSV that duplicates every plotted number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .dataset import ImageField, _count, _header_field
+from .dataset import ImageField, _count, _header_field, table_text
 
 # fraction of the field's peak norm above which a local maximum gets a glyph
 DEFAULT_THRESHOLD = 0.5
@@ -123,22 +124,11 @@ def glyphs_for_field(field: ImageField, threshold: float) -> list[EllipseGlyph]:
 
 
 def write_glyph_csv(glyphs: list[EllipseGlyph], path) -> None:
-    cols = (
-        "index,part,center_1,center_2,a11,a12,a21,a22,sigma1,sigma2,scale,"
-        "arrow1_1,arrow1_2,arrow2_1,arrow2_2"
-    )
-    lines = [cols]
-    for i, g in enumerate(glyphs):
-        sv = g.singular_values
-        vals = [
-            g.center[0], g.center[1],
-            g.matrix[0, 0], g.matrix[0, 1], g.matrix[1, 0], g.matrix[1, 1],
-            sv[0], sv[1], g.scale,
-            g.arrows[0, 0], g.arrows[0, 1], g.arrows[1, 0], g.arrows[1, 1],
-        ]
-        lines.append(f"{i},{g.part}," + ",".join(repr(float(v)) for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ("index,part,center_1,center_2,a11,a12,a21,a22,sigma1,sigma2,scale,"
+              "arrow1_1,arrow1_2,arrow2_1,arrow2_2").split(",")
+    rows = [(str(i), g.part, *g.center, *g.matrix.ravel(), *g.singular_values, g.scale,
+             *g.arrows.ravel()) for i, g in enumerate(glyphs)]
+    Path(path).write_text(table_text(header, rows), encoding="utf-8")
 
 
 def write_glyph_svg(glyphs: list[EllipseGlyph], path, glyph_size: float) -> None:
@@ -179,8 +169,7 @@ def write_glyph_svg(glyphs: list[EllipseGlyph], path, glyph_size: float) -> None
                 f'stroke="{color}" stroke-width="1.2"{dash_attr}/>'
             )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
 def emit_glyphs(field: ImageField, threshold: float, svg_path, csv_path) -> list[EllipseGlyph]:

@@ -600,8 +600,6 @@ def recover_alpha_field(ds: ArrayDataSet, points, mode: str = "exact") -> np.nda
     projected band image rescaled by (4 pi L)^4 / mes(A).  Takes the data
     :func:`kirchhoff_band` takes.
     """
-    if ds.band.count < 2:
-        raise ValueError("band recovery needs at least 2 frequency samples")
     if mode not in ("exact", "fraunhofer"):
         raise ValueError(f"unknown recovery mode {mode!r}")
     alpha = _migrate_band(ds, points, mode)

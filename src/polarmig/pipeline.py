@@ -1,8 +1,9 @@
 """End-to-end experiment driver: simulate, preprocess, image, recover, report.
 
-Every artifact is written with sorted JSON headers and round-trip float
-formatting, so a rerun with the same configuration and seed reproduces the
-output directory byte for byte regardless of thread count.
+Every artifact is written with sorted JSON headers, and every CSV table by
+:func:`~polarmig.dataset.table_text` with round-trip float formatting, so a rerun
+with the same configuration and seed reproduces the output directory byte for
+byte regardless of thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, placement_report, regime_report
-from .dataset import ArrayDataSet, ImageField
+from .dataset import ArrayDataSet, ImageField, table_text
 from .emcore import project
 from .forward import coherency_synthesize, response_synthesize
 from .glyphs import emit_glyphs
@@ -24,28 +25,16 @@ from .stochastic import stochastic_coherency_dataset
 
 
 def _write_norms_csv(field: ImageField, path) -> None:
-    lines = ["x1,x2,x3,frobenius_norm"]
-    norms = field.norms()
-    for p, n in zip(field.points, norms):
-        lines.append(",".join(repr(float(v)) for v in (*p, n)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack([field.points, field.norms()]).tolist()
+    Path(path).write_text(table_text(("x1", "x2", "x3", "frobenius_norm"), rows), encoding="utf-8")
 
 
 def _write_tensor_table(rows, path) -> None:
-    lines = [
-        "label,x1,x2,x3,"
-        + ",".join(
-            f"{part}_{i}{j}" for part in ("re", "im") for i in (1, 2) for j in (1, 2)
-        )
-        + ",frobenius_norm"
-    ]
-    for label, pos, mat in rows:
-        vals = [pos[0], pos[1], pos[2]]
-        vals += [np.real(mat[i, j]) for i in range(2) for j in range(2)]
-        vals += [np.imag(mat[i, j]) for i in range(2) for j in range(2)]
-        vals.append(np.linalg.norm(mat))
-        lines.append(label + "," + ",".join(repr(float(v)) for v in vals))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parts = [f"{part}_{i}{j}" for part in ("re", "im") for i in (1, 2) for j in (1, 2)]
+    table = [(label, *pos, *mat.real.ravel(), *mat.imag.ravel(), np.linalg.norm(mat))
+             for label, pos, mat in rows]
+    Path(path).write_text(table_text(("label", "x1", "x2", "x3", *parts, "frobenius_norm"), table),
+                          encoding="utf-8")
 
 
 def simulate_stage(config: ExperimentConfig) -> ArrayDataSet:

@@ -35,7 +35,7 @@ from .errors import NumericalError
 # pseudo-inverse and the receiver is flagged.  Generic geometries stay far
 # below this; degenerate ones must not crash the pipeline.
 GTILDE_COND_LIMIT = 1e8
-GTILDE_SV_CUTOFF = 1e-8
+GTILDE_SV_CUTOFF = 1e-8  # pinv drops singular values at or below this times the largest
 # Source coherencies and 2x2 point-spread factors above these condition numbers refuse to invert.
 JS_COND_LIMIT = 1e12
 RECOVER_COND_LIMIT = 1e8
@@ -171,13 +171,6 @@ def _inv_2x2(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _truncated_pinv(a: np.ndarray) -> np.ndarray:
-    u, s, vh = np.linalg.svd(a)
-    keep = s > GTILDE_SV_CUTOFF * s[0]
-    inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vh.conj().T * inv_s) @ u.conj().T
-
-
 def _gt_blocks(ds: ArrayDataSet, work) -> None:
     """``work(b, gt, cond, inv_gt_star, js, js_inv)`` per bin block ``b`` of one Gt walk.
 
@@ -196,7 +189,7 @@ def _gt_blocks(ds: ArrayDataSet, work) -> None:
         with np.errstate(divide="ignore", invalid="ignore"):  # a singular Gt, replaced below
             inv_gt_star = _inv_2x2(np.conj(np.swapaxes(gt, -1, -2)))
         for idx in map(tuple, np.argwhere(~(cond <= GTILDE_COND_LIMIT))):
-            inv_gt_star[idx] = _truncated_pinv(np.conj(gt[idx].T))
+            inv_gt_star[idx] = np.linalg.pinv(np.conj(gt[idx].T), rcond=GTILDE_SV_CUTOFF)
         work(np.s_[:, :, bins], gt, cond, inv_gt_star, js[bins], js_inv[bins])
 
     run_bin_blocks(block, math.prod(shape), ds.band.count)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import ArrayDataSet
+from .dataset import ArrayDataSet, table_text
 from .forward import _transfer
 from .preprocess import _coherency
 from .scene import FrequencyBand, Scene
@@ -233,10 +233,7 @@ class ErgodicityProbe:
         return list(zip(self.durations.tolist(), self.variances.tolist()))
 
     def csv(self) -> str:
-        lines = ["half_duration_s,variance"]
-        for t, v in self.table():
-            lines.append(f"{t!r},{v!r}")
-        return "\n".join(lines) + "\n"
+        return table_text(("half_duration_s", "variance"), self.table())
 
 
 def ergodicity_probe(

@@ -12,6 +12,7 @@ import pytest
 import polarmig as pm
 from polarmig import _parallel
 from polarmig._parallel import run_tasks
+from polarmig.cli import main as cli_main
 
 LAMBDA0 = 0.125
 L = 100 * LAMBDA0
@@ -101,6 +102,14 @@ def blas_count():
     yield before
     if before is not None:
         _parallel.set_blas_threads(before)
+
+
+def assert_cli_rejects(capsys, argv, key) -> None:
+    """``polarmig argv`` exits 2, its one stderr line ``invalid input:`` and text with ``key``."""
+    assert cli_main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid input: ") and key in lines[0]
 
 
 def exactly_hermitian(psi: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Configuration parsing, regime report, pipeline orchestration and CLI tests."""
 
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -21,7 +22,7 @@ from polarmig.config import parse_config, preset
 from polarmig.dataset import _read_container, _write_container
 from polarmig.pipeline import run_pipeline, write_slice
 
-from conftest import LAMBDA0, band, bench_scene
+from conftest import LAMBDA0, assert_cli_rejects, band, bench_scene
 
 
 def _tiny_config(**overrides) -> dict:
@@ -501,6 +502,63 @@ def test_parse_config_maps_malformed_sections(tmp_path, capsys, path, value, sec
     assert cli_main(["report", "--config", str(cfg_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "either --config or --preset is required"),
+    ([], "configuration root must be an object"),
+    (_with(("array", "side"), "twenty lambda0"),
+     "array.side: expected meters or '<number> lambda0', got 'twenty lambda0'"),
+    (_with(("source", "coherency"), {"re": [[1, 0], [0, 1]], "im": [[0, 0, 0]] * 3}),
+     "source.coherency: expected re/im matrix entries"),
+], ids=["no-config", "root-not-object", "length-word", "re-im-shapes"])
+def test_config_refusals_exit_2(tmp_path, capsys, config, message):
+    argv = ["report"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    with pytest.raises(pm.ConfigError, match=re.escape(message)):
+        _config_from_args(build_parser().parse_args(argv))
+    assert_cli_rejects(capsys, argv, message)
+
+
+def _report_argv(config):
+    def argv(tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        return ["report", "--config", str(tmp_path / "cfg.json")]
+    return argv
+
+
+def _preprocess_a_short_coherency_table(tmp_path):
+    scene = bench_scene([], n=2)
+    source = dataclasses.replace(scene.source, coherency=np.stack([np.eye(2)] * 3))
+    pm.ArrayDataSet("hermitian2x2", np.zeros((2, 2, 5, 2, 2)), scene.geom, source, band(5),
+                    scene.wave_speed).write(tmp_path / "short.pmds")
+    return ["preprocess", str(tmp_path / "short.pmds"), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("refused, message, cli_argv", [
+    (lambda: pm.Scatterer([0, 0, 1.0], np.eye(2)), "polarizability tensor must be 3x3, got (2, 2)",
+     _report_argv(_with(("scatterers", 0, "alpha"), {"re": [[1, 0], [0, 1]]}))),
+    (lambda: pm.SourceSpec([1.0, 0, 0], [0, 0, 1.0], np.eye(3)),
+     "source coherency must be 2x2 or (nfreq, 2, 2)",
+     _report_argv(_with(("source", "coherency"), {"re": np.eye(3).tolist()}))),
+    (lambda: pm.SourceSpec([1.0, 0, 0], [0, 0, 1.0], np.stack([np.eye(2)] * 3)).coherency_table(5),
+     "coherency table has 3 rows, need 5", _preprocess_a_short_coherency_table),
+    (lambda: pm.FrequencyBand.from_omegas([1.0]), "need a 1-d grid of at least 2 frequencies",
+     None),
+    (lambda: pm.FrequencyBand.from_omegas([1.0, 2.0, 4.0]),
+     "frequency grid must be uniform and increasing", None),
+    (lambda: dataclasses.replace(bench_scene([], n=2), wave_speed=0.0),
+     "wave speed must be positive and finite", None),
+], ids=["alpha-2x2", "coherency-3x3", "coherency-table-rows", "one-frequency", "uneven-grid",
+        "wave-speed"])
+def test_scene_refusals_exit_2_where_the_cli_reaches_them(tmp_path, capsys, refused, message,
+                                                           cli_argv):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()
+    if cli_argv is not None:
+        assert_cli_rejects(capsys, cli_argv(tmp_path), message)
 
 
 def test_parse_config_accepts_integral_floats():

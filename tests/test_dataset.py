@@ -16,7 +16,8 @@ from polarmig.cli import main as cli_main
 from polarmig.dataset import MAGIC, _read_container, _write_container
 from polarmig.preprocess import _coherency
 
-from conftest import band, bench_scene, exactly_hermitian, three_dipole_scene
+from conftest import (assert_cli_rejects, band, bench_scene, exactly_hermitian,
+                      three_dipole_scene)
 
 
 def _small_dataset(rng) -> pm.ArrayDataSet:
@@ -96,6 +97,67 @@ def test_kind_tags_in_the_source_are_the_container_tags():
     assert set(found) <= live | set(dataset._RETIRED), found
     for tag in dataset._RETIRED:
         assert found.get(tag, set()) <= {"dataset.py"}, (tag, found[tag])
+
+
+def test_table_text_is_a_header_then_one_lf_line_per_row_that_reads_back_bitwise():
+    numbers = [0.1, -0.0, 5e-324, 1e308, np.float64(2.0) / 3]
+    text = dataset.table_text(["label", "part", *"abcde"],
+                              [("recovered_0", "re", *numbers), ("7", "im", 1, -2, 0.5, 0, 3)])
+    lines = text.split("\n")
+    assert "\r" not in text and len(lines) == 4 and lines[-1] == ""  # the last line ends in LF
+    assert lines[0] == "label,part,a,b,c,d,e"
+    first = lines[1].split(",")
+    assert first[:2] == ["recovered_0", "re"]  # labels verbatim
+    assert np.array_equal(np.array([float(f) for f in first[2:]]).view(np.uint64),
+                          np.array(numbers, dtype=float).view(np.uint64))
+    assert lines[2] == "7,im,1.0,-2.0,0.5,0.0,3.0"
+    assert dataset.table_text(["x1"], []) == "x1\n"
+
+
+def _repr_float_sites(node, where=""):
+    """Name of the function around each ``repr(float(...))`` call below ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "repr" and node.args:
+        inner = node.args[0]
+        if isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "float":
+            yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _repr_float_sites(child, where)
+
+
+def test_table_fields_are_formatted_only_by_table_text():
+    # every CSV the package writes gets its round-trip field text from one formatter
+    found = set()
+    for module in sorted(Path(dataset.__file__).parent.glob("*.py")):
+        sites = _repr_float_sites(ast.parse(module.read_text()))
+        found |= {(module.name, where) for where in sites}
+    assert found == {("dataset.py", "table_text")}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("header", "header is not a JSON object"),
+    ("shape", "header key 'shape' is out of range"),
+    ("points", "points must be (npts, 3)"),
+])
+def test_container_refusals_exit_2(tmp_path, rng, capsys, case, message):
+    bad = tmp_path / "bad.pmds"
+    if case == "points":  # image points with two coordinates
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pm.ImageField(np.zeros((6, 2)), np.ones((6, 2, 2)), (2, 3), {})
+        good = tmp_path / "good.pmds"
+        pm.ImageField(rng.uniform(-1, 1, (6, 3)), np.ones((6, 2, 2)), (2, 3), {}).write(good)
+        _rewrite_header(good, bad, lambda h: _set(h, ("meta", "points"), [[0.0, 0.0]] * 6))
+        read, stage = pm.ImageField.read, "glyphs"
+    else:  # a JSON array for a header, or an empty payload of dimensions no array holds
+        header = [1] if case == "header" else {"kind": "response3x3", "dtype": "complex128",
+                                               "shape": [0, 2**62, 2**62, 3, 3], "meta": {}}
+        blob = json.dumps(header).encode()
+        bad.write_bytes(MAGIC + len(blob).to_bytes(8, "little") + blob)
+        read, stage = pm.ArrayDataSet.read, "preprocess"
+    with pytest.raises(pm.DatasetFormatError, match=re.escape(message)):
+        read(bad)
+    assert_cli_rejects(capsys, [stage, str(bad), "--out", str(tmp_path / "out")], message)
 
 
 @pytest.mark.parametrize("order", ["<c16", ">c16"])
@@ -184,7 +246,7 @@ def test_coreless_preprocessed_data_is_refused(tmp_path, capsys):
     _write_container(path, "preprocessed3x3", pre.values, _read_container(tmp_path / "pre.pmds")[2])
     with pytest.raises(pm.DatasetFormatError, match="holds no 2x2 core; rerun preprocess"):
         pm.ArrayDataSet.read(path)
-    _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
+    assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
                         "a preprocessed3x3 container holds no 2x2 core; rerun preprocess")
 
 
@@ -243,7 +305,7 @@ def test_old_coherency_container_is_refused(tmp_path, capsys):
     _write_container(path, "coherency2x2", ds.values, _read_container(tmp_path / "new.pmds")[2])
     with pytest.raises(pm.DatasetFormatError, match="rerun simulate"):
         pm.ArrayDataSet.read(path)
-    _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
+    assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")],
                         "a coherency2x2 container holds all four complex entries; rerun simulate")
     assert not (tmp_path / "out" / "preprocessed.pmds").exists()
 
@@ -262,7 +324,7 @@ def test_truncated_retired_container_gets_the_rerun_hint(tmp_path, capsys, tag, 
     for read in (pm.ArrayDataSet.read, pm.ImageField.read):
         with pytest.raises(pm.DatasetFormatError, match=f"a {tag} container .*; {hint}$"):
             read(path)
-    _assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")], hint)
+    assert_cli_rejects(capsys, ["preprocess", str(path), "--out", str(tmp_path / "out")], hint)
 
 
 def test_coherency_container_peak_memory_is_the_data_its_read_back_and_one_chunk(tmp_path):
@@ -385,7 +447,7 @@ def test_image_read_refuses_a_payload_its_kind_tag_misstates(tmp_path, rng, caps
     _write_container(path, kind, np.ones(shape), meta)
     with pytest.raises(pm.DatasetFormatError, match=f"{kind} payload shape"):
         pm.ImageField.read(path)
-    _assert_cli_rejects(capsys, ["glyphs", str(path), "--out", str(tmp_path / "out")],
+    assert_cli_rejects(capsys, ["glyphs", str(path), "--out", str(tmp_path / "out")],
                         f"{kind} payload shape")
     assert not (tmp_path / "out").exists()
 
@@ -406,7 +468,7 @@ def test_image_read_reports_a_field_the_constructor_refuses_as_a_format_error(
     with pytest.raises(pm.DatasetFormatError, match=message) as info:
         pm.ImageField.read(bad)
     assert str(info.value) == message + (" (NaN or inf found)" if case == "nan" else "")
-    _assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "out")], message)
+    assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "out")], message)
     assert not (tmp_path / "out").exists()
 
 
@@ -431,7 +493,7 @@ def test_array_read_of_an_image_field_names_it(tmp_path, rng, capsys):
     with pytest.raises(pm.DatasetFormatError, match="image field"):
         pm.ArrayDataSet.read(path)
     argv = ["preprocess", str(path), "--out", str(tmp_path / "out")]
-    _assert_cli_rejects(capsys, argv, "file holds an image field")
+    assert_cli_rejects(capsys, argv, "file holds an image field")
 
 
 def _rewrite_header(src, dst, edit) -> None:
@@ -465,13 +527,6 @@ def _set(header, path, value) -> None:
         node[path[-1]] = value
 
 
-def _assert_cli_rejects(capsys, argv, key) -> None:
-    assert cli_main(argv) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("invalid input: ") and key in lines[0]
-
-
 def test_malformed_dataset_header_exits_2(tmp_path, rng, capsys):
     good = tmp_path / "good.pmds"
     _small_dataset(rng).write(good)
@@ -496,7 +551,7 @@ def test_malformed_dataset_header_exits_2(tmp_path, rng, capsys):
         bad = tmp_path / f"bad{i}.pmds"
         _rewrite_header(good, bad, lambda h: _set(h, path, value))
         argv = ["preprocess", str(bad), "--out", str(tmp_path / "out")]
-        _assert_cli_rejects(capsys, argv, path[-1])
+        assert_cli_rejects(capsys, argv, path[-1])
 
 
 def test_malformed_image_header_exits_2(tmp_path, rng, capsys):
@@ -509,7 +564,7 @@ def test_malformed_image_header_exits_2(tmp_path, rng, capsys):
     for i, (path, value) in enumerate(cases):
         bad = tmp_path / f"bad{i}.pmds"
         _rewrite_header(good, bad, lambda h: _set(h, path, value))
-        _assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "g")], path[-1])
+        assert_cli_rejects(capsys, ["glyphs", str(bad), "--out", str(tmp_path / "g")], path[-1])
 
 
 @pytest.mark.parametrize("shape, nbytes", [
@@ -527,7 +582,7 @@ def test_container_shape_out_of_range_exits_2(tmp_path, rng, capsys, shape, nbyt
     bad.write_bytes(blob[:len(MAGIC) + 8 + hlen] + bytes(nbytes))
     with pytest.raises(pm.DatasetFormatError, match="'shape'"):
         _read_container(bad)
-    _assert_cli_rejects(capsys, ["preprocess", str(bad), "--out", str(tmp_path / "out")], "'shape'")
+    assert_cli_rejects(capsys, ["preprocess", str(bad), "--out", str(tmp_path / "out")], "'shape'")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -549,14 +604,14 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     packed[1, 2, 0, 3 if np.imag(bad) else 0 if np.isnan(bad) else 1] = bad_point
     poisoned.write_bytes(blob[: len(blob) - packed.nbytes] + packed.tobytes())
     argv = ["preprocess", str(poisoned), "--out", str(tmp_path / "out")]
-    _assert_cli_rejects(capsys, argv, "finite")
+    assert_cli_rejects(capsys, argv, "finite")
     # the same value in the header's geometry, band, wave speed and coherency
     for path in (("array", "side"), ("band", "center"), ("band", "width"), ("wave_speed",)):
         _rewrite_header(good, poisoned, lambda h: _set(h["meta"], path, bad_point))
-        _assert_cli_rejects(capsys, argv, "must be positive")
+        assert_cli_rejects(capsys, argv, "must be positive")
     coherency = ("source", "coherency_re", 0, 0)
     _rewrite_header(good, poisoned, lambda h: _set(h["meta"], coherency, bad_point))
-    _assert_cli_rejects(capsys, argv, "source coherency must be finite")
+    assert_cli_rejects(capsys, argv, "source coherency must be finite")
     assert not (tmp_path / "out" / "preprocessed.pmds").exists()
     # an image field, poisoned in its payload and in its header's points
     field = pm.ImageField(rng.uniform(-1, 1, (6, 3)), np.ones((6, 2, 2)), (2, 3), {})
@@ -568,9 +623,9 @@ def test_non_finite_dataset_exits_2(tmp_path, rng, capsys, bad):
     blob = good.read_bytes()
     poisoned.write_bytes(blob[: len(blob) - values.nbytes] + values.astype("<c16").tobytes())
     argv = ["glyphs", str(poisoned), "--out", str(tmp_path / "glyphs")]
-    _assert_cli_rejects(capsys, argv, "image field values must be finite")
+    assert_cli_rejects(capsys, argv, "image field values must be finite")
     _rewrite_header(good, poisoned, lambda h: h["meta"]["points"][2].__setitem__(1, bad_point))
-    _assert_cli_rejects(capsys, argv, "image field points must be finite")
+    assert_cli_rejects(capsys, argv, "image field points must be finite")
     assert not (tmp_path / "glyphs" / "glyphs.svg").exists()
 
 

@@ -1,6 +1,7 @@
 """Math kernel tests: Green functions, projectors, bases, Stokes algebra."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ def test_projected_green_condition_bench_geometry():
 def test_projected_green_condition_collinear_raises():
     with pytest.raises(pm.DegenerateGeometryError):
         pm.projected_green_condition([0, 0, 0], [0, 0, 1.0], [0, 0, 2.0])
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: pm.source_basis(np.zeros((2, 3)), [0, 0, 1.0]), ValueError,
+     "source_basis takes single points, not batches"),
+    (lambda: pm.StokesVec(np.nan, 0, 0, 0), ValueError, "Stokes parameters must be finite"),
+    (lambda: pm.stokes_from_coherency(np.eye(3)), ValueError,
+     "expected a 2x2 matrix, got shape (3, 3)"),
+    # a right angle at the receiver: cos(theta_r) = 0, so the product keeps rank 1
+    (lambda: pm.projected_green_condition([0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]),
+     pm.DegenerateGeometryError, "projector product lost rank 2"),
+], ids=["batch-source", "stokes-nan", "coherency-3x3", "right-angle"])
+def test_emcore_refusals(refused, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        refused()
+
+
+def test_coherency_from_plain_stokes_numbers_matches_the_stokes_vector():
+    assert np.array_equal(pm.coherency_from_stokes([2.0, 0.5, -0.25, 1.0]),
+                          pm.coherency_from_stokes(pm.StokesVec(2.0, 0.5, -0.25, 1.0)))
 
 
 def test_cross_range_basis_is_e1_e2():

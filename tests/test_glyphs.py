@@ -1,10 +1,14 @@
 """Glyph tests: ellipse geometry, arrow conventions, file emission."""
 
+import re
+
 import numpy as np
 import pytest
 
 import polarmig as pm
 from polarmig.glyphs import glyphs_for_field, write_glyph_csv, write_glyph_svg
+
+from conftest import assert_cli_rejects
 
 A_SHEAR = np.array([[1.0, -1.0], [0.0, 1.0]])  # not symmetric
 A_SYMM = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -143,3 +147,31 @@ def test_glyph_threshold_validation():
     field, _ = _field_with_peaks()
     with pytest.raises(ValueError, match="threshold"):
         glyphs_for_field(field, threshold=1.5)
+
+
+def _line_field(d: int, shape) -> pm.ImageField:
+    pts = np.zeros((4, 3))
+    pts[:, 0] = np.arange(4)
+    return pm.ImageField(points=pts, values=np.ones((4, d, d), dtype=complex), shape=shape, meta={})
+
+
+@pytest.mark.parametrize("refused, message, field", [
+    (lambda _: pm.ellipse_glyph(np.eye(3)), "glyph matrices are 2x2", None),
+    (lambda f: glyphs_for_field(f, 0.5), "glyph placement expects a 2-d slice",
+     _line_field(2, (4,))),
+    (lambda f: glyphs_for_field(f, 0.5), "glyphs need a 2x2 tensor field", _line_field(3, (2, 2))),
+    (lambda _: write_glyph_svg([], "unused.svg", 1.0), "empty glyph list", None),
+], ids=["matrix-3x3", "one-axis-grid", "field-3x3", "no-glyphs"])
+def test_glyph_refusals_exit_2_where_the_cli_reaches_them(tmp_path, capsys, refused, message,
+                                                          field):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused(field)
+    if field is not None:
+        field.write(tmp_path / "field.pmds")
+        assert_cli_rejects(capsys, ["glyphs", str(tmp_path / "field.pmds"), "--out",
+                                    str(tmp_path / "out")], message)
+
+
+def test_axis_deviation_skips_zero_singular_values():
+    assert pm.axis_deviation(np.diag([2.0, 0.0])) == 0.0
+    assert pm.axis_deviation(np.zeros((2, 2))) == 0.0

@@ -1,6 +1,7 @@
 """Imaging tests: migration kernels, point-spread functions, recovery, region."""
 
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -300,6 +301,37 @@ def test_region_check_bad_gamma():
     geom = pm.ArrayGeom(side=20 * LAMBDA0, n1=5, n2=5)
     with pytest.raises(ValueError):
         pm.region_check(geom, bench_window(), [0, 0, -L], gamma=2)
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda geom: pm.kirchhoff_single(np.zeros((3, 3, 3, 3)), geom, bench_source().position, K0,
+                                      [0, 0, L]),
+     "data shape (3, 3, 3, 3) does not match the array geometry"),
+    (lambda geom: pm.recover_alpha_single(np.eye(3), [0, 0, L], K0, geom, bench_source(), "born"),
+     "unknown recovery mode 'born'"),
+    (lambda _: pm.plane_grid(bench_window(), 2, L, 0.0), "grid step must be positive"),
+    (lambda _: pm.plane_grid(bench_window(), 3, L, LAMBDA0), "normal_axis must be 0, 1 or 2"),
+], ids=["data-shape", "recovery-mode", "grid-step", "normal-axis"])
+def test_migrate_refusals(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused(pm.ArrayGeom(side=20 * LAMBDA0, n1=4, n2=4))
+
+
+def test_one_sample_band_is_refused_by_the_band_integral():
+    ds = pm.response_synthesize(single_dipole_scene(n=4), single_freq_band())
+    for migrate_band in (partial(pm.recover_alpha_field, mode="exact"),
+                         partial(pm.recover_alpha_field, mode="fraunhofer"), pm.kirchhoff_band):
+        with pytest.raises(ValueError, match="band integration needs at least 2 frequency samples"):
+            migrate_band(ds, [0, 0, L])
+
+
+def test_a_row_of_identical_points_stays_on_the_direct_sum():
+    ds = pm.response_synthesize(single_dipole_scene(n=5), band(3))
+    pts = np.tile([0.0, 0.0, L], (4, 1))
+    rows, rest = migrate._lattice_rows(pts, ds.geom)
+    assert rows == {} and np.array_equal(rest, np.arange(4))
+    one = pm.kirchhoff_band(ds, pts[0])
+    assert np.allclose(pm.kirchhoff_band(ds, pts), one, rtol=1e-14, atol=0)
 
 
 def test_plane_grid_layout():

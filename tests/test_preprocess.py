@@ -1,6 +1,8 @@
 """Preprocessing tests: the coherency-to-response map and its exact error."""
 
+import dataclasses
 import importlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ from polarmig.emcore import CROSS_RANGE_BASIS
 from polarmig.forward import projected_response
 from polarmig.errors import NumericalError
 from polarmig.migrate import _guard_cond
-from polarmig.preprocess import GTILDE_COND_LIMIT, _cond_2x2, _mul_2x2
+from polarmig.preprocess import GTILDE_COND_LIMIT, GTILDE_SV_CUTOFF, _cond_2x2, _mul_2x2
 
 from conftest import (
     ALPHA_1,
@@ -248,6 +250,38 @@ def test_preprocess_regularizes_degenerate_receiver():
     assert report.regularized_count >= 1
     assert np.all(np.isfinite(pre.values))
     assert report.cond.max() > GTILDE_COND_LIMIT
+
+
+def test_flagged_receivers_invert_gt_by_a_truncated_svd(rng):
+    # the scene above, with data Gt Js Gt^* + D: at a flagged receiver the core is D T Js^-1,
+    # T the pseudo-inverse of Gt^* from its singular values above the cutoff
+    geom = pm.ArrayGeom(side=2 * LAMBDA0, n1=2, n2=2)
+    window = pm.ImagingWindow(center=[0, 0, L], cross_range=4.0, range_extent=4.0)
+    source = pm.SourceSpec(position=[1e7 / K0, -LAMBDA0, 0.0], reference_point=[0, 0, L])
+    scene = pm.Scene(source=source, geom=geom, window=window, scatterers=[])
+    ds = pm.coherency_synthesize(scene, single_freq_band())
+    noise = rng.standard_normal(ds.matrices.shape) + 1j * rng.standard_normal(ds.matrices.shape)
+    noisy = dataclasses.replace(ds, matrices=ds.matrices + noise * np.abs(ds.matrices).max())
+    pre, report = pm.preprocess(noisy)
+    assert report.regularized
+    for idx in report.regularized:
+        x_r = geom.positions()[idx[:2]]
+        gt_star = np.conj(pm.gtilde(x_r, source.position, source.reference_point,
+                                    ds.wavenumbers[idx[2]]).T)
+        u, s, vh = np.linalg.svd(gt_star)
+        keep = s > GTILDE_SV_CUTOFF * s[0]
+        assert not keep.all()
+        truncated = (np.conj(vh[keep]).T / s[keep]) @ np.conj(u[:, keep]).T
+        expected = (noisy.matrices[idx] - ds.matrices[idx]) @ truncated @ np.linalg.inv(
+            source.coherency)
+        assert np.abs(pre.matrices[idx] - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_expected_error_refuses_a_response_of_another_shape():
+    ds = pm.coherency_synthesize(bench_scene([], n=2), band(3))
+    with pytest.raises(ValueError, match=re.escape(
+            "response field shape (2, 2, 2, 3, 3), expected (2, 2, 3, 3, 3)")):
+        pm.expected_error(np.zeros((2, 2, 2, 3, 3)), ds)
 
 
 def _flagged_scene(n: int) -> pm.Scene:

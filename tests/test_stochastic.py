@@ -1,5 +1,8 @@
 """Random-source pipeline tests: synthesis statistics, propagation, averaging."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,8 @@ from polarmig.stochastic import (
     synthesis_transform,
 )
 
-from conftest import (ALPHA_1, K0, L, LAMBDA0, OMEGA0, bench_scene, check_bin_blocks,
-                      exactly_hermitian)
+from conftest import (ALPHA_1, K0, L, LAMBDA0, OMEGA0, assert_cli_rejects, bench_scene,
+                      check_bin_blocks, exactly_hermitian)
 from timedomain import (
     TimeSignal,
     empirical_coherency,
@@ -387,3 +390,27 @@ def test_ergodicity_probe_values_match_time_domain_route():
             pool.append((spec.dt / (2 * half)) * np.einsum("rit,rjt->rij", e_par, e_par))
         expected.append(np.var(pool, axis=0, ddof=1).mean())
     assert np.allclose(probe.variances, expected, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("kwargs, message, cli_reaches", [
+    ({"band_count": 1}, "need at least 2 band samples", True),
+    ({"band_count": 4, "realizations": 0}, "need at least one realization", False),
+    ({"band_count": 10**6}, "transform grid too coarse for the requested band sampling", True),
+], ids=["one-bin", "no-realization", "coarse-grid"])
+def test_stochastic_refusals_exit_2_where_the_cli_reaches_them(tmp_path, capsys, kwargs, message,
+                                                               cli_reaches):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pm.stochastic_coherency_dataset(_stats_scene(), _spec(), **kwargs)
+    if cli_reaches:
+        cfg = pm.preset("stochastic-reduced")
+        cfg["stochastic"]["band_count"] = kwargs["band_count"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert_cli_rejects(capsys, ["simulate", "--config", str(tmp_path / "cfg.json"), "--out",
+                                    str(tmp_path / "out")], message)
+
+
+def test_ergodicity_probe_reads_the_first_receiver_by_default():
+    scene = _stats_scene(n=2)
+    args = (scene, _spec(seed=7, half=40e-9, samples=1200), [20e-9, 30e-9, 40e-9], 30)
+    first = pm.ergodicity_probe(*args, receivers=scene.geom.flat_positions()[:1])
+    assert pm.ergodicity_probe(*args).csv() == first.csv()
